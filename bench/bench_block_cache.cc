@@ -114,7 +114,7 @@ void CacheSizeSweep(const BenchConfig& cfg, JsonArtifact* json) {
 /// One A/B cell of the mixed scan+get experiment.
 struct MixConfig {
   const char* label;
-  int codec;               // range compression_codec (-1 = raw blocks)
+  CompressionCodec codec;  // range compression_codec
   size_t compressed_bytes; // 0 = single tier
   double hot_fraction;     // >= 1.0 = classic LRU admission
 };
@@ -134,11 +134,11 @@ void ScanGetMix(const BenchConfig& cfg, JsonArtifact* json) {
   const int kGetsPerRound = 2000;
 
   const MixConfig kConfigs[] = {
-      {"comp+2tier+2queue", 0, 8 << 20, 0.75},
-      {"comp+2tier+classic", 0, 8 << 20, 1.0},
-      {"comp+1tier+2queue", 0, 0, 0.75},
-      {"comp+1tier+classic", 0, 0, 1.0},
-      {"raw+1tier+2queue", -1, 0, 0.75},
+      {"comp+2tier+2queue", kNovaLzCompression, 8 << 20, 0.75},
+      {"comp+2tier+classic", kNovaLzCompression, 8 << 20, 1.0},
+      {"comp+1tier+2queue", kNovaLzCompression, 0, 0.75},
+      {"comp+1tier+classic", kNovaLzCompression, 0, 1.0},
+      {"raw+1tier+2queue", kNoCompression, 0, 0.75},
   };
   for (const MixConfig& c : kConfigs) {
     coord::ClusterOptions opt = ReadPathOptions();

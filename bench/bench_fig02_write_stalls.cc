@@ -50,8 +50,8 @@ void RunConfig(const BenchConfig& cfg, const char* label, int memtables,
   cluster.Stop();
 }
 
-// Fixed write load, then a timed flush + compaction drain. `readahead` < 0
-// forces the serial (one block in flight) gather path; >= 2 pipelines block
+// Fixed write load, then a timed flush + compaction drain. `readahead` 0
+// is the serial (one block in flight) gather path; >= 2 pipelines block
 // fetches and SSTable flush acks through the async StoC I/O layer.
 void RunCompactionDrain(const BenchConfig& cfg, const char* label,
                         int readahead, JsonArtifact* artifact) {
@@ -130,7 +130,7 @@ void Run(const BenchConfig& cfg) {
 
   PrintHeader("Compaction drain: serial vs pipelined gather (Section 4.3)");
   JsonArtifact artifact("compaction_drain");
-  RunCompactionDrain(cfg, "serial gather", -1, &artifact);
+  RunCompactionDrain(cfg, "serial gather", 0, &artifact);
   RunCompactionDrain(cfg, "readahead 2", 2, &artifact);
   RunCompactionDrain(cfg, "readahead 4", 4, &artifact);
   artifact.Write(cfg.json_path);

@@ -92,7 +92,7 @@ RunResult RunWorkload(coord::Cluster* cluster, const WorkloadSpec& spec,
            (stop == nullptr || !stop->load(std::memory_order_relaxed))) {
       uint64_t k = gen->Next(&rng);
       std::string key = MakeKey(k);
-      bool write;
+      bool write = false;
       bool scan = false;
       switch (spec.type) {
         case WorkloadType::kW100:

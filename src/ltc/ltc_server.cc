@@ -87,21 +87,8 @@ RangeEngine* LtcServer::AddRange(const RangeEngineOptions& options,
 RangeEngine* LtcServer::AddRangeForRecovery(
     const RangeEngineOptions& options,
     const std::vector<rdma::NodeId>& stocs) {
-  RangeEngineOptions opt = options;
-  if (opt.readahead_blocks == 0) {
-    opt.readahead_blocks = options_.readahead_blocks;
-  }
-  if (opt.compaction_readahead_blocks == 0) {
-    opt.compaction_readahead_blocks = options_.compaction_readahead_blocks;
-  }
-  if (opt.max_compaction_jobs == 0) {
-    opt.max_compaction_jobs = options_.max_compaction_jobs;
-  }
-  if (opt.compression_codec == 0) {
-    opt.compression_codec = options_.compression_codec;
-  }
   auto engine = std::make_unique<RangeEngine>(
-      opt, stoc_client_.get(), stocs, throttle_.get(),
+      options, stoc_client_.get(), stocs, throttle_.get(),
       flush_pool_.get(), compaction_pool_.get(), block_cache_.get(),
       compressed_cache_.get());
   RangeEngine* ptr = engine.get();
@@ -206,8 +193,8 @@ RangeStats LtcServer::TotalStats() {
     total += engine->stats();
   }
   if (block_cache_ != nullptr) {
-    // Ranges sharing the node cache report zero above (see RangeStats);
-    // the shared cache is accounted once here.
+    // The cache tiers are node-wide (ranges report zero for them, see
+    // RangeStats), so they are accounted once here.
     total.block_cache_hits += block_cache_->hits();
     total.block_cache_misses += block_cache_->misses();
     total.block_cache_bytes += block_cache_->TotalCharge();

@@ -43,22 +43,9 @@ struct LtcServerOptions {
   /// scan-resistant admission policy (see NewShardedLRUCache); >= 1
   /// disables the split (classic LRU, the A/B baseline).
   double cache_hot_fraction = 0.75;
-  /// Node-wide default for RangeEngineOptions::compression_codec: the
-  /// codec SSTable data blocks are written with. 0 = unset — resolves to
-  /// the built-in fast codec (kNovaLzCompression); -1 = store raw.
-  int compression_codec = 0;
-  /// Node-wide default for RangeEngineOptions::readahead_blocks; applied
-  /// to every added range that leaves its own knob at 0 (unset).
-  int readahead_blocks = 0;
-  /// Node-wide default for RangeEngineOptions::compaction_readahead_blocks
-  /// (compaction input-gather pipeline depth), same 0-means-unset scheme.
-  int compaction_readahead_blocks = 0;
-  /// Node-wide default for RangeEngineOptions::max_compaction_jobs
-  /// (in-flight offloaded compactions per StoC).
-  int max_compaction_jobs = 0;
   /// Read-path power-of-d: replicas a multi-replica StoC read fans out
   /// to, first success winning (paper §4/§6 component selection applied
-  /// to reads). Node-wide default; per-range knobs may override.
+  /// to reads). Applies to the StoC client every range shares.
   int read_replica_d = 2;
   /// Hedge straggling StoC reads to the next-least-loaded replica after
   /// a p99-derived delay.

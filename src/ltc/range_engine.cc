@@ -15,6 +15,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Times Scan re-collects a stretch whose table reads failed before it
+/// returns the error.
+constexpr int kScanStretchRetries = 3;
+
 uint64_t ElapsedUs(Clock::time_point start) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
@@ -36,43 +40,20 @@ RangeEngine::RangeEngine(const RangeEngineOptions& options,
       throttle_(throttle == nullptr ? sim::CpuThrottle::Unlimited()
                                     : throttle),
       flush_pool_(flush_pool),
-      compaction_pool_(compaction_pool) {
-  DrangeOptions dopt = options_.drange;
+      compaction_pool_(compaction_pool),
+      block_cache_(block_cache),
+      compressed_cache_(compressed_cache),
+      compressor_(GetCompressor(options.compression_codec)) {
   drange_ = std::make_unique<DrangeManager>(options_.lower, options_.upper,
-                                            dopt);
+                                            options_.drange);
   versions_ = std::make_unique<lsm::VersionSet>(
       options_.lsm, [this](const Slice& record) {
         return ManifestAppend(record);
       });
-  if (block_cache == nullptr && options_.block_cache_bytes > 0) {
-    owned_block_cache_.reset(NewShardedLRUCache(
-        options_.block_cache_bytes, /*shard_bits=*/4,
-        options_.cache_hot_fraction));
-    block_cache = owned_block_cache_.get();
-  }
-  block_cache_ = block_cache;
-  if (compressed_cache == nullptr && options_.compressed_cache_bytes > 0) {
-    // The compressed tier is a plain LRU: everything in it is already
-    // "cold storage" relative to the hot tier, so no two-queue split.
-    owned_compressed_cache_.reset(NewShardedLRUCache(
-        options_.compressed_cache_bytes, /*shard_bits=*/4,
-        /*hot_fraction=*/1.0));
-    compressed_cache = owned_compressed_cache_.get();
-  }
-  compressed_cache_ = compressed_cache;
-  // 0 = unset: standalone engines default to the fast built-in codec;
-  // -1 (or any negative) forces raw blocks.
-  int codec = options_.compression_codec;
-  if (codec == 0) {
-    codec = kNovaLzCompression;
-  }
-  compressor_ = codec > 0 ? GetCompressor(static_cast<uint8_t>(codec))
-                          : nullptr;
   table_cache_ = std::make_unique<lsm::TableCache>(
       client_, block_cache_, options_.range_id,
       /*cache_data_blocks=*/block_cache_ != nullptr,
-      std::max(0, options_.readahead_blocks), &readahead_counters_,
-      compressed_cache_);
+      options_.readahead_blocks, &readahead_counters_, compressed_cache_);
   lsm::PlacementOptions popt;
   popt.stocs = stocs;
   popt.range_id = options_.range_id;
@@ -82,28 +63,12 @@ RangeEngine::RangeEngine(const RangeEngineOptions& options,
       table_cache_.get(), placer_.get(), throttle_);
   CompactionSchedulerOptions sched_opt;
   sched_opt.offload = options_.offload_compaction;
-  sched_opt.max_jobs_per_stoc = options_.max_compaction_jobs > 0
-                                    ? options_.max_compaction_jobs
-                                    : 2;
   scheduler_ =
       std::make_unique<CompactionScheduler>(client_, stocs, sched_opt);
   logc_ = std::make_unique<logc::LogClient>(client_, options_.range_id,
                                             options_.log);
   range_index_ =
       std::make_unique<RangeIndex>(options_.lower, options_.upper);
-  // Read-path knobs override the shared client's policy when set (the
-  // usual single-tenant configuration gives every range the same values;
-  // with differing values the last-constructed range wins).
-  if (options_.read_replica_d != 0 || options_.read_hedging != 0) {
-    stoc::ReadPolicy policy = client_->read_policy();
-    if (options_.read_replica_d != 0) {
-      policy.replica_d = std::max(1, options_.read_replica_d);
-    }
-    if (options_.read_hedging != 0) {
-      policy.hedge = options_.read_hedging > 0;
-    }
-    client_->set_read_policy(policy);
-  }
 }
 
 RangeEngine::~RangeEngine() { stopping_.store(true); }
@@ -180,6 +145,25 @@ Status RangeEngine::Delete(const Slice& key) {
   return RouteAndAppend(seq, kTypeDeletion, key, Slice());
 }
 
+template <typename Pred>
+bool RangeEngine::StallUntil(std::unique_lock<std::mutex>& lk,
+                             Pred cleared) {
+  if (!cleared() && !stopping_.load()) {
+    // The event is counted when the wait starts so a watchdog polling
+    // stall_events sees a writer that is parked right now.
+    {
+      std::lock_guard<std::mutex> sl(stats_mu_);
+      stats_.stall_events++;
+    }
+    auto t0 = Clock::now();
+    stall_cv_.wait(lk, [&] { return cleared() || stopping_.load(); });
+    uint64_t us = ElapsedUs(t0);
+    std::lock_guard<std::mutex> sl(stats_mu_);
+    stats_.stall_us += us;
+  }
+  return !stopping_.load();
+}
+
 Status RangeEngine::RouteAndAppend(SequenceNumber seq, ValueType type,
                                    const Slice& key, const Slice& value) {
   static thread_local Random tl_rng(
@@ -197,22 +181,10 @@ Status RangeEngine::RouteAndAppend(SequenceNumber seq, ValueType type,
     MemTableRef mem;
     {
       std::unique_lock<std::mutex> lk(mu_);
-      // Write stall: L0 too large (Challenge 1).
-      if (l0_bytes_.load() >= options_.lsm.l0_stop_bytes) {
-        auto t0 = Clock::now();
-        {
-          std::lock_guard<std::mutex> sl(stats_mu_);
-          stats_.stall_events++;
-        }
-        stall_cv_.wait(lk, [this] {
-          return l0_bytes_.load() < options_.lsm.l0_stop_bytes ||
-                 stopping_.load();
-        });
-        uint64_t us = ElapsedUs(t0);
-        std::lock_guard<std::mutex> sl(stats_mu_);
-        stats_.stall_us += us;
-      }
-      if (stopping_.load()) {
+      // Write stall: L0 too large.
+      if (!StallUntil(lk, [this] {
+            return l0_bytes_.load() < options_.lsm.l0_stop_bytes;
+          })) {
         return Status::Unavailable("engine stopping");
       }
       int did;
@@ -228,24 +200,8 @@ Status RangeEngine::RouteAndAppend(SequenceNumber seq, ValueType type,
       auto it = actives_.find(did);
       if (it == actives_.end() || it->second.active == nullptr) {
         // Write stall: all δ memtables in use.
-        if (static_cast<int>(all_memtables_.size()) >=
-            options_.max_memtables) {
-          auto t0 = Clock::now();
-          {
-            std::lock_guard<std::mutex> sl(stats_mu_);
-            stats_.stall_events++;
-          }
-          stall_cv_.wait(lk, [this] {
-            return static_cast<int>(all_memtables_.size()) <
-                       options_.max_memtables ||
-                   stopping_.load();
-          });
-          uint64_t us = ElapsedUs(t0);
-          std::lock_guard<std::mutex> sl(stats_mu_);
-          stats_.stall_us += us;
-          if (stopping_.load()) {
-            return Status::Unavailable("engine stopping");
-          }
+        if (!StallUntil(lk, [this] { return MemtableBudgetFree(); })) {
+          return Status::Unavailable("engine stopping");
         }
         mem = NewMemTableLocked(did);
       } else {
@@ -322,25 +278,9 @@ void RangeEngine::RotateLocked(int drange_id,
   flush_queue_.push_back(old);
   it->second.active = nullptr;
   // Stall if we are at the memtable budget δ.
-  if (static_cast<int>(all_memtables_.size()) >= options_.max_memtables) {
-    auto t0 = Clock::now();
-    {
-      std::lock_guard<std::mutex> sl(stats_mu_);
-      stats_.stall_events++;
-    }
-    stall_cv_.wait(*lk, [this] {
-      return static_cast<int>(all_memtables_.size()) <
-                 options_.max_memtables ||
-             stopping_.load();
-    });
-    uint64_t us = ElapsedUs(t0);
-    std::lock_guard<std::mutex> sl(stats_mu_);
-    stats_.stall_us += us;
+  if (StallUntil(*lk, [this] { return MemtableBudgetFree(); })) {
+    NewMemTableLocked(drange_id);
   }
-  if (stopping_.load()) {
-    return;
-  }
-  NewMemTableLocked(drange_id);
 }
 
 Status RangeEngine::Get(const Slice& key, std::string* value) {
@@ -639,6 +579,7 @@ Status RangeEngine::Scan(
   std::string pos = start_key.ToString();
   std::string last_emitted;
   bool has_last = false;
+  int failed_reads = 0;  // consecutive failed attempts at this stretch
 
   while (static_cast<int>(out->size()) < num_records) {
     // Determine the table set for this stretch of keyspace.
@@ -702,34 +643,39 @@ Status RangeEngine::Scan(
         l0_numbers.push_back(f->number);
       }
     }
-    for (uint64_t number : l0_numbers) {
-      lsm::FileMetaRef f = FindL0FileIn(version, number);
-      if (f == nullptr) {
-        continue;  // compacted away; this version's L1+ covers it
-      }
+    // A table that cannot be opened is as bad as a failed block read: its
+    // keys would silently drop out of the merge.
+    Status read_status;
+    auto add_table = [&](const lsm::FileMetaRef& f) {
       lsm::TableCache::Handle handle;
-      if (table_cache_->GetReader(f, &handle).ok()) {
+      Status s = table_cache_->GetReader(f, &handle);
+      if (s.ok()) {
         pins.push_back(handle);
         children.push_back(handle.reader->NewIterator());
+      } else if (read_status.ok()) {
+        read_status = s;
+      }
+    };
+    for (uint64_t number : l0_numbers) {
+      lsm::FileMetaRef f = FindL0FileIn(version, number);
+      if (f != nullptr) {  // else compacted away; this version's L1+ has it
+        add_table(f);
       }
     }
     for (int level = 1; level < version->num_levels(); level++) {
-      auto files = version->OverlappingFiles(level, pos, upper);
-      for (const auto& f : files) {
-        lsm::TableCache::Handle handle;
-        if (table_cache_->GetReader(f, &handle).ok()) {
-          pins.push_back(handle);
-          children.push_back(handle.reader->NewIterator());
-        }
+      for (const auto& f : version->OverlappingFiles(level, pos, upper)) {
+        add_table(f);
       }
     }
     throttle_->Charge(costs.scan_per_table_us * children.size());
 
+    const size_t stretch_rows = out->size();
+    const std::string stretch_last = last_emitted;
+    const bool stretch_has_last = has_last;
     std::unique_ptr<Iterator> merged(
         NewMergingIterator(&icmp_, std::move(children)));
     LookupKey lkey(pos, snapshot);
     merged->Seek(lkey.internal_key());
-    bool reached_upper = false;
     while (merged->Valid() && static_cast<int>(out->size()) < num_records) {
       throttle_->Charge(costs.scan_per_record_us);
       ParsedInternalKey parsed;
@@ -737,7 +683,6 @@ Status RangeEngine::Scan(
         return Status::Corruption("bad key during scan");
       }
       if (!upper.empty() && parsed.user_key.compare(upper) >= 0) {
-        reached_upper = true;
         break;
       }
       if (parsed.sequence > snapshot) {
@@ -755,7 +700,23 @@ Status RangeEngine::Scan(
       }
       merged->Next();
     }
-    (void)reached_upper;
+    if (read_status.ok()) {
+      read_status = merged->status();
+    }
+    if (!read_status.ok()) {
+      // A table iterator skips a block it failed to read, so this
+      // stretch may be missing keys. Drop its rows and re-collect it from
+      // the current version (a compaction that deleted the inputs under
+      // us has installed their replacement by then).
+      out->resize(stretch_rows);
+      last_emitted = stretch_last;
+      has_last = stretch_has_last;
+      if (++failed_reads > kScanStretchRetries) {
+        return read_status;
+      }
+      continue;
+    }
+    failed_reads = 0;
     if (upper.empty()) {
       break;  // end of the keyspace
     }
@@ -777,9 +738,8 @@ Status RangeEngine::Scan(
 void RangeEngine::MaintenanceTick() {
   // 1. Drange reorganization (Section 4.1).
   if (options_.enable_dranges && drange_->NeedsReorg()) {
-    std::vector<int> changed = drange_->MaybeReorg();
-    if (!changed.empty()) {
-      HandleReorg(changed);
+    if (!drange_->MaybeReorg().empty()) {
+      HandleReorg();
     }
   }
   // 2. Dispatch queued flushes. First break the parked-small-immutable
@@ -793,7 +753,7 @@ void RangeEngine::MaintenanceTick() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (flush_queue_.empty() && flushes_inflight_ == 0 &&
-        static_cast<int>(all_memtables_.size()) >= options_.max_memtables) {
+        !MemtableBudgetFree()) {
       for (auto& [did, mids] : small_immutables_) {
         for (uint64_t mid : mids) {
           auto it = all_memtables_.find(mid);
@@ -815,7 +775,7 @@ void RangeEngine::MaintenanceTick() {
   ScheduleCompactions();
 }
 
-void RangeEngine::HandleReorg(const std::vector<int>& changed) {
+void RangeEngine::HandleReorg() {
   // Rotate every active memtable: reorganized Dranges get fresh memtables
   // with a bumped generation id (Section 4.1's second technique).
   std::lock_guard<std::mutex> lk(mu_);
@@ -913,11 +873,6 @@ Status RangeEngine::MergeSmallMemtables(const std::vector<MemTableRef>& mems,
   auto new_mem = std::make_shared<MemTable>(icmp_, new_mid);
   new_mem->set_drange_id(drange_id);
 
-  std::set<uint64_t> old_mids;
-  for (const auto& m : mems) {
-    old_mids.insert(m->id());
-  }
-
   // New log file first so the merged table is as durable as its sources.
   if (options_.log.mode != logc::LogMode::kNone) {
     Status ls = logc_->CreateLogFile(new_mid, stocs_);
@@ -971,7 +926,6 @@ Status RangeEngine::MergeSmallMemtables(const std::vector<MemTableRef>& mems,
   // invariant — the slot's table contains key@slot.seq — stays intact
   // under concurrent merges.
   mid_table_.SetMemtable(new_mid, new_mem);
-  (void)old_mids;
   {
     std::unique_ptr<Iterator> it(new_mem->NewIterator());
     it->SeekToFirst();
@@ -1149,11 +1103,11 @@ void RangeEngine::ScheduleCompactions() {
     }
     job.max_output_bytes = options_.max_sstable_size;
     // The gather pipeline depth travels with the job so an offloaded run
-    // honors this LTC's knob (-1 = forced serial).
-    job.readahead_blocks = std::max(0, options_.compaction_readahead_blocks);
+    // honors this range's knob.
+    job.readahead_blocks = options_.compaction_readahead_blocks;
     // The output codec travels with the job too: an offloaded StoC must
     // write blocks this LTC can read back.
-    job.compression_codec = compressor_ != nullptr ? compressor_->id() : 0;
+    job.compression_codec = options_.compression_codec;
     uint64_t estimate =
         job.total_input_bytes() / std::max<uint64_t>(1, job.max_output_bytes) +
         job.boundaries.size() + 4;
@@ -1397,6 +1351,13 @@ Status RangeEngine::RebuildFromLogs(int recovery_threads) {
   for (auto& [mid, recs] : by_memtable) {
     work.emplace_back(mid, &recs);
   }
+  // Reserve every logged mid before the first rebuilt memtable is queued:
+  // the maintenance thread may flush it and merge it into a fresh mid
+  // while later workers are still installing theirs, and a fresh mid
+  // equal to a logged one would replace that memtable and its log file.
+  if (!work.empty()) {
+    next_mid_.store(std::max(next_mid_.load(), work.back().first + 1));
+  }
   std::atomic<size_t> next{0};
   std::atomic<uint64_t> max_seq{last_sequence_.load()};
   const sim::CostModel& costs = sim::DefaultCostModel();
@@ -1430,9 +1391,6 @@ Status RangeEngine::RebuildFromLogs(int recovery_threads) {
       std::lock_guard<std::mutex> lk(mu_);
       all_memtables_[mid] = mem;
       flush_queue_.push_back(mem);
-      if (mid >= next_mid_.load()) {
-        next_mid_.store(mid + 1);
-      }
     }
   };
   std::vector<std::thread> threads;
@@ -1648,17 +1606,6 @@ RangeStats RangeEngine::stats() const {
   {
     std::lock_guard<std::mutex> l(stats_mu_);
     out = stats_;
-  }
-  if (owned_block_cache_ != nullptr) {
-    // Shared caches are reported once at the LtcServer level instead.
-    out.block_cache_hits = owned_block_cache_->hits();
-    out.block_cache_misses = owned_block_cache_->misses();
-    out.block_cache_bytes = owned_block_cache_->TotalCharge();
-  }
-  if (owned_compressed_cache_ != nullptr) {
-    out.block_cache_compressed_hits = owned_compressed_cache_->hits();
-    out.block_cache_compressed_misses = owned_compressed_cache_->misses();
-    out.block_cache_compressed_bytes = owned_compressed_cache_->TotalCharge();
   }
   out.readahead_issued =
       readahead_counters_.issued.load(std::memory_order_relaxed);

@@ -9,7 +9,8 @@
 //   * write stalls when all δ memtables are in use or L0 exceeds its
 //     limit (Challenge 1), with stall time accounted for the benchmarks;
 //   * disjoint parallel L0 compactions split at Drange boundaries,
-//     executed locally or offloaded to StoCs round-robin;
+//     executed locally or offloaded to the least-loaded StoC through the
+//     CompactionScheduler;
 //   * crash recovery from the replicated MANIFEST + log records, and
 //     range migration between LTCs (Sections 4.5, 8.2.6, 9).
 //
@@ -38,6 +39,7 @@
 #include "ltc/range_index.h"
 #include "mem/memtable.h"
 #include "sim/cpu_throttle.h"
+#include "util/compressor.h"
 #include "util/thread_pool.h"
 
 namespace nova {
@@ -67,53 +69,24 @@ struct RangeEngineOptions {
 
   lsm::LsmOptions lsm;
   logc::LogOptions log;
-  /// Data-block cache budget for the StoC read path when this engine runs
-  /// standalone (no cache passed to the constructor). 0 = no data-block
-  /// caching, every read fetches from a StoC. Engines hosted by an
-  /// LtcServer normally share one node-wide cache instead
-  /// (LtcServerOptions::block_cache_bytes).
-  size_t block_cache_bytes = 0;
-  /// Compressed-block cache budget (the second tier: verbatim stored
-  /// bytes, served by decompressing in LTC memory instead of a StoC
-  /// round-trip) when this engine runs standalone. 0 = no compressed
-  /// tier. LtcServer-hosted engines share the node-wide tier instead
-  /// (LtcServerOptions::compressed_cache_bytes).
-  size_t compressed_cache_bytes = 0;
-  /// Codec data blocks are written with (CompressionCodec id). 0 = unset —
-  /// LtcServer-hosted engines inherit LtcServerOptions::compression_codec,
-  /// standalone engines default to kNovaLzCompression; -1 = force raw.
-  int compression_codec = 0;
-  /// Hot-tier fraction of a privately owned block cache (see
-  /// NewShardedLRUCache); >= 1 disables the two-queue split.
-  double cache_hot_fraction = 0.75;
+  /// Codec data blocks are written with. kNoCompression stores every
+  /// block raw (still with the codec/length/crc trailer).
+  CompressionCodec compression_codec = kNovaLzCompression;
   /// Scan readahead: how many data blocks an SSTable scan iterator keeps
   /// in flight past its position (prefetched into the block cache while
-  /// the current block drains). 0 = unset — LtcServer-hosted engines
-  /// inherit LtcServerOptions::readahead_blocks; -1 = force off.
+  /// the current block drains). 0 = off.
   int readahead_blocks = 0;
   uint64_t max_sstable_size = 512 << 10;
   int max_parallel_compactions = 4;
   /// Offload compaction jobs to StoCs (Section 4.3); the scheduler picks
   /// the least-loaded StoC and falls back to local execution.
   bool offload_compaction = false;
-  /// In-flight offloaded jobs per StoC before new jobs run locally
-  /// instead. 0 = unset — LtcServer-hosted engines inherit
-  /// LtcServerOptions::max_compaction_jobs.
-  int max_compaction_jobs = 0;
   /// Compaction input-gather pipeline depth: data blocks each input
   /// stream keeps in flight while the merge drains the current one
-  /// (travels with offloaded jobs). 0 = unset — inherit
-  /// LtcServerOptions::compaction_readahead_blocks; -1 = force serial.
+  /// (travels with offloaded jobs). 0 = serial gather.
   int compaction_readahead_blocks = 0;
   /// Replicas of the MANIFEST file.
   int manifest_replicas = 1;
-  /// Read-path power-of-d: replicas a multi-replica StoC read fans out to
-  /// (first success wins). 0 = unset — LtcServer-hosted engines inherit
-  /// LtcServerOptions::read_replica_d; -1 = force single-replica.
-  int read_replica_d = 0;
-  /// Speculative hedging of straggling StoC reads. 0 = unset — inherit
-  /// LtcServerOptions::read_hedging; 1 = on; -1 = force off.
-  int read_hedging = 0;
 };
 
 struct RangeStats {
@@ -128,9 +101,8 @@ struct RangeStats {
   uint64_t bytes_flushed = 0;
   uint64_t lookup_index_hits = 0;
   uint64_t lookup_index_misses = 0;
-  /// Data-block cache counters. Filled from the engine's privately owned
-  /// cache; when ranges share an LTC-wide cache the per-range numbers stay
-  /// zero and LtcServer::TotalStats() reports the shared cache once.
+  /// Data-block cache counters. The cache tiers are node-wide, so only
+  /// LtcServer::TotalStats() fills these; per-range numbers stay zero.
   uint64_t block_cache_hits = 0;
   uint64_t block_cache_misses = 0;
   uint64_t block_cache_bytes = 0;
@@ -163,10 +135,9 @@ struct RangeStats {
   uint64_t compaction_offloads = 0;
   uint64_t compaction_offload_failures = 0;
   uint64_t compaction_local_fallbacks = 0;
-  /// Read-path replica selection (StocClient counters). Like the shared
-  /// block cache, the client is usually shared across an LTC's ranges:
-  /// per-range numbers stay zero and LtcServer::TotalStats() reports the
-  /// shared client once.
+  /// Read-path replica selection (StocClient counters). Like the cache
+  /// tiers, the client is node-wide: per-range numbers stay zero and
+  /// LtcServer::TotalStats() reports the shared client once.
   uint64_t pod_reads = 0;
   uint64_t hedged_issued = 0;
   uint64_t hedged_won = 0;
@@ -228,17 +199,13 @@ class RangeEngine {
  public:
   /// stocs: the StoCs this range may use (log files, manifest, SSTables —
   /// the placer's list governs SSTable placement and may differ).
-  /// block_cache (optional): node-wide data-block cache shared by every
-  /// range on the LTC; when null and options.block_cache_bytes > 0 the
-  /// engine creates a private one.
-  /// compressed_cache (optional): node-wide compressed block tier; when
-  /// null and options.compressed_cache_bytes > 0 the engine creates a
-  /// private one.
+  /// block_cache / compressed_cache: the LTC's node-wide hot and
+  /// compressed block tiers, shared by every range (null = tier off).
   RangeEngine(const RangeEngineOptions& options, stoc::StocClient* client,
               const std::vector<rdma::NodeId>& stocs,
               sim::CpuThrottle* throttle, ThreadPool* flush_pool,
-              ThreadPool* compaction_pool, Cache* block_cache = nullptr,
-              Cache* compressed_cache = nullptr);
+              ThreadPool* compaction_pool, Cache* block_cache,
+              Cache* compressed_cache);
   ~RangeEngine();
 
   RangeEngine(const RangeEngine&) = delete;
@@ -328,6 +295,15 @@ class RangeEngine {
   Status RouteAndAppend(SequenceNumber seq, ValueType type, const Slice& key,
                         const Slice& value);
   void RotateLocked(int drange_id, std::unique_lock<std::mutex>* lk);
+  /// Write stall (Challenge 1): block on stall_cv_ until cleared() holds or
+  /// the engine is stopping, counting the event and its wait time.
+  /// Returns false when the engine is stopping.
+  template <typename Pred>
+  bool StallUntil(std::unique_lock<std::mutex>& lk, Pred cleared);
+  /// True while the δ memtable budget has room. Requires mu_.
+  bool MemtableBudgetFree() const {
+    return static_cast<int>(all_memtables_.size()) < options_.max_memtables;
+  }
   void FlushTask(MemTableRef mem);
   Status FlushToSSTable(const std::vector<MemTableRef>& mems, int drange_id,
                         uint32_t generation);
@@ -348,7 +324,7 @@ class RangeEngine {
   Status SearchLevels(const LookupKey& lkey, std::string* value,
                       SequenceNumber* seq_out = nullptr);
   Status RebuildFromLogs(int recovery_threads);
-  void HandleReorg(const std::vector<int>& changed);
+  void HandleReorg();
 
   RangeEngineOptions options_;
   stoc::StocClient* client_;
@@ -360,10 +336,8 @@ class RangeEngine {
   InternalKeyComparator icmp_;
   std::unique_ptr<DrangeManager> drange_;
   std::unique_ptr<lsm::VersionSet> versions_;
-  std::unique_ptr<Cache> owned_block_cache_;
-  Cache* block_cache_ = nullptr;
-  std::unique_ptr<Cache> owned_compressed_cache_;
-  Cache* compressed_cache_ = nullptr;
+  Cache* block_cache_;
+  Cache* compressed_cache_;
   /// Resolved from options_.compression_codec (null = store raw).
   const Compressor* compressor_ = nullptr;
   std::unique_ptr<lsm::TableCache> table_cache_;

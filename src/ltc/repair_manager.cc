@@ -78,11 +78,21 @@ void RepairManager::Loop() {
 
 RepairStats RepairManager::stats() const {
   RepairStats out;
-  out.degraded_fragments = degraded_fragments_.load(std::memory_order_relaxed);
+  // Gauge first: a poller that sees it reach zero also sees the closed
+  // window's time (PublishDegraded).
+  out.degraded_fragments = degraded_fragments_.load(std::memory_order_acquire);
   out.repaired_fragments = repaired_fragments_.load(std::memory_order_relaxed);
   out.repaired_bytes = repaired_bytes_.load(std::memory_order_relaxed);
-  out.repair_us = repair_us_.load(std::memory_order_relaxed);
+  out.repair_us = repair_us_.load(std::memory_order_acquire);
   return out;
+}
+
+void RepairManager::PublishDegraded(uint64_t degraded) {
+  if (degraded == 0 && window_open_) {
+    repair_us_.fetch_add(ElapsedUs(window_start_), std::memory_order_release);
+    window_open_ = false;
+  }
+  degraded_fragments_.store(degraded, std::memory_order_release);
 }
 
 void RepairManager::ScanOnce() {
@@ -92,12 +102,7 @@ void RepairManager::ScanOnce() {
   }
   std::vector<rdma::NodeId> dead = membership->DeadNodes();
   if (dead.empty()) {
-    degraded_fragments_.store(0, std::memory_order_relaxed);
-    if (window_open_) {
-      repair_us_.fetch_add(ElapsedUs(window_start_),
-                           std::memory_order_relaxed);
-      window_open_ = false;
-    }
+    PublishDegraded(0);
     return;
   }
   std::vector<RangeEngine*> engines = engines_();
@@ -113,17 +118,12 @@ void RepairManager::ScanOnce() {
       }
     }
   }
-  degraded_fragments_.store(found, std::memory_order_relaxed);
   if (found > 0 && !window_open_) {
     window_open_ = true;
     window_start_ = Clock::now();
   }
+  PublishDegraded(found);
   if (found == 0) {
-    if (window_open_) {
-      repair_us_.fetch_add(ElapsedUs(window_start_),
-                           std::memory_order_relaxed);
-      window_open_ = false;
-    }
     return;
   }
 
@@ -141,17 +141,13 @@ void RepairManager::ScanOnce() {
         }
         FileRepairOutcome outcome = RepairFile(engine, f, dead);
         remaining -= std::min<uint64_t>(remaining, outcome.repaired);
-        degraded_fragments_.store(remaining, std::memory_order_relaxed);
+        PublishDegraded(remaining);
         if (!running_.load(std::memory_order_relaxed) &&
             thread_.joinable()) {
           return;  // Stop() requested mid-scan
         }
       }
     }
-  }
-  if (remaining == 0 && window_open_) {
-    repair_us_.fetch_add(ElapsedUs(window_start_), std::memory_order_relaxed);
-    window_open_ = false;
   }
 }
 

@@ -90,6 +90,10 @@ class RepairManager {
                           const std::vector<rdma::NodeId>& exclude);
   /// Block until the token bucket covers `bytes` (or stopping).
   bool WaitForBudget(uint64_t bytes);
+  /// Publish the degraded-pieces gauge. Publishing zero first closes an
+  /// open repair window, so a poller that sees the gauge at zero also
+  /// sees the window's time in repair_us.
+  void PublishDegraded(uint64_t degraded);
 
   stoc::StocClient* client_;
   std::function<std::vector<RangeEngine*>()> engines_;

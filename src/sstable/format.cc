@@ -90,7 +90,7 @@ void SSTableMetadata::EncodeTo(std::string* dst) const {
   PutLengthPrefixedSlice(&body, smallest.Encode());
   PutLengthPrefixedSlice(&body, largest.Encode());
   PutVarint64(&body, num_entries);
-  PutVarint32(&body, block_format);
+  PutVarint32(&body, kBlockFormat);
   PutFixed32(&body, crc32c::Mask(crc32c::Value(body.data(), body.size())));
   dst->append(body);
 }
@@ -127,10 +127,8 @@ Status SSTableMetadata::DecodeFrom(Slice input) {
       !GetVarint64(&body, &num_entries)) {
     return Status::Corruption("bad sstable metadata body");
   }
-  // Metadata written before compression shipped ends right after
-  // num_entries: absent field = format 0 = trailerless blocks.
-  block_format = 0;
-  if (!body.empty() && !GetVarint32(&body, &block_format)) {
+  uint32_t block_format = 0;
+  if (!GetVarint32(&body, &block_format) || block_format != kBlockFormat) {
     return Status::Corruption("bad sstable metadata block format");
   }
   index_contents = idx.ToString();

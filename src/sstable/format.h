@@ -7,24 +7,22 @@
 //   fragment 1: [stored block]...
 //   ...
 //   metadata  : fragment sizes | index block | bloom | smallest/largest |
-//               num_entries | block_format | crc32c
+//               num_entries | block format (kBlockFormat) | crc32c
 //
 // The index block maps last-key-in-block -> BlockHandle(global offset,
 // size); SSTableMetadata::Locate translates a global offset into
 // (fragment, local offset), which is this repo's equivalent of the paper's
 // "convert index block to StoC block handles".
 //
-// A *stored* block (block_format >= 1) is the block contents — compressed
-// when the codec saves space — followed by a 9-byte trailer:
+// A *stored* block is the block contents — compressed when the codec
+// saves space — followed by a 9-byte trailer:
 //
 //   [payload][codec:1][uncompressed_len:4 LE][crc32c:4 LE]
 //
 // The crc covers payload + codec + uncompressed_len and is verified
 // BEFORE any decompression, so a corrupted payload is reported as
 // Status::Corruption instead of being fed to the decoder. Codec 0 means
-// the payload is stored raw. block_format 0 is the legacy trailerless
-// layout (files written before compression existed); readers handle both.
-// See docs/block_format.md.
+// the payload is stored raw. See docs/block_format.md.
 #ifndef NOVA_SSTABLE_FORMAT_H_
 #define NOVA_SSTABLE_FORMAT_H_
 
@@ -42,6 +40,10 @@ namespace nova {
 
 /// codec byte + fixed32 uncompressed length + fixed32 crc32c.
 constexpr size_t kBlockTrailerSize = 9;
+
+/// The one data-block layout (every block carries the trailer above).
+/// Metadata records it, and decoding rejects any other value.
+constexpr uint32_t kBlockFormat = 1;
 
 /// Append `raw` block contents to *dst as a stored block: compressed under
 /// `compressor` when that shrinks it (codec 0 / raw otherwise), plus the
@@ -71,10 +73,6 @@ struct SSTableMetadata {
   InternalKey smallest;
   InternalKey largest;
   uint64_t num_entries = 0;
-  /// 0 = legacy trailerless data blocks; >= 1 = each block carries the
-  /// codec/length/crc trailer. Decoded as 0 from metadata written before
-  /// the field existed, so old files stay readable.
-  uint32_t block_format = 0;
 
   int num_fragments() const { return static_cast<int>(fragment_sizes.size()); }
 

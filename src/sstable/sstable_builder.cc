@@ -57,7 +57,6 @@ SSTableBuilder::Result SSTableBuilder::Finish(uint64_t file_number,
   result.meta.file_number = file_number;
   result.meta.data_size = data_.size();
   result.meta.num_entries = num_entries_;
-  result.meta.block_format = 1;  // every block carries the trailer
   result.raw_bytes = raw_bytes_;
   if (!first_key_.empty()) {
     result.meta.smallest.DecodeFrom(first_key_);

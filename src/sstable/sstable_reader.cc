@@ -47,9 +47,7 @@ SSTableReader::SSTableReader(SSTableMetadata meta, BlockFetcher* fetcher,
     : meta_(std::move(meta)),
       fetcher_(fetcher),
       block_cache_(block_cache),
-      // Legacy trailerless blocks are not self-describing, so they cannot
-      // live in the compressed tier.
-      compressed_cache_(meta_.block_format >= 1 ? compressed_cache : nullptr),
+      compressed_cache_(compressed_cache),
       range_id_(range_id),
       readahead_blocks_(readahead_blocks),
       readahead_(readahead) {}
@@ -146,14 +144,10 @@ Status SSTableReader::InstallBlock(std::string stored, uint64_t offset,
     return Status::Corruption("short block read");
   }
   std::string raw;
-  if (meta_.block_format >= 1) {
-    // crc is checked before the codec ever runs; see DecodeBlock.
-    Status s = DecodeBlock(stored, &raw);
-    if (!s.ok()) {
-      return s;
-    }
-  } else {
-    raw = std::move(stored);  // legacy: the stored bytes are the block
+  // crc is checked before the codec ever runs; see DecodeBlock.
+  Status s = DecodeBlock(stored, &raw);
+  if (!s.ok()) {
+    return s;
   }
   if (compressed_cache_ != nullptr && fill_cache) {
     // Both tiers are filled on a network read, so eviction from the small
@@ -483,16 +477,12 @@ class SSTableIterator : public Iterator {
 
 }  // namespace
 
-Iterator* SSTableReader::NewIterator(bool fill_cache,
-                                     int readahead_blocks) const {
-  if (readahead_blocks < 0) {
-    readahead_blocks = readahead_blocks_;
-  }
+Iterator* SSTableReader::NewIterator(bool fill_cache) const {
   // The peek cursor exists only when this iterator actually reads ahead.
   return new SSTableIterator(
       this, &icmp_, index_block()->NewIterator(&icmp_),
-      readahead_blocks > 0 ? index_block()->NewIterator(&icmp_) : nullptr,
-      fill_cache, readahead_blocks);
+      readahead_blocks_ > 0 ? index_block()->NewIterator(&icmp_) : nullptr,
+      fill_cache, readahead_blocks_);
 }
 
 }  // namespace nova

@@ -50,8 +50,7 @@ class SSTableReader {
   /// block_cache that hit here decompress in LTC memory instead of
   /// costing a StoC round-trip; network fills land in both tiers, so a
   /// block evicted from the small hot tier "falls back" to its compressed
-  /// copy rather than being lost. Only consulted for block_format >= 1
-  /// files (the trailer makes the stored bytes self-describing).
+  /// copy rather than being lost.
   SSTableReader(SSTableMetadata meta, BlockFetcher* fetcher,
                 Cache* block_cache = nullptr, uint32_t range_id = 0,
                 int readahead_blocks = 0,
@@ -71,10 +70,7 @@ class SSTableReader {
   /// serves hits from the block cache but leaves misses uncached —
   /// compactions stream every block once and must not flush the working
   /// set (nor cache blocks of files they are about to delete).
-  /// readahead_blocks: -1 = the reader's configured value; 0 disables
-  /// prefetching for this iterator; >0 overrides the depth.
-  Iterator* NewIterator(bool fill_cache = true,
-                        int readahead_blocks = -1) const;
+  Iterator* NewIterator(bool fill_cache = true) const;
 
   /// Fetch (or serve from a cache tier) the data block at handle. The
   /// returned shared_ptr pins the cached entry, so a block stays usable
@@ -113,7 +109,6 @@ class SSTableReader {
   Status FinishPrefetch(PendingBlock* pb, std::shared_ptr<Block>* block,
                         bool fill_cache, ReadaheadCounters* counters) const;
 
-  int readahead_blocks() const { return readahead_blocks_; }
   const SSTableMetadata& meta() const { return meta_; }
 
  private:

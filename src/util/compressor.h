@@ -1,7 +1,7 @@
 // Pluggable per-block compression for the SSTable block stack. A codec is
 // identified by the single byte stored in each block trailer
-// (sstable/format.h); codec 0 means the payload is stored raw — both the
-// legacy (pre-trailer) format and the incompressible-data fallback.
+// (sstable/format.h); codec 0 means the payload is stored raw — the
+// kNoCompression setting and the incompressible-data fallback.
 //
 // The built-in codec is a self-contained LZ4-block-style byte LZ
 // (token/literals/offset sequences, greedy hash-table match finder): fast

@@ -301,6 +301,9 @@ TEST_F(AsyncStocTest, ReadaheadIteratorMatchesSerialScan) {
 
   lsm::StocBlockFetcher fetcher(client_.get(), meta);
   ReadaheadCounters counters;
+  SSTableReader serial_reader(table_meta, &fetcher, /*block_cache=*/nullptr,
+                              /*range_id=*/0, /*readahead_blocks=*/0,
+                              &counters);
   SSTableReader reader(table_meta, &fetcher, /*block_cache=*/nullptr,
                        /*range_id=*/0, /*readahead_blocks=*/2, &counters);
 
@@ -312,9 +315,9 @@ TEST_F(AsyncStocTest, ReadaheadIteratorMatchesSerialScan) {
     }
     return rows;
   };
-  auto serial = collect(reader.NewIterator(true, /*readahead_blocks=*/0));
+  auto serial = collect(serial_reader.NewIterator());
   EXPECT_EQ(counters.issued.load(), 0u);
-  auto ahead = collect(reader.NewIterator(true, /*readahead_blocks=*/2));
+  auto ahead = collect(reader.NewIterator());
   EXPECT_EQ(ahead, serial);
   EXPECT_EQ(serial.size(), 300u);
   EXPECT_GT(counters.issued.load(), 0u);
@@ -345,7 +348,7 @@ coord::ClusterOptions ReadaheadClusterOptions(int readahead_blocks) {
   opt.placement.rho = 2;
   opt.stoc.slab_bytes = 64 << 20;
   opt.stoc.slab_page_bytes = 256 << 10;
-  opt.ltc.readahead_blocks = readahead_blocks;
+  opt.range.readahead_blocks = readahead_blocks;
   return opt;
 }
 
@@ -375,7 +378,7 @@ std::vector<std::pair<std::string, std::string>> LoadAndScan(
 
 TEST(ScanReadaheadClusterTest, HitsCountedAndResultsIdentical) {
   uint64_t issued_off = 0, hits_off = 0, issued_on = 0, hits_on = 0;
-  auto rows_off = LoadAndScan(/*readahead_blocks=*/-1, &issued_off,
+  auto rows_off = LoadAndScan(/*readahead_blocks=*/0, &issued_off,
                               &hits_off);
   auto rows_on = LoadAndScan(/*readahead_blocks=*/2, &issued_on, &hits_on);
   EXPECT_EQ(rows_off, rows_on);

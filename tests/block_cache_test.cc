@@ -488,7 +488,7 @@ TEST_F(BlockCacheClusterTest, CompactedFilesAreInvalidated) {
   // Raw blocks: the L0 compaction trigger is byte-based and this test's
   // few fixed rounds must exceed it regardless of how well the payload
   // compresses.
-  opt.range.compression_codec = -1;
+  opt.range.compression_codec = kNoCompression;
   StartCluster(opt);
   auto* engine = cluster_->ltc(0)->ranges()[0];
   const int kKeys = 300;

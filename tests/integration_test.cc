@@ -4,15 +4,18 @@
 // range migration and elasticity.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "baseline/baseline.h"
 #include "bench_core/workload.h"
 #include "coord/cluster.h"
 #include "client/nova_client.h"
 #include "lsm/version.h"
+#include "util/failpoint.h"
 #include "util/random.h"
 
 namespace nova {
@@ -57,6 +60,7 @@ class IntegrationTest : public testing::Test {
   }
 
   void TearDown() override {
+    util::FailPoint::DisableAll();
     if (cluster_) {
       cluster_->Stop();
     }
@@ -153,6 +157,78 @@ TEST_F(IntegrationTest, ScanSeesDeletes) {
   EXPECT_EQ(got[1].first, Key(5));
   EXPECT_EQ(got[2].first, Key(6));
   EXPECT_EQ(got[3].first, Key(7));
+}
+
+// A StoC block read that fails mid-scan makes the table iterator skip that
+// block. The scan must notice and re-read the stretch instead of returning
+// OK with the block's keys missing.
+TEST_F(IntegrationTest, ScanRetriesStretchAfterFailedBlockRead) {
+  ClusterOptions opt = FastOptions(1, 2);
+  opt.range.compression_codec = kNoCompression;
+  StartCluster(opt);
+  std::map<std::string, std::string> oracle;
+  for (int i = 0; i < 400; i++) {
+    std::string value = std::string(100, 'v') + std::to_string(i);
+    ASSERT_TRUE(cluster_->Put(Key(i), value).ok());
+    oracle[Key(i)] = value;
+  }
+  auto* engine = cluster_->ltc(0)->ranges()[0];
+  engine->FlushAllMemtables();
+  engine->WaitForQuiescence(/*flush_all=*/true);
+  // Warm scan: table readers are open, so the next scan's StoC reads are
+  // data blocks only.
+  std::vector<std::pair<std::string, std::string>> got;
+  ASSERT_TRUE(cluster_->Scan(Key(0), 400, &got).ok());
+  ASSERT_EQ(got.size(), 400u);
+
+  got.clear();
+  util::FailPoint::EnableError(
+      "stoc.read", Status::IOError("injected block read fault"),
+      util::FailPoint::Trigger::Once().AfterSkipping(3));
+  Status s = cluster_->Scan(Key(0), 400, &got);
+  EXPECT_EQ(util::FailPoint::FireCount("stoc.read"), 1u);
+  util::FailPoint::DisableAll();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(got.size(), oracle.size());
+  auto it = oracle.begin();
+  for (const auto& [key, value] : got) {
+    EXPECT_EQ(key, it->first);
+    EXPECT_EQ(value, it->second);
+    ++it;
+  }
+}
+
+// A writer parked on the L0 stall is counted while it waits, released by
+// a decommission, and charged the time it waited.
+TEST_F(IntegrationTest, L0StallIsCountedAndReleasedByDecommission) {
+  ClusterOptions opt = FastOptions(1, 2);
+  opt.range.lsm.l0_stop_bytes = 1;
+  opt.range.lsm.l0_compaction_trigger_bytes = 64 << 20;  // never drains
+  opt.range.enable_memtable_merge = false;  // small memtables still flush
+  StartCluster(opt);
+  auto* engine = cluster_->ltc(0)->ranges()[0];
+  for (int i = 0; i < 50; i++) {
+    ASSERT_TRUE(cluster_->Put(Key(i), "v").ok());
+  }
+  engine->FlushAllMemtables();
+  engine->WaitForQuiescence();
+  ASSERT_GE(engine->l0_bytes(), opt.range.lsm.l0_stop_bytes);
+
+  Status put_status;
+  std::thread writer([&] { put_status = engine->Put(Key(50), "parked"); });
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  bool parked = false;
+  while (!parked && std::chrono::steady_clock::now() < deadline) {
+    parked = cluster_->TotalStats().stall_events >= 1;
+    if (!parked) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  engine->BeginDecommission();
+  writer.join();
+  EXPECT_TRUE(parked) << "the put never reached the L0 stall";
+  EXPECT_TRUE(put_status.IsUnavailable()) << put_status.ToString();
+  EXPECT_GT(cluster_->TotalStats().stall_us, 0u);
 }
 
 // Regression: in the LevelDB*/RocksDB* ablation (no range index) Scan
@@ -451,7 +527,7 @@ TEST_F(IntegrationTest, DegradedCompactionReconstructsFromParity) {
   opt.placement.rho = 3;
   opt.placement.use_parity = true;
   opt.placement.num_meta_replicas = 3;
-  opt.ltc.compaction_readahead_blocks = 4;  // exercise the pipeline
+  opt.range.compaction_readahead_blocks = 4;  // exercise the pipeline
   StartCluster(opt);
   std::map<std::string, std::string> oracle;
   for (int i = 0; i < 2500; i++) {

@@ -460,30 +460,36 @@ TEST(FormatTest, MetadataBlockFormatRoundTripAndLegacyDefault) {
   meta.smallest.DecodeFrom(IKey("a", 1));
   meta.largest.DecodeFrom(IKey("b", 2));
   meta.num_entries = 2;
-  meta.block_format = 1;
   std::string encoded;
   meta.EncodeTo(&encoded);
   SSTableMetadata decoded;
   ASSERT_TRUE(decoded.DecodeFrom(encoded).ok());
-  EXPECT_EQ(decoded.block_format, 1u);
+  EXPECT_EQ(decoded.num_entries, 2u);
 
-  // A metadata block written before the field existed (body ends right
-  // after num_entries) decodes as format 0 — old files stay readable.
-  std::string body;
-  PutVarint64(&body, meta.file_number);
-  PutVarint64(&body, meta.data_size);
-  PutVarint32(&body, 1);
-  PutVarint64(&body, 10);
-  PutLengthPrefixedSlice(&body, meta.index_contents);
-  PutLengthPrefixedSlice(&body, meta.bloom);
-  PutLengthPrefixedSlice(&body, meta.smallest.Encode());
-  PutLengthPrefixedSlice(&body, meta.largest.Encode());
-  PutVarint64(&body, meta.num_entries);
-  PutFixed32(&body, crc32c::Mask(crc32c::Value(body.data(), body.size())));
-  SSTableMetadata legacy;
-  ASSERT_TRUE(legacy.DecodeFrom(body).ok());
-  EXPECT_EQ(legacy.block_format, 0u);
-  EXPECT_EQ(legacy.num_entries, 2u);
+  // Metadata whose block format field is missing (the body ends right
+  // after num_entries) or is not kBlockFormat describes a layout no
+  // reader understands: Corruption, not a misread table.
+  std::string missing;
+  PutVarint64(&missing, meta.file_number);
+  PutVarint64(&missing, meta.data_size);
+  PutVarint32(&missing, 1);
+  PutVarint64(&missing, 10);
+  PutLengthPrefixedSlice(&missing, meta.index_contents);
+  PutLengthPrefixedSlice(&missing, meta.bloom);
+  PutLengthPrefixedSlice(&missing, meta.smallest.Encode());
+  PutLengthPrefixedSlice(&missing, meta.largest.Encode());
+  PutVarint64(&missing, meta.num_entries);
+  std::string zero = missing;
+  PutVarint32(&zero, 0);
+  std::string current = missing;
+  PutVarint32(&current, kBlockFormat);
+  for (std::string* body : {&missing, &zero, &current}) {
+    PutFixed32(body, crc32c::Mask(crc32c::Value(body->data(), body->size())));
+  }
+  SSTableMetadata out;
+  EXPECT_TRUE(out.DecodeFrom(current).ok());  // the hand-built body is sound
+  EXPECT_TRUE(out.DecodeFrom(missing).IsCorruption());
+  EXPECT_TRUE(out.DecodeFrom(zero).IsCorruption());
 }
 
 TEST(SSTableReaderTest, CompressedTableReadsBack) {
@@ -499,7 +505,6 @@ TEST(SSTableReaderTest, CompressedTableReadsBack) {
     model[k] = v;
   }
   auto result = builder.Finish(5, 3);
-  EXPECT_EQ(result.meta.block_format, 1u);
   // The 'v'-runs compress well: the stored table is smaller than raw.
   EXPECT_LT(result.data.size(), result.raw_bytes);
 
@@ -558,62 +563,6 @@ TEST(SSTableReaderTest, CorruptFragmentSurfacesAsStatusNotCrash) {
   // The sweep covered every block, so some gets must have hit the
   // corruption and been rejected.
   EXPECT_GT(failed_gets, 0);
-}
-
-TEST(SSTableReaderTest, LegacyTrailerlessTableReadsBack) {
-  // Build a modern table, then rewrite it the way the pre-compression
-  // builder laid it out: raw block contents, no trailers, block_format 0.
-  SSTableBuilderOptions opt;
-  opt.block_size = 512;
-  opt.compressor = GetCompressor(kNovaLzCompression);
-  SSTableBuilder builder(opt);
-  std::map<std::string, std::string> model;
-  for (int i = 0; i < 300; i++) {
-    std::string k = KeyNum(i);
-    std::string v = "legacy" + std::to_string(i);
-    builder.Add(IKey(k, i + 1), v);
-    model[k] = v;
-  }
-  auto result = builder.Finish(8, 1);
-
-  InternalKeyComparator icmp;
-  Block index(result.meta.index_contents);
-  std::unique_ptr<Iterator> it(index.NewIterator(&icmp));
-  std::string legacy_data;
-  BlockBuilder legacy_index;
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    Slice v = it->value();
-    BlockHandle handle;
-    ASSERT_TRUE(handle.DecodeFrom(&v).ok());
-    std::string raw;
-    ASSERT_TRUE(
-        DecodeBlock(Slice(result.data.data() + handle.offset, handle.size),
-                    &raw)
-            .ok());
-    BlockHandle legacy_handle;
-    legacy_handle.offset = legacy_data.size();
-    legacy_handle.size = raw.size();
-    legacy_data += raw;
-    std::string encoded;
-    legacy_handle.EncodeTo(&encoded);
-    legacy_index.Add(it->key(), encoded);
-  }
-  SSTableMetadata legacy_meta = result.meta;
-  legacy_meta.index_contents = legacy_index.Finish().ToString();
-  legacy_meta.fragment_sizes = {legacy_data.size()};
-  legacy_meta.data_size = legacy_data.size();
-  legacy_meta.block_format = 0;
-
-  MemoryFetcher fetcher(legacy_data, legacy_meta.fragment_sizes);
-  SSTableReader reader(legacy_meta, &fetcher);
-  for (auto& [k, v] : model) {
-    LookupKey lkey(k, kMaxSequenceNumber);
-    std::string value;
-    Status s;
-    ASSERT_TRUE(reader.Get(lkey, &value, &s)) << k;
-    ASSERT_TRUE(s.ok());
-    ASSERT_EQ(value, v);
-  }
 }
 
 TEST(MergingIteratorTest, MergesSortedStreams) {
