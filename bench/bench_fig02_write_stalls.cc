@@ -99,10 +99,10 @@ void RunCompactionDrain(const BenchConfig& cfg, const char* label,
   double fg_reads_per_sec = fg_reads.load() / drain_sec;
   auto stats = cluster.TotalStats();
   printf("%-26s drain %7.3f s  fg reads %7.0f ops/s  compactions %4llu  "
-         "waves %6llu  read %6.1f MB  wrote %6.1f MB  queue %7.1f ms\n",
+         "prefetch %6llu  read %6.1f MB  wrote %6.1f MB  queue %7.1f ms\n",
          label, drain_sec, fg_reads_per_sec,
          static_cast<unsigned long long>(stats.compactions),
-         static_cast<unsigned long long>(stats.compaction_gather_waves),
+         static_cast<unsigned long long>(stats.compaction_prefetches),
          stats.compaction_bytes_read / 1048576.0,
          stats.compaction_bytes_written / 1048576.0,
          stats.compaction_queue_us / 1000.0);
@@ -112,8 +112,8 @@ void RunCompactionDrain(const BenchConfig& cfg, const char* label,
                  {"drain_seconds", drain_sec},
                  {"fg_reads_per_sec", fg_reads_per_sec},
                  {"compactions", static_cast<double>(stats.compactions)},
-                 {"gather_waves",
-                  static_cast<double>(stats.compaction_gather_waves)},
+                 {"prefetches",
+                  static_cast<double>(stats.compaction_prefetches)},
                  {"bytes_read", static_cast<double>(stats.compaction_bytes_read)},
                  {"bytes_written",
                   static_cast<double>(stats.compaction_bytes_written)},

@@ -221,11 +221,11 @@ struct ScanEnv {
 void BM_SSTableScanReadahead(benchmark::State& state) {
   ScanEnv* env = ScanEnv::Get();
   lsm::StocBlockFetcher fetcher(env->client.get(), env->meta);
-  SSTableReader reader(env->table_meta, &fetcher, /*block_cache=*/nullptr,
-                       /*range_id=*/0,
-                       /*readahead_blocks=*/static_cast<int>(state.range(0)));
+  SSTableReader reader(env->table_meta, &fetcher);
+  IteratorOptions iter_options;
+  iter_options.readahead_blocks = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    std::unique_ptr<Iterator> it(reader.NewIterator());
+    std::unique_ptr<Iterator> it(reader.NewIterator(iter_options));
     uint64_t records = 0;
     for (it->SeekToFirst(); it->Valid(); it->Next()) {
       records++;

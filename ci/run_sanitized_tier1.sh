@@ -17,9 +17,11 @@
 #
 # `compression` runs only the block-compression / cache-tier suites
 # (Compressor, stored-block corruption, two-queue admission, compressed
-# tier, compressed-fragment repair) under ASan — decompression scratch
+# tier, compressed-fragment repair) and the SSTable iterator's suites
+# (readahead scans, compaction merges) under ASan — decompression scratch
 # buffers and the trailer parsing paths are where out-of-bounds reads
-# would hide. `all` includes these tests via the full ASan tier-1 pass.
+# would hide, and a prefetched block that outlives its reader pin would
+# surface here. `all` includes these tests via the full ASan tier-1 pass.
 #
 # Sanitized runs are several times slower than the plain suite; -j is
 # capped below the machine width so the timing-sensitive churn tests do
@@ -63,18 +65,18 @@ run_chaos() {
 }
 
 # Compression stage: ASan over the codec, trailer-corruption, cache-tier,
-# and compressed-repair suites. Fast enough to run on every change to the
-# read path; the full `address` pass subsumes it.
+# compressed-repair and SSTable-iterator suites. Fast enough to run on
+# every change to the read path; the full `address` pass subsumes it.
 run_compression() {
   local build_dir="${repo_root}/build-addresssan"
   echo "==> [compression] configure + build (${build_dir})"
   cmake -S "${repo_root}" -B "${build_dir}" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSANITIZE=address >/dev/null
   cmake --build "${build_dir}" -j "$(nproc)" >/dev/null
-  echo "==> [compression] ctest compression/cache suites (ASan)"
+  echo "==> [compression] ctest compression/cache/iterator suites (ASan)"
   ASAN_OPTIONS="detect_leaks=0" \
     ctest --test-dir "${build_dir}" \
-          -R "CompressorTest|FormatTest|SSTableReaderTest|TwoQueueLRUCacheTest|BlockCacheClusterTest|RepairTest.RebuiltFragmentsAreByteIdenticalCompressedImages" \
+          -R "CompressorTest|FormatTest|SSTableReaderTest|TwoQueueLRUCacheTest|BlockCacheClusterTest|RepairTest.RebuiltFragmentsAreByteIdenticalCompressedImages|AsyncStocTest|ScanReadaheadClusterTest|IntegrationTest.*Compaction" \
           -j "${jobs}" --output-on-failure "$@"
 }
 

@@ -8,7 +8,6 @@
 #include <set>
 
 #include "sim/cost_model.h"
-#include "sstable/block.h"
 #include "sstable/merging_iterator.h"
 #include "util/coding.h"
 #include "util/logging.h"
@@ -128,7 +127,7 @@ std::string CompactionResult::Serialize() const {
   }
   PutVarint64(&out, records_in);
   PutVarint64(&out, records_out);
-  PutVarint64(&out, gather_waves);
+  PutVarint64(&out, prefetches);
   PutVarint64(&out, bytes_read);
   PutVarint64(&out, bytes_written);
   PutVarint64(&out, raw_bytes_written);
@@ -151,7 +150,7 @@ Status CompactionResult::Deserialize(Slice input) {
   }
   if (!GetVarint64(&input, &records_in) ||
       !GetVarint64(&input, &records_out) ||
-      !GetVarint64(&input, &gather_waves) ||
+      !GetVarint64(&input, &prefetches) ||
       !GetVarint64(&input, &bytes_read) ||
       !GetVarint64(&input, &bytes_written) ||
       !GetVarint64(&input, &raw_bytes_written)) {
@@ -275,267 +274,6 @@ std::vector<CompactionJob> CompactionPicker::Pick(const VersionSet& vs,
   return jobs;
 }
 
-namespace {
-
-/// Stage-1 pipeline iterator over one compaction input file. Unlike the
-/// scan iterator (which re-seeks its readahead window on every block
-/// because scans move unpredictably), a compaction drains the file front
-/// to back exactly once, so this iterator keeps a simple FIFO of the next
-/// `depth` data blocks in flight and pops the head as the merge advances.
-/// A failed prefetch falls back to the reader's synchronous path, which
-/// keeps replica failover and parity reconstruction.
-class CompactionFileIterator : public Iterator {
- public:
-  CompactionFileIterator(const SSTableReader* reader, int depth,
-                         ReadaheadCounters* counters,
-                         sim::CpuThrottle* throttle,
-                         std::atomic<uint64_t>* gather_waves,
-                         std::atomic<uint64_t>* bytes_read)
-      : reader_(reader),
-        depth_(depth),
-        counters_(counters),
-        throttle_(throttle),
-        gather_waves_(gather_waves),
-        bytes_read_(bytes_read),
-        index_(std::string(reader->meta().index_contents)) {
-    std::unique_ptr<Iterator> it(index_.NewIterator(&icmp_));
-    for (it->SeekToFirst(); it->Valid(); it->Next()) {
-      BlockHandle h;
-      Slice v = it->value();
-      if (h.DecodeFrom(&v).ok()) {
-        keys_.emplace_back(it->key().data(), it->key().size());
-        handles_.push_back(h);
-      }
-    }
-  }
-
-  bool Valid() const override {
-    return block_iter_ != nullptr && block_iter_->Valid();
-  }
-
-  void SeekToFirst() override {
-    forward_ = true;
-    cur_ = 0;
-    inflight_.clear();
-    next_issue_ = 0;
-    InitBlock();
-    if (block_iter_) {
-      block_iter_->SeekToFirst();
-    }
-    SkipForward();
-  }
-
-  void Seek(const Slice& target) override {
-    forward_ = true;
-    // First block whose index key (>= every key in the block) admits
-    // target.
-    size_t lo = 0, hi = handles_.size();
-    while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      if (icmp_.Compare(Slice(keys_[mid]), target) < 0) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    cur_ = lo;
-    inflight_.clear();
-    next_issue_ = cur_;
-    InitBlock();
-    if (block_iter_) {
-      block_iter_->Seek(target);
-    }
-    SkipForward();
-  }
-
-  void SeekToLast() override {
-    forward_ = false;
-    inflight_.clear();
-    cur_ = handles_.empty() ? 0 : handles_.size() - 1;
-    next_issue_ = handles_.size();
-    InitBlock();
-    if (block_iter_) {
-      block_iter_->SeekToLast();
-    }
-    SkipBackward();
-  }
-
-  void Next() override {
-    forward_ = true;
-    block_iter_->Next();
-    SkipForward();
-  }
-
-  void Prev() override {
-    forward_ = false;
-    block_iter_->Prev();
-    SkipBackward();
-  }
-
-  Slice key() const override { return block_iter_->key(); }
-  Slice value() const override { return block_iter_->value(); }
-  Status status() const override { return status_; }
-
- private:
-  void InitBlock() {
-    block_iter_.reset();
-    block_.reset();
-    if (cur_ >= handles_.size()) {
-      return;
-    }
-    Status s = Materialize(cur_);
-    if (!s.ok()) {
-      status_ = s;
-      return;
-    }
-    block_iter_.reset(block_->NewIterator(&icmp_));
-    TopUp();
-  }
-
-  /// Serve block idx from the head of the in-flight FIFO when possible;
-  /// otherwise fetch synchronously (failover + parity path).
-  Status Materialize(size_t idx) {
-    const BlockHandle& handle = handles_[idx];
-    while (!inflight_.empty() && inflight_.front().first < idx) {
-      inflight_.pop_front();  // passed without materializing (empty block)
-    }
-    if (!inflight_.empty() && inflight_.front().first > idx) {
-      inflight_.clear();  // moved backwards: the window is all stale
-    }
-    if (next_issue_ <= idx) {
-      next_issue_ = idx + 1;
-    }
-    if (!inflight_.empty() && inflight_.front().first == idx) {
-      auto pb = std::move(inflight_.front().second);
-      inflight_.pop_front();
-      if (reader_
-              ->FinishPrefetch(pb.get(), &block_, /*fill_cache=*/false,
-                               counters_)
-              .ok()) {
-        Account(handle);
-        return Status::OK();
-      }
-    }
-    Status s = reader_->ReadBlock(handle, &block_, /*fill_cache=*/false);
-    if (s.ok()) {
-      Account(handle);
-    }
-    return s;
-  }
-
-  void Account(const BlockHandle& handle) {
-    bytes_read_->fetch_add(handle.size, std::memory_order_relaxed);
-    throttle_->Charge(sim::DefaultCostModel().compaction_read_block_us);
-  }
-
-  /// Refill the in-flight window up to depth_. One refill that issues at
-  /// least one new fetch counts as a gather wave.
-  void TopUp() {
-    if (depth_ <= 0 || !forward_) {
-      return;
-    }
-    int issued = 0;
-    while (static_cast<int>(inflight_.size()) < depth_ &&
-           next_issue_ < handles_.size()) {
-      size_t idx = next_issue_++;
-      auto pb = reader_->Prefetch(handles_[idx], counters_);
-      if (pb != nullptr) {  // null = already cached, nothing to overlap
-        inflight_.emplace_back(idx, std::move(pb));
-        issued++;
-      }
-    }
-    if (issued > 0) {
-      gather_waves_->fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  void SkipForward() {
-    while (block_iter_ == nullptr || !block_iter_->Valid()) {
-      if (cur_ + 1 >= handles_.size()) {
-        block_iter_.reset();
-        return;
-      }
-      cur_++;
-      InitBlock();
-      if (block_iter_) {
-        block_iter_->SeekToFirst();
-      }
-    }
-  }
-
-  void SkipBackward() {
-    while (block_iter_ == nullptr || !block_iter_->Valid()) {
-      if (cur_ == 0) {
-        block_iter_.reset();
-        return;
-      }
-      cur_--;
-      InitBlock();
-      if (block_iter_) {
-        block_iter_->SeekToLast();
-      }
-    }
-  }
-
-  const SSTableReader* reader_;
-  int depth_;
-  ReadaheadCounters* counters_;
-  sim::CpuThrottle* throttle_;
-  std::atomic<uint64_t>* gather_waves_;
-  std::atomic<uint64_t>* bytes_read_;
-  InternalKeyComparator icmp_;
-  Block index_;  // private copy; the reader's index block is not exposed
-  std::vector<std::string> keys_;
-  std::vector<BlockHandle> handles_;
-  size_t cur_ = 0;
-  size_t next_issue_ = 0;
-  bool forward_ = true;
-  std::deque<std::pair<size_t, std::unique_ptr<SSTableReader::PendingBlock>>>
-      inflight_;
-  std::shared_ptr<Block> block_;
-  std::unique_ptr<Iterator> block_iter_;
-  Status status_;
-};
-
-}  // namespace
-
-CompactionInputReader::CompactionInputReader(TableCache* cache,
-                                             int readahead_blocks,
-                                             sim::CpuThrottle* throttle)
-    : cache_(cache),
-      readahead_blocks_(readahead_blocks),
-      throttle_(throttle == nullptr ? sim::CpuThrottle::Unlimited()
-                                    : throttle) {}
-
-CompactionInputReader::~CompactionInputReader() = default;
-
-Status CompactionInputReader::OpenInput(const FileMetaRef& file,
-                                        Iterator** iter) {
-  TableCache::Handle handle;
-  Status s = cache_->GetReader(file, &handle);
-  if (!s.ok()) {
-    return s;
-  }
-  pins_.push_back(handle);
-  // Stream, don't cache: a compaction reads every input block exactly
-  // once and then deletes the file — filling the block cache would evict
-  // the hot read-path working set for nothing. Depth 0 degrades to the
-  // serial fetch-per-block loop; either way the private counters keep
-  // compaction gathers out of the scan-readahead stats.
-  *iter = new CompactionFileIterator(handle.reader, readahead_blocks_,
-                                     &counters_, throttle_, &gather_waves_,
-                                     &bytes_read_);
-  return Status::OK();
-}
-
-uint64_t CompactionInputReader::gather_waves() const {
-  return gather_waves_.load(std::memory_order_relaxed);
-}
-
-uint64_t CompactionInputReader::bytes_read() const {
-  return bytes_read_.load(std::memory_order_relaxed);
-}
-
 CompactionExecutor::CompactionExecutor(TableCache* cache,
                                        SSTablePlacer* placer,
                                        sim::CpuThrottle* throttle)
@@ -547,34 +285,48 @@ CompactionExecutor::CompactionExecutor(TableCache* cache,
 Status CompactionExecutor::Run(const CompactionJob& job,
                                CompactionResult* result) {
   InternalKeyComparator icmp;
-  CompactionInputReader inputs(cache_, job.readahead_blocks, throttle_);
+  // Stage 1: stream, don't cache. A compaction reads every input block
+  // once and then deletes the file, so filling the cache tiers would
+  // evict the read-path working set for nothing. Job-private counters
+  // keep compaction gathers out of the scan-readahead stats.
+  ReadaheadCounters counters;
+  IteratorOptions iter_options;
+  iter_options.fill_cache = false;
+  iter_options.readahead_blocks = job.readahead_blocks;
+  iter_options.counters = &counters;
+  // The pins keep every input's reader alive until the merge is gone.
+  std::vector<TableCache::Handle> pins;
   std::vector<Iterator*> children;
-  auto open_all = [&](const std::vector<FileMetaRef>& files) -> Status {
-    for (const auto& f : files) {
-      Iterator* it = nullptr;
-      Status s = inputs.OpenInput(f, &it);
+  for (const auto* files : {&job.inputs, &job.inputs_next}) {
+    for (const auto& f : *files) {
+      TableCache::Handle handle;
+      Status s = cache_->GetReader(f, &handle);
       if (!s.ok()) {
+        for (Iterator* child : children) {
+          delete child;
+        }
         return s;
       }
-      children.push_back(it);
+      pins.push_back(handle);
+      children.push_back(handle.reader->NewIterator(iter_options));
     }
-    return Status::OK();
+  }
+
+  const sim::CostModel& costs = sim::DefaultCostModel();
+  // Each input block costs compaction_read_block_us; the iterators count
+  // blocks as they read them, and every merge step charges the new ones
+  // (one Charge per block: a single Charge may not exceed the burst).
+  uint64_t charged_blocks = 0;
+  auto charge_reads = [&] {
+    uint64_t blocks = counters.blocks.load(std::memory_order_relaxed);
+    for (; charged_blocks < blocks; charged_blocks++) {
+      throttle_->Charge(costs.compaction_read_block_us);
+    }
   };
-  Status s = open_all(job.inputs);
-  if (s.ok()) {
-    s = open_all(job.inputs_next);
-  }
-  if (!s.ok()) {
-    for (Iterator* child : children) {
-      delete child;
-    }
-    return s;
-  }
 
   std::unique_ptr<Iterator> merged(NewMergingIterator(&icmp, children));
   merged->SeekToFirst();
-
-  const sim::CostModel& costs = sim::DefaultCostModel();
+  charge_reads();
   uint64_t next_number = job.first_output_number;
   std::unique_ptr<SSTableBuilder> builder;
   size_t boundary_idx = 0;
@@ -589,11 +341,12 @@ Status CompactionExecutor::Run(const CompactionJob& job,
                         : nullptr;
 
   // Stage 3: finished outputs are armed through StartWrite and their
-  // flush acks collected while the merge continues; only when
-  // kMaxInflightOutputs batches are already in flight does the merge
-  // wait for the oldest. Dropping `armed` on an error path abandons the
-  // in-flight appends safely. Serial mode (readahead 0) writes inline.
-  const bool pipelined = job.readahead_blocks > 0;
+  // flush acks collected while the merge continues; only when `window`
+  // batches are already in flight does the merge wait for the oldest.
+  // Dropping `armed` on an error path abandons the in-flight appends
+  // safely. A serial job (readahead 0) has a window of 0: each output's
+  // acks are collected before the merge goes on.
+  const size_t window = job.readahead_blocks > 0 ? kMaxInflightOutputs : 0;
   std::deque<PendingSSTable> armed;
   auto drain_oldest = [&]() -> Status {
     FileMetaData out;
@@ -615,30 +368,19 @@ Status CompactionExecutor::Run(const CompactionJob& job,
     builder.reset();
     result->raw_bytes_written += built.raw_bytes;
     throttle_->Charge(costs.compaction_write_sstable_us);
-    if (pipelined) {
-      PendingSSTable pending;
-      Status ws = placer_->StartWrite(std::move(built), /*drange_id=*/-1,
-                                      /*generation=*/0, &pending);
-      if (!ws.ok()) {
-        return ws;
-      }
-      armed.push_back(std::move(pending));
-      while (static_cast<int>(armed.size()) > kMaxInflightOutputs) {
-        Status ds = drain_oldest();
-        if (!ds.ok()) {
-          return ds;
-        }
-      }
-      return Status::OK();
-    }
-    FileMetaData out;
-    Status ws = placer_->Write(std::move(built), /*drange_id=*/-1,
-                               /*generation=*/0, &out);
+    PendingSSTable pending;
+    Status ws = placer_->StartWrite(std::move(built), /*drange_id=*/-1,
+                                    /*generation=*/0, &pending);
     if (!ws.ok()) {
       return ws;
     }
-    result->bytes_written += out.data_size;
-    result->outputs.push_back(std::move(out));
+    armed.push_back(std::move(pending));
+    while (armed.size() > window) {
+      Status ds = drain_oldest();
+      if (!ds.ok()) {
+        return ds;
+      }
+    }
     return Status::OK();
   };
 
@@ -687,6 +429,7 @@ Status CompactionExecutor::Run(const CompactionJob& job,
       result->records_out++;
     }
     merged->Next();
+    charge_reads();
   }
   Status s2 = merged->status();
   if (s2.ok()) {
@@ -695,8 +438,8 @@ Status CompactionExecutor::Run(const CompactionJob& job,
   while (s2.ok() && !armed.empty()) {
     s2 = drain_oldest();
   }
-  result->gather_waves = inputs.gather_waves();
-  result->bytes_read = inputs.bytes_read();
+  result->prefetches = counters.issued.load(std::memory_order_relaxed);
+  result->bytes_read = counters.bytes.load(std::memory_order_relaxed);
   return s2;
 }
 

@@ -8,10 +8,14 @@
 // file whose next-level overlap is unclaimed.
 //
 // Execution is a three-stage pipeline on the async StoC I/O layer:
-//   1. fetch — a CompactionInputReader per input file keeps the next
-//      `readahead_blocks` data blocks in flight (StocBlockFetcher::
-//      StartFetch under the hood) while the merge drains the current one,
-//      so the k-way merge is never gated on a single StoC round-trip;
+//   1. fetch — each input file is read through the same SSTable iterator
+//      scans use (SSTableReader::NewIterator), opened without filling the
+//      cache tiers and keeping the next `readahead_blocks` data blocks in
+//      flight (StocBlockFetcher::StartFetch under the hood) while the
+//      merge drains the current one, so the k-way merge is never gated on
+//      a single StoC round-trip. A failed prefetch falls back to the
+//      synchronous fetch, which keeps replica failover and parity
+//      reconstruction;
 //   2. merge — the k-way merge keeps only the newest version of each user
 //      key (dropping tombstones at the bottom level) and splits outputs at
 //      Drange boundaries and the max SSTable size;
@@ -19,11 +23,12 @@
 //      (AsyncAppendBlock fan-out) and their flush acknowledgments are
 //      collected in the background of further merging, bounded by a small
 //      in-flight window.
-// With readahead_blocks == 0 all three stages degrade to the serial
-// fetch-merge-write loop (the pre-pipeline behavior, kept as the bench
-// baseline). Jobs serialize — including the pipeline depth — so an LTC
-// can offload them to a StoC (Section 4.3 "Offloading") which runs the
-// same executor against its own StoC client.
+// With readahead_blocks == 0 the iterators fetch each block when reached
+// and the output window is 0, which is the serial fetch-merge-write loop
+// (kept as the bench baseline). Jobs serialize — including the pipeline
+// depth — so an LTC can offload them to a StoC (Section 4.3
+// "Offloading") which runs the same executor against its own StoC
+// client.
 #ifndef NOVA_LSM_COMPACTION_H_
 #define NOVA_LSM_COMPACTION_H_
 
@@ -78,9 +83,9 @@ struct CompactionResult {
   uint64_t records_in = 0;
   uint64_t records_out = 0;
   /// Pipeline accounting, reported back to the scheduling LTC even for
-  /// offloaded jobs: prefetch batches issued by the input readers, input
-  /// data-block bytes fetched, and output bytes written.
-  uint64_t gather_waves = 0;
+  /// offloaded jobs: data blocks the input iterators prefetched, input
+  /// data-block bytes read, and output bytes written.
+  uint64_t prefetches = 0;
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
   /// What bytes_written would have been with every output block stored
@@ -102,44 +107,6 @@ class CompactionPicker {
   static double Score(const VersionSet& vs, const Version& v, int level);
 };
 
-/// Stage 1 of the pipeline: opens the input files of one compaction and
-/// hands out streaming iterators that keep the next `readahead_blocks`
-/// data blocks of each file in flight (via the fetcher's async path)
-/// while the merge drains the current one. A failed prefetch falls back
-/// to the synchronous fetch path, which keeps replica failover and parity
-/// reconstruction — so degraded reads work identically under the
-/// pipeline. Gather statistics accumulate here across all inputs.
-class CompactionInputReader {
- public:
-  /// throttle (optional) is charged compaction_read_block_us per data
-  /// block actually fetched from a StoC.
-  CompactionInputReader(TableCache* cache, int readahead_blocks,
-                        sim::CpuThrottle* throttle = nullptr);
-  ~CompactionInputReader();
-
-  CompactionInputReader(const CompactionInputReader&) = delete;
-  CompactionInputReader& operator=(const CompactionInputReader&) = delete;
-
-  /// Pins the file's reader and returns a streaming iterator over its
-  /// internal keys. The iterator is owned by the caller but must not
-  /// outlive this reader (which holds the pin).
-  Status OpenInput(const FileMetaRef& file, Iterator** iter);
-
-  /// Prefetch batches issued across every input stream.
-  uint64_t gather_waves() const;
-  /// Data-block bytes consumed across every input stream.
-  uint64_t bytes_read() const;
-
- private:
-  TableCache* cache_;
-  int readahead_blocks_;
-  sim::CpuThrottle* throttle_;
-  std::vector<TableCache::Handle> pins_;
-  ReadaheadCounters counters_;
-  std::atomic<uint64_t> gather_waves_{0};
-  std::atomic<uint64_t> bytes_read_{0};
-};
-
 class CompactionExecutor {
  public:
   CompactionExecutor(TableCache* cache, SSTablePlacer* placer,
@@ -149,9 +116,12 @@ class CompactionExecutor {
   /// continues; the next output only waits when this many flush batches
   /// are already in flight. (Input readahead is a per-job knob —
   /// CompactionJob::readahead_blocks — because it crosses the offload
-  /// wire; the output window is an executor constant.)
+  /// wire; the output window is an executor constant, 0 for a serial
+  /// job.)
   static constexpr int kMaxInflightOutputs = 2;
 
+  /// The throttle is charged compaction_read_block_us per input data
+  /// block read, whether prefetched, fetched or served from a cache tier.
   Status Run(const CompactionJob& job, CompactionResult* result);
 
  private:

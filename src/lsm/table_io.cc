@@ -69,7 +69,7 @@ Status StocBlockFetcher::ReconstructFromParity(int fragment,
 namespace {
 
 /// One readahead read in flight to the least-loaded replica. Failures
-/// surface to the caller (the scan iterator), which retries through the
+/// surface to the caller (the SSTable iterator), which retries through the
 /// reader's synchronous path — full replica failover + parity
 /// reconstruction — so a failed prefetch is never silently counted as
 /// served-ahead.
@@ -148,15 +148,12 @@ void DeleteCachedMetadata(const Slice& /*key*/, void* value) {
 
 TableCache::TableCache(stoc::StocClient* client, Cache* cache,
                        uint32_t range_id, bool cache_data_blocks,
-                       int readahead_blocks, ReadaheadCounters* readahead,
                        Cache* compressed_cache)
     : client_(client),
       live_readers_(std::make_shared<std::atomic<size_t>>(0)),
       compressed_cache_(compressed_cache),
       range_id_(range_id),
-      cache_data_blocks_(cache_data_blocks),
-      readahead_blocks_(readahead_blocks),
-      readahead_(readahead) {
+      cache_data_blocks_(cache_data_blocks) {
   if (cache == nullptr) {
     owned_cache_.reset(NewShardedLRUCache(kDefaultReaderCacheBytes));
     cache = owned_cache_.get();
@@ -184,11 +181,12 @@ Status TableCache::GetReader(const FileMetaRef& meta, Handle* handle) {
     // The compressed tier keeps the encoded metadata block under the
     // reader's own key (block keys always append an offset, so the bare
     // prefix cannot collide): a reader evicted from the hot tier reopens
-    // without a StoC round trip.
+    // without a StoC round trip. Uncounted, like the hot-tier lookup
+    // above, so the tier's stats reflect data-block traffic only.
     std::string encoded;
     bool cached = false;
     if (compressed_cache_ != nullptr) {
-      Cache::Handle* ch = compressed_cache_->Lookup(key);
+      Cache::Handle* ch = compressed_cache_->Lookup(key, /*count=*/false);
       if (ch != nullptr) {
         encoded = *static_cast<const std::string*>(
             compressed_cache_->Value(ch));
@@ -226,8 +224,8 @@ Status TableCache::GetReader(const FileMetaRef& meta, Handle* handle) {
     entry->fetcher = std::make_unique<StocBlockFetcher>(client_, meta);
     entry->reader = std::make_unique<SSTableReader>(
         std::move(table_meta), entry->fetcher.get(),
-        cache_data_blocks_ ? cache_ : nullptr, range_id_, readahead_blocks_,
-        readahead_, cache_data_blocks_ ? compressed_cache_ : nullptr);
+        cache_data_blocks_ ? cache_ : nullptr, range_id_,
+        cache_data_blocks_ ? compressed_cache_ : nullptr);
     entry->live_readers = live_readers_;
     live_readers_->fetch_add(1, std::memory_order_relaxed);
     size_t charge = sizeof(Entry) + sizeof(SSTableReader) +

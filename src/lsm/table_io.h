@@ -40,9 +40,10 @@ class StocBlockFetcher : public BlockFetcher {
   Status Fetch(int fragment, uint64_t offset, uint64_t size,
                std::string* out) override;
 
-  /// Async fetch for scan readahead: issues the read to the first replica
-  /// immediately. A failed read surfaces from Pending::Wait; callers
-  /// retry through Fetch (replica failover + parity reconstruction).
+  /// Async fetch for iterator readahead: issues the read to the
+  /// least-loaded replica immediately. A failed read surfaces from
+  /// Pending::Wait; callers retry through Fetch (replica failover +
+  /// parity reconstruction).
   std::unique_ptr<Pending> StartFetch(int fragment, uint64_t offset,
                                       uint64_t size) override;
 
@@ -70,15 +71,11 @@ class TableCache {
   /// charge budget. When null, a private reader-only cache is created.
   /// cache_data_blocks: opened readers also consult `cache` for data
   /// blocks in ReadBlock (the StoC read-path block cache).
-  /// readahead_blocks/readahead: scan-readahead depth and counter sink
-  /// handed to every reader this cache opens (see SSTableReader).
   /// compressed_cache (optional): the compressed block tier handed to
   /// every reader (see SSTableReader); invalidation sweeps it alongside
   /// the hot tier.
   explicit TableCache(stoc::StocClient* client, Cache* cache = nullptr,
                       uint32_t range_id = 0, bool cache_data_blocks = false,
-                      int readahead_blocks = 0,
-                      ReadaheadCounters* readahead = nullptr,
                       Cache* compressed_cache = nullptr);
   ~TableCache();
 
@@ -115,8 +112,6 @@ class TableCache {
   Cache* compressed_cache_;
   uint32_t range_id_;
   bool cache_data_blocks_;
-  int readahead_blocks_;
-  ReadaheadCounters* readahead_;
 };
 
 struct PlacementOptions {

@@ -52,8 +52,7 @@ RangeEngine::RangeEngine(const RangeEngineOptions& options,
       });
   table_cache_ = std::make_unique<lsm::TableCache>(
       client_, block_cache_, options_.range_id,
-      /*cache_data_blocks=*/block_cache_ != nullptr,
-      options_.readahead_blocks, &readahead_counters_, compressed_cache_);
+      /*cache_data_blocks=*/block_cache_ != nullptr, compressed_cache_);
   lsm::PlacementOptions popt;
   popt.stocs = stocs;
   popt.range_id = options_.range_id;
@@ -565,6 +564,13 @@ lsm::FileMetaRef RangeEngine::FindL0FileIn(const lsm::VersionRef& version,
   return nullptr;
 }
 
+IteratorOptions RangeEngine::ScanIteratorOptions() {
+  IteratorOptions opt;
+  opt.readahead_blocks = options_.readahead_blocks;
+  opt.counters = &readahead_counters_;
+  return opt;
+}
+
 Status RangeEngine::Scan(
     const Slice& start_key, int num_records,
     std::vector<std::pair<std::string, std::string>>* out) {
@@ -651,7 +657,7 @@ Status RangeEngine::Scan(
       Status s = table_cache_->GetReader(f, &handle);
       if (s.ok()) {
         pins.push_back(handle);
-        children.push_back(handle.reader->NewIterator());
+        children.push_back(handle.reader->NewIterator(ScanIteratorOptions()));
       } else if (read_status.ok()) {
         read_status = s;
       }
@@ -1151,7 +1157,7 @@ void RangeEngine::RunCompaction(lsm::CompactionJob job, uint64_t queue_us) {
   {
     std::lock_guard<std::mutex> sl(stats_mu_);
     stats_.compaction_queue_us += queue_us;
-    stats_.compaction_gather_waves += result.gather_waves;
+    stats_.compaction_prefetches += result.prefetches;
     stats_.compaction_bytes_read += result.bytes_read;
     stats_.compaction_bytes_written += result.bytes_written;
     stats_.sstable_stored_bytes += result.bytes_written;
@@ -1425,7 +1431,8 @@ Status RangeEngine::RebuildFromLogs(int recovery_threads) {
         if (!table_cache_->GetReader(f, &handle).ok()) {
           continue;
         }
-        std::unique_ptr<Iterator> it(handle.reader->NewIterator());
+        std::unique_ptr<Iterator> it(
+            handle.reader->NewIterator(ScanIteratorOptions()));
         for (it->SeekToFirst(); it->Valid(); it->Next()) {
           throttle_->Charge(costs.flush_per_record_us);
           ParsedInternalKey parsed;
@@ -1447,7 +1454,8 @@ Status RangeEngine::RebuildFromLogs(int recovery_threads) {
         std::lock_guard<std::mutex> cl(compaction_mu_);
         file_to_mids_[f->number].push_back(synthetic_mid);
       }
-      std::unique_ptr<Iterator> it(handle.reader->NewIterator());
+      std::unique_ptr<Iterator> it(
+          handle.reader->NewIterator(ScanIteratorOptions()));
       it->SeekToFirst();
       while (it->Valid()) {
         throttle_->Charge(costs.flush_per_record_us);

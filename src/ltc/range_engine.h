@@ -123,10 +123,10 @@ struct RangeStats {
   uint64_t readahead_issued = 0;
   uint64_t readahead_hits = 0;
   /// Compaction pipeline accounting (includes offloaded jobs, which
-  /// report their numbers back in the CompactionResult): prefetch waves
-  /// issued by input gathers, input/output bytes moved, and total time
-  /// jobs spent queued between scheduling and execution start.
-  uint64_t compaction_gather_waves = 0;
+  /// report their numbers back in the CompactionResult): data blocks
+  /// the input iterators prefetched, input/output bytes moved, and total
+  /// time jobs spent queued between scheduling and execution start.
+  uint64_t compaction_prefetches = 0;
   uint64_t compaction_bytes_read = 0;
   uint64_t compaction_bytes_written = 0;
   uint64_t compaction_queue_us = 0;
@@ -177,7 +177,7 @@ struct RangeStats {
     bytes_over_wire += o.bytes_over_wire;
     readahead_issued += o.readahead_issued;
     readahead_hits += o.readahead_hits;
-    compaction_gather_waves += o.compaction_gather_waves;
+    compaction_prefetches += o.compaction_prefetches;
     compaction_bytes_read += o.compaction_bytes_read;
     compaction_bytes_written += o.compaction_bytes_written;
     compaction_queue_us += o.compaction_queue_us;
@@ -325,6 +325,9 @@ class RangeEngine {
                       SequenceNumber* seq_out = nullptr);
   Status RebuildFromLogs(int recovery_threads);
   void HandleReorg();
+  /// How scans and log rebuilds iterate SSTables: this range's readahead
+  /// depth, counted into readahead_counters_.
+  IteratorOptions ScanIteratorOptions();
 
   RangeEngineOptions options_;
   stoc::StocClient* client_;

@@ -41,16 +41,12 @@ std::string BlockCacheKey(uint32_t range_id, uint64_t file_number,
 
 SSTableReader::SSTableReader(SSTableMetadata meta, BlockFetcher* fetcher,
                              Cache* block_cache, uint32_t range_id,
-                             int readahead_blocks,
-                             ReadaheadCounters* readahead,
                              Cache* compressed_cache)
     : meta_(std::move(meta)),
       fetcher_(fetcher),
       block_cache_(block_cache),
       compressed_cache_(compressed_cache),
-      range_id_(range_id),
-      readahead_blocks_(readahead_blocks),
-      readahead_(readahead) {}
+      range_id_(range_id) {}
 
 Block* SSTableReader::index_block() const {
   std::call_once(index_once_, [this] {
@@ -206,7 +202,7 @@ Status SSTableReader::FinishPrefetch(PendingBlock* pb,
   std::string contents;
   Status s = pb->pending->Wait(&contents);
   if (s.ok()) {
-    // Readahead is scan traffic by definition: cold admission.
+    // Readahead serves iterators, which admit cold (see MaterializeBlock).
     s = InstallBlock(std::move(contents), pb->offset, pb->size, fill_cache,
                      Cache::Priority::kCold, block);
   }
@@ -272,18 +268,18 @@ namespace {
 /// at a time through the reader (which consults the block cache first).
 /// With readahead_blocks > 0 it keeps that many upcoming data blocks in
 /// flight (issued to the StoC asynchronously) while the current block
-/// drains, so a forward scan overlaps compute with fragment round-trips.
+/// drains, so a forward scan or compaction merge overlaps compute with
+/// fragment round-trips.
 class SSTableIterator : public Iterator {
  public:
   SSTableIterator(const SSTableReader* reader,
                   const InternalKeyComparator* icmp, Iterator* index_iter,
-                  Iterator* peek_iter, bool fill_cache, int readahead_blocks)
+                  Iterator* peek_iter, const IteratorOptions& options)
       : reader_(reader),
         icmp_(icmp),
         index_iter_(index_iter),
         peek_iter_(peek_iter),
-        fill_cache_(fill_cache),
-        readahead_blocks_(readahead_blocks) {}
+        options_(options) {}
 
   bool Valid() const override {
     return block_iter_ != nullptr && block_iter_->Valid();
@@ -355,7 +351,12 @@ class SSTableIterator : public Iterator {
       return;
     }
     block_iter_.reset(block_->NewIterator(icmp_));
-    IssueReadahead(handle.offset);
+    if (options_.counters != nullptr) {
+      options_.counters->blocks.fetch_add(1, std::memory_order_relaxed);
+      options_.counters->bytes.fetch_add(handle.size,
+                                         std::memory_order_relaxed);
+    }
+    IssueReadahead();
   }
 
   /// Serve the block from a matching in-flight prefetch when one exists
@@ -367,31 +368,37 @@ class SSTableIterator : public Iterator {
       }
       std::unique_ptr<SSTableReader::PendingBlock> pb = std::move(*it);
       prefetched_.erase(it);
-      if (reader_->FinishPrefetch(pb.get(), &block_, fill_cache_).ok()) {
+      if (reader_
+              ->FinishPrefetch(pb.get(), &block_, options_.fill_cache,
+                               options_.counters)
+              .ok()) {
         return Status::OK();
       }
       break;  // prefetch failed; retry through the synchronous path
     }
-    // Scans admit cold: a sweep fills the cold queue and cannot evict the
-    // point-get working set (see Cache::Priority).
-    return reader_->ReadBlock(handle, &block_, fill_cache_,
+    // Iterators admit cold: a scan or compaction sweep stays in the cold
+    // queue and cannot evict the point-get working set (see
+    // Cache::Priority). The synchronous path keeps replica failover and
+    // parity reconstruction.
+    return reader_->ReadBlock(handle, &block_, options_.fill_cache,
                               Cache::Priority::kCold);
   }
 
-  /// Keep the next readahead_blocks_ data blocks in flight. Prefetches
+  /// Keep the next readahead_blocks data blocks in flight. Prefetches
   /// outside that window — blocks the scan has passed, or far-ahead
   /// leftovers after a backward re-seek — are dropped (an abandoned
   /// response is discarded by the RPC layer). Forward scans only: a
   /// backward scan never revisits the blocks ahead of it, so prefetching
   /// there would be pure waste.
-  void IssueReadahead(uint64_t /*current_offset*/) {
-    if (readahead_blocks_ <= 0 || !forward_) {
+  void IssueReadahead() {
+    if (options_.readahead_blocks <= 0 || !forward_) {
       return;
     }
-    // The window: the next readahead_blocks_ index entries.
+    // The window: the next readahead_blocks index entries.
     std::vector<BlockHandle> wanted;
     peek_iter_->Seek(index_iter_->key());
-    for (int i = 0; i < readahead_blocks_ && peek_iter_->Valid(); i++) {
+    for (int i = 0; i < options_.readahead_blocks && peek_iter_->Valid();
+         i++) {
       peek_iter_->Next();
       if (!peek_iter_->Valid()) {
         break;
@@ -422,7 +429,7 @@ class SSTableIterator : public Iterator {
       if (in_flight) {
         continue;
       }
-      auto pb = reader_->Prefetch(handle);
+      auto pb = reader_->Prefetch(handle, options_.counters);
       if (pb != nullptr) {
         prefetched_.push_back(std::move(pb));
       }
@@ -466,8 +473,7 @@ class SSTableIterator : public Iterator {
   std::unique_ptr<Iterator> peek_iter_;
   std::shared_ptr<Block> block_;  // pins the cached entry while in use
   std::unique_ptr<Iterator> block_iter_;
-  bool fill_cache_;
-  int readahead_blocks_;
+  IteratorOptions options_;
   /// Scan direction, maintained by the movement methods; readahead only
   /// pays off while moving forward.
   bool forward_ = true;
@@ -477,12 +483,13 @@ class SSTableIterator : public Iterator {
 
 }  // namespace
 
-Iterator* SSTableReader::NewIterator(bool fill_cache) const {
+Iterator* SSTableReader::NewIterator(const IteratorOptions& options) const {
   // The peek cursor exists only when this iterator actually reads ahead.
   return new SSTableIterator(
       this, &icmp_, index_block()->NewIterator(&icmp_),
-      readahead_blocks_ > 0 ? index_block()->NewIterator(&icmp_) : nullptr,
-      fill_cache, readahead_blocks_);
+      options.readahead_blocks > 0 ? index_block()->NewIterator(&icmp_)
+                                   : nullptr,
+      options);
 }
 
 }  // namespace nova

@@ -28,11 +28,30 @@ std::string BlockCachePrefix(uint32_t range_id, uint64_t file_number);
 std::string BlockCacheKey(uint32_t range_id, uint64_t file_number,
                           uint64_t offset);
 
-/// Scan-readahead accounting, shared by every reader of one range so the
-/// RangeEngine can roll the numbers into RangeStats.
+/// Iterator block accounting. Scans share one instance per range, which
+/// the RangeEngine rolls into RangeStats; a compaction passes job-private
+/// counters so its gathers stay out of the scan stats.
 struct ReadaheadCounters {
+  /// Prefetches issued, and prefetches that served the block they fetched.
   std::atomic<uint64_t> issued{0};
   std::atomic<uint64_t> hits{0};
+  /// Data blocks the iterator materialized, from any source, and their
+  /// stored sizes.
+  std::atomic<uint64_t> blocks{0};
+  std::atomic<uint64_t> bytes{0};
+};
+
+/// How one SSTable iterator reads its data blocks.
+struct IteratorOptions {
+  /// false serves hits from the cache tiers but leaves misses uncached:
+  /// compactions stream every block once and must not flush the working
+  /// set (nor cache blocks of files they are about to delete).
+  bool fill_cache = true;
+  /// Data blocks kept in flight past the iterator's position while the
+  /// current one drains (0 = fetch each block when reached).
+  int readahead_blocks = 0;
+  /// Optional sink for the accounting above; must outlive the iterator.
+  ReadaheadCounters* counters = nullptr;
 };
 
 class SSTableReader {
@@ -42,10 +61,7 @@ class SSTableReader {
   /// range_id so per-range file numbers cannot collide) serves repeated
   /// data-block reads from LTC memory instead of StoC round-trips; it must
   /// outlive the reader and any iterator. With a null cache every
-  /// ReadBlock fetches from the StoC, as before.
-  /// readahead_blocks: how many data blocks a scan iterator prefetches
-  /// past its current position (0 = off); readahead (optional) receives
-  /// issued/hit counts and must outlive the reader.
+  /// ReadBlock fetches from the StoC.
   /// compressed_cache (optional): the compressed block tier. Misses in
   /// block_cache that hit here decompress in LTC memory instead of
   /// costing a StoC round-trip; network fills land in both tiers, so a
@@ -53,8 +69,6 @@ class SSTableReader {
   /// copy rather than being lost.
   SSTableReader(SSTableMetadata meta, BlockFetcher* fetcher,
                 Cache* block_cache = nullptr, uint32_t range_id = 0,
-                int readahead_blocks = 0,
-                ReadaheadCounters* readahead = nullptr,
                 Cache* compressed_cache = nullptr);
 
   /// True if the bloom filter admits the key (or there is no filter).
@@ -66,46 +80,36 @@ class SSTableReader {
   bool Get(const LookupKey& lookup_key, std::string* value, Status* s,
            SequenceNumber* seq = nullptr);
 
-  /// Iterator over all internal keys in the table. fill_cache=false
-  /// serves hits from the block cache but leaves misses uncached —
-  /// compactions stream every block once and must not flush the working
-  /// set (nor cache blocks of files they are about to delete).
-  Iterator* NewIterator(bool fill_cache = true) const;
+  /// Iterator over all internal keys in the table; scans and compaction
+  /// inputs both read through it. Blocks it reads enter the cache tiers
+  /// cold (see ReadBlock).
+  Iterator* NewIterator(const IteratorOptions& options = {}) const;
 
   /// Fetch (or serve from a cache tier) the data block at handle. The
   /// returned shared_ptr pins the cached entry, so a block stays usable
   /// while iterators hold it even if the cache evicts it concurrently.
-  /// pri: cache admission class — point gets default to kHot; scan
-  /// iterators pass kCold so a sweep cannot evict the get working set.
+  /// pri: cache admission class — point gets default to kHot; iterators
+  /// pass kCold so a scan or compaction cannot evict the get working set.
   Status ReadBlock(const BlockHandle& handle, std::shared_ptr<Block>* block,
                    bool fill_cache = true,
                    Cache::Priority pri = Cache::Priority::kHot) const;
 
-  /// --- Scan readahead (used by the iterator; exposed for tests) ---
+  /// --- Readahead (used by the iterator) ---
 
-  /// One data block being prefetched ahead of a scan.
+  /// One data block being prefetched ahead of an iterator.
   struct PendingBlock {
     uint64_t offset = 0;
     uint64_t size = 0;
     std::unique_ptr<BlockFetcher::Pending> pending;
   };
 
-  /// Begin an async fetch of the block at handle. Returns null when the
-  /// block is already cached or the fetcher has no async path.
-  std::unique_ptr<PendingBlock> Prefetch(const BlockHandle& handle) const {
-    return Prefetch(handle, readahead_);
-  }
-  /// Same, but charging the issue to an explicit counter sink (null = no
-  /// accounting). Compaction input streams pass their own counters so
-  /// background gathers never pollute the scan-readahead stats.
+  /// Begin an async fetch of the block at handle, counting the issue into
+  /// counters (null = no accounting). Returns null when the block is
+  /// already cached or the fetcher has no async path.
   std::unique_ptr<PendingBlock> Prefetch(const BlockHandle& handle,
                                          ReadaheadCounters* counters) const;
   /// Complete a prefetch and hand the block over, inserting it into the
-  /// block cache like ReadBlock when fill_cache. Counts a readahead hit.
-  Status FinishPrefetch(PendingBlock* pb, std::shared_ptr<Block>* block,
-                        bool fill_cache = true) const {
-    return FinishPrefetch(pb, block, fill_cache, readahead_);
-  }
+  /// cache tiers like ReadBlock when fill_cache. Counts a readahead hit.
   Status FinishPrefetch(PendingBlock* pb, std::shared_ptr<Block>* block,
                         bool fill_cache, ReadaheadCounters* counters) const;
 
@@ -134,8 +138,6 @@ class SSTableReader {
   Cache* block_cache_;
   Cache* compressed_cache_;
   uint32_t range_id_;
-  int readahead_blocks_;
-  ReadaheadCounters* readahead_;
   InternalKeyComparator icmp_;
   mutable std::once_flag index_once_;
   mutable std::unique_ptr<Block> index_block_;

@@ -1,8 +1,10 @@
 // Tests for the asynchronous StoC I/O pipeline: Future/AsyncCall
 // semantics (out-of-order completion), GatherReads (parallel fan-out,
 // replica failover, mixed success/failure), thread-free scatter writes,
-// degraded parity gathers through one batched read, and scan readahead
-// (hit accounting + identical iteration results with readahead on/off).
+// degraded parity gathers through one batched read, scan readahead
+// (hit accounting + identical iteration results with readahead on/off),
+// and compactions reading through the same SSTable iterator (cold cache
+// admission, output independent of the readahead depth).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -12,6 +14,7 @@
 
 #include "bench_core/workload.h"
 #include "coord/cluster.h"
+#include "lsm/compaction.h"
 #include "lsm/table_io.h"
 #include "rdma/rpc.h"
 #include "sstable/sstable_builder.h"
@@ -156,11 +159,8 @@ class AsyncStocTest : public testing::Test {
     fabric_.RemoveNode(kStoc0 + index);
   }
 
-  /// A ρ=3 + parity + 2 meta replica SSTable written through the async
-  /// scatter path; returns the placement and the built bytes.
-  lsm::FileMetaRef WriteScatteredTable(SSTableBuilder::Result&& built,
-                                       std::string* data_copy) {
-    *data_copy = built.data;
+  /// ρ=3 + parity + 2 meta replicas over every StoC.
+  static lsm::PlacementOptions Placement() {
     lsm::PlacementOptions popt;
     for (int i = 0; i < kNumStocs; i++) {
       popt.stocs.push_back(kStoc0 + i);
@@ -170,7 +170,15 @@ class AsyncStocTest : public testing::Test {
     popt.adjust_rho_by_size = false;
     popt.use_parity = true;
     popt.num_meta_replicas = 2;
-    lsm::SSTablePlacer placer(client_.get(), popt);
+    return popt;
+  }
+
+  /// An SSTable written with Placement() through the async scatter path;
+  /// returns the placement and the built bytes.
+  lsm::FileMetaRef WriteScatteredTable(SSTableBuilder::Result&& built,
+                                       std::string* data_copy) {
+    *data_copy = built.data;
+    lsm::SSTablePlacer placer(client_.get(), Placement());
     auto out = std::make_shared<lsm::FileMetaData>();
     Status s = placer.Write(std::move(built), 0, 0, out.get());
     EXPECT_TRUE(s.ok()) << s.ToString();
@@ -300,12 +308,12 @@ TEST_F(AsyncStocTest, ReadaheadIteratorMatchesSerialScan) {
   lsm::FileMetaRef meta = WriteScatteredTable(std::move(built), &data);
 
   lsm::StocBlockFetcher fetcher(client_.get(), meta);
+  SSTableReader reader(table_meta, &fetcher);
   ReadaheadCounters counters;
-  SSTableReader serial_reader(table_meta, &fetcher, /*block_cache=*/nullptr,
-                              /*range_id=*/0, /*readahead_blocks=*/0,
-                              &counters);
-  SSTableReader reader(table_meta, &fetcher, /*block_cache=*/nullptr,
-                       /*range_id=*/0, /*readahead_blocks=*/2, &counters);
+  IteratorOptions serial;
+  serial.counters = &counters;
+  IteratorOptions readahead = serial;
+  readahead.readahead_blocks = 2;
 
   auto collect = [](Iterator* raw) {
     std::unique_ptr<Iterator> it(raw);
@@ -315,14 +323,196 @@ TEST_F(AsyncStocTest, ReadaheadIteratorMatchesSerialScan) {
     }
     return rows;
   };
-  auto serial = collect(serial_reader.NewIterator());
+  auto serial_rows = collect(reader.NewIterator(serial));
   EXPECT_EQ(counters.issued.load(), 0u);
-  auto ahead = collect(reader.NewIterator());
-  EXPECT_EQ(ahead, serial);
-  EXPECT_EQ(serial.size(), 300u);
+  auto ahead = collect(reader.NewIterator(readahead));
+  EXPECT_EQ(ahead, serial_rows);
+  EXPECT_EQ(serial_rows.size(), 300u);
   EXPECT_GT(counters.issued.load(), 0u);
   EXPECT_GT(counters.hits.load(), 0u);
   EXPECT_LE(counters.hits.load(), counters.issued.load());
+}
+
+// ---------------------------------------------------------------------------
+// Compactions and table opens through the TableCache.
+// ---------------------------------------------------------------------------
+
+/// Offsets of a table's data blocks, read from its index block.
+std::vector<uint64_t> DataBlockOffsets(const SSTableMetadata& meta) {
+  InternalKeyComparator icmp;
+  Block index(meta.index_contents);
+  std::unique_ptr<Iterator> it(index.NewIterator(&icmp));
+  std::vector<uint64_t> offsets;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    BlockHandle handle;
+    Slice contents = it->value();
+    EXPECT_TRUE(handle.DecodeFrom(&contents).ok());
+    offsets.push_back(handle.offset);
+  }
+  return offsets;
+}
+
+void DeleteNothing(const Slice& /*key*/, void* /*value*/) {}
+
+TEST_F(AsyncStocTest, CompactionReadsStayCold) {
+  auto built = BuildTable(/*num_keys=*/300, /*num_fragments=*/3);
+  std::vector<uint64_t> offsets = DataBlockOffsets(built.meta);
+  ASSERT_GT(offsets.size(), 1u);
+  std::string data;
+  lsm::FileMetaRef meta = WriteScatteredTable(std::move(built), &data);
+
+  // One shard, so the hot/cold split covers the whole capacity.
+  constexpr size_t kCapacity = 1 << 20;
+  std::unique_ptr<Cache> cache(NewShardedLRUCache(
+      kCapacity, /*shard_bits=*/0, /*hot_fraction=*/0.5));
+  lsm::TableCache tables(client_.get(), cache.get(), /*range_id=*/0,
+                         /*cache_data_blocks=*/true);
+  auto resident = [&] {
+    size_t n = 0;
+    for (uint64_t offset : offsets) {
+      Cache::Handle* h =
+          cache->Lookup(BlockCacheKey(0, meta->number, offset),
+                        /*count=*/false, Cache::Priority::kCold);
+      if (h != nullptr) {
+        cache->Release(h);
+        n++;
+      }
+    }
+    return n;
+  };
+
+  // A scan admits every data block into the cold queue.
+  {
+    lsm::TableCache::Handle handle;
+    ASSERT_TRUE(tables.GetReader(meta, &handle).ok());
+    std::unique_ptr<Iterator> it(handle.reader->NewIterator());
+    size_t rows = 0;
+    for (it->SeekToFirst(); it->Valid(); it->Next()) {
+      rows++;
+    }
+    EXPECT_EQ(rows, 300u);
+  }
+  ASSERT_EQ(resident(), offsets.size());
+
+  // The compaction reads every block again, each one a cache hit.
+  lsm::SSTablePlacer placer(client_.get(), Placement());
+  lsm::CompactionExecutor executor(&tables, &placer, /*throttle=*/nullptr);
+  lsm::CompactionJob job;
+  job.inputs = {meta};
+  job.is_last_level = true;
+  job.first_output_number = 100;
+  lsm::CompactionResult result;
+  uint64_t stoc_reads = client_->read_block_calls();
+  Status s = executor.Run(job, &result);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(result.records_out, 300u);
+  EXPECT_EQ(client_->read_block_calls(), stoc_reads);
+
+  // Cold entries totalling the whole capacity. A block the compaction
+  // had promoted into the hot queue would survive them; cold ones cannot.
+  constexpr size_t kFloodCharge = 4096;
+  for (size_t i = 0; i < kCapacity / kFloodCharge; i++) {
+    cache->Release(cache->Insert("flood" + std::to_string(i), nullptr,
+                                 kFloodCharge, &DeleteNothing,
+                                 Cache::Priority::kCold));
+  }
+  EXPECT_EQ(resident(), 0u);
+}
+
+TEST_F(AsyncStocTest, CompactionOutputDoesNotDependOnReadaheadDepth) {
+  // Three overlapping inputs, each rewriting a shifted window of keys at
+  // newer sequence numbers: the merge alternates across inputs and drops
+  // the older versions.
+  std::vector<lsm::FileMetaRef> inputs;
+  uint64_t input_bytes = 0;
+  for (int t = 0; t < 3; t++) {
+    SSTableBuilder builder;
+    for (int i = t * 100; i < t * 100 + 300; i++) {
+      std::string ikey;
+      AppendInternalKey(&ikey, ParsedInternalKey(Key(i), t * 1000 + i + 1,
+                                                 kTypeValue));
+      builder.Add(ikey, std::string(256, static_cast<char>('a' + t)));
+    }
+    std::string data;
+    inputs.push_back(WriteScatteredTable(
+        builder.Finish(/*file_number=*/t + 1, /*num_fragments=*/3), &data));
+    input_bytes += inputs.back()->data_size;
+  }
+
+  struct Compacted {
+    lsm::CompactionResult result;
+    std::vector<std::pair<std::string, std::string>> rows;
+  };
+  auto compact = [&](int depth, uint64_t first_output, Compacted* out) {
+    lsm::TableCache tables(client_.get());
+    lsm::SSTablePlacer placer(client_.get(), Placement());
+    lsm::CompactionExecutor executor(&tables, &placer, /*throttle=*/nullptr);
+    lsm::CompactionJob job;
+    job.inputs = inputs;
+    job.is_last_level = true;
+    job.max_output_bytes = 32 << 10;  // several outputs in flight
+    job.first_output_number = first_output;
+    job.readahead_blocks = depth;
+    Status s = executor.Run(job, &out->result);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    for (const lsm::FileMetaData& file : out->result.outputs) {
+      lsm::TableCache::Handle handle;
+      ASSERT_TRUE(
+          tables.GetReader(std::make_shared<lsm::FileMetaData>(file), &handle)
+              .ok());
+      std::unique_ptr<Iterator> it(handle.reader->NewIterator());
+      for (it->SeekToFirst(); it->Valid(); it->Next()) {
+        out->rows.emplace_back(it->key().ToString(), it->value().ToString());
+      }
+    }
+  };
+
+  Compacted serial;
+  compact(/*depth=*/0, /*first_output=*/100, &serial);
+  EXPECT_EQ(serial.result.records_in, 900u);
+  EXPECT_EQ(serial.result.records_out, 500u);
+  EXPECT_EQ(serial.rows.size(), 500u);
+  EXPECT_GT(serial.result.outputs.size(), 2u);
+  EXPECT_EQ(serial.result.bytes_read, input_bytes);  // each block once
+  EXPECT_EQ(serial.result.prefetches, 0u);
+  for (int depth : {2, 4}) {
+    SCOPED_TRACE("readahead_blocks " + std::to_string(depth));
+    Compacted piped;
+    compact(depth, /*first_output=*/100 * (depth + 1), &piped);
+    EXPECT_EQ(piped.rows, serial.rows);
+    EXPECT_EQ(piped.result.records_in, serial.result.records_in);
+    EXPECT_EQ(piped.result.records_out, serial.result.records_out);
+    EXPECT_EQ(piped.result.bytes_read, serial.result.bytes_read);
+    EXPECT_GT(piped.result.prefetches, 0u);
+  }
+}
+
+TEST_F(AsyncStocTest, ReaderOpensLeaveCompressedTierCountersAlone) {
+  auto built = BuildTable(/*num_keys=*/50, /*num_fragments=*/1);
+  std::string data;
+  lsm::FileMetaRef meta = WriteScatteredTable(std::move(built), &data);
+  std::unique_ptr<Cache> hot(NewShardedLRUCache(1 << 20));
+  std::unique_ptr<Cache> compressed(NewShardedLRUCache(1 << 20));
+  lsm::TableCache tables(client_.get(), hot.get(), /*range_id=*/0,
+                         /*cache_data_blocks=*/true, compressed.get());
+
+  // The first open fetches the metadata block and parks it in the
+  // compressed tier. Dropping the reader entry from the hot tier makes
+  // the second open decode it from there, with no StoC read.
+  lsm::TableCache::Handle first;
+  ASSERT_TRUE(tables.GetReader(meta, &first).ok());
+  hot->Erase(BlockCachePrefix(0, meta->number));
+  uint64_t stoc_reads = client_->read_block_calls();
+  lsm::TableCache::Handle second;
+  ASSERT_TRUE(tables.GetReader(meta, &second).ok());
+  EXPECT_NE(second.reader, first.reader);
+  EXPECT_EQ(client_->read_block_calls(), stoc_reads);
+
+  // No data block was read, so neither tier counted anything.
+  EXPECT_EQ(compressed->hits(), 0u);
+  EXPECT_EQ(compressed->misses(), 0u);
+  EXPECT_EQ(hot->hits(), 0u);
+  EXPECT_EQ(hot->misses(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -263,7 +263,7 @@ TEST(CompactionResultTest, SerializeRoundTrip) {
   result.outputs.push_back(MakeFile(9, 0, 50));
   result.records_in = 100;
   result.records_out = 80;
-  result.gather_waves = 7;
+  result.prefetches = 7;
   result.bytes_read = 4096;
   result.bytes_written = 2048;
   result.raw_bytes_written = 4000;
@@ -273,7 +273,7 @@ TEST(CompactionResultTest, SerializeRoundTrip) {
   EXPECT_EQ(out.outputs[0].number, 9u);
   EXPECT_EQ(out.records_in, 100u);
   EXPECT_EQ(out.records_out, 80u);
-  EXPECT_EQ(out.gather_waves, 7u);
+  EXPECT_EQ(out.prefetches, 7u);
   EXPECT_EQ(out.bytes_read, 4096u);
   EXPECT_EQ(out.bytes_written, 2048u);
   EXPECT_EQ(out.raw_bytes_written, 4000u);
