@@ -243,6 +243,50 @@ BENCHMARK(BM_SSTableScanReadahead)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
+/// Short scans over the ScanEnv table: 10 rows from each of 16 evenly
+/// spaced start keys, a fresh iterator per scan and no cache tier. Arg =
+/// IteratorOptions::rows (0 = one fetch per data block; 10 = a miss also
+/// fetches the adjacent blocks 10 rows may need). The
+/// stoc_reads_per_scan counter is a count of StoC block reads; the
+/// timings are on simulated devices (ScanEnv's fast-disk profile).
+void BM_SSTableShortScan(benchmark::State& state) {
+  constexpr size_t kRows = 10;
+  constexpr uint64_t kScans = 16;
+  ScanEnv* env = ScanEnv::Get();
+  lsm::StocBlockFetcher fetcher(env->client.get(), env->meta);
+  SSTableReader reader(env->table_meta, &fetcher);
+  IteratorOptions iter_options;
+  iter_options.rows = static_cast<int>(state.range(0));
+  const uint64_t reads_before = env->client->read_block_calls();
+  for (auto _ : state) {
+    for (uint64_t scan = 0; scan < kScans; scan++) {
+      // Start keys fall at different offsets inside their blocks.
+      LookupKey start(Key(scan * (ScanEnv::kNumKeys / kScans) + scan % 7),
+                      kMaxSequenceNumber);
+      std::unique_ptr<Iterator> it(reader.NewIterator(iter_options));
+      size_t rows = 0;
+      for (it->Seek(start.internal_key()); it->Valid(); it->Next()) {
+        benchmark::DoNotOptimize(it->value().data());
+        if (++rows == kRows) {
+          break;
+        }
+      }
+      if (rows != kRows || !it->status().ok()) {
+        state.SkipWithError("short scan returned wrong rows");
+        return;
+      }
+    }
+  }
+  state.counters["stoc_reads_per_scan"] = benchmark::Counter(
+      static_cast<double>(env->client->read_block_calls() - reads_before) /
+      static_cast<double>(state.iterations() * kScans));
+  state.SetItemsProcessed(state.iterations() * kScans);
+}
+BENCHMARK(BM_SSTableShortScan)
+    ->Arg(0)
+    ->Arg(10)
+    ->Unit(benchmark::kMillisecond);
+
 /// Four overlapping L0 SSTables scattered across four StoCs, compacted
 /// into L1 by the CompactionExecutor. Built once and leaked, like ScanEnv.
 struct CompactionEnv {

@@ -18,10 +18,12 @@
 # `compression` runs only the block-compression / cache-tier suites
 # (Compressor, stored-block corruption, two-queue admission, compressed
 # tier, compressed-fragment repair) and the SSTable iterator's suites
-# (readahead scans, compaction merges) under ASan — decompression scratch
-# buffers and the trailer parsing paths are where out-of-bounds reads
-# would hide, and a prefetched block that outlives its reader pin would
-# surface here. `all` includes these tests via the full ASan tier-1 pass.
+# (readahead scans, block runs, compaction merges, cluster scans) under
+# ASan — decompression scratch buffers, the trailer parsing paths and
+# the slicing of a run into blocks are where out-of-bounds reads would
+# hide, and a prefetched block that outlives its reader pin, or a failed
+# read of a deferred first block, would surface here. `all` includes
+# these tests via the full ASan tier-1 pass.
 #
 # Sanitized runs are several times slower than the plain suite; -j is
 # capped below the machine width so the timing-sensitive churn tests do
@@ -76,7 +78,7 @@ run_compression() {
   echo "==> [compression] ctest compression/cache/iterator suites (ASan)"
   ASAN_OPTIONS="detect_leaks=0" \
     ctest --test-dir "${build_dir}" \
-          -R "CompressorTest|FormatTest|SSTableReaderTest|TwoQueueLRUCacheTest|BlockCacheClusterTest|RepairTest.RebuiltFragmentsAreByteIdenticalCompressedImages|AsyncStocTest|ScanReadaheadClusterTest|IntegrationTest.*Compaction" \
+          -R "CompressorTest|FormatTest|SSTableReaderTest|TwoQueueLRUCacheTest|BlockCacheClusterTest|RepairTest.RebuiltFragmentsAreByteIdenticalCompressedImages|AsyncStocTest|ScanReadaheadClusterTest|IntegrationTest.*Compaction|IntegrationTest.Scan" \
           -j "${jobs}" --output-on-failure "$@"
 }
 

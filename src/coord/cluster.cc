@@ -9,6 +9,28 @@
 namespace nova {
 namespace coord {
 
+namespace {
+
+/// Where a scan that `ltc` served from `key` stops: LtcServer::Scan walks
+/// the run of consecutive ranges that LTC owns, starting with the one
+/// holding key, so this is that run's upper bound ("" when the run reaches
+/// the end of the keyspace, or `ltc` does not own key).
+std::string RunUpperBound(const Configuration& cfg, std::string pos,
+                          int ltc) {
+  for (bool in_run = false;; in_run = true) {
+    const RangeAssignment* range = cfg.RangeForKey(pos);
+    if (range == nullptr || range->ltc_index != ltc) {
+      return in_run ? pos : std::string();
+    }
+    if (range->upper.empty()) {
+      return std::string();
+    }
+    pos = range->upper;  // strictly past the previous pos
+  }
+}
+
+}  // namespace
+
 Cluster::Cluster(const ClusterOptions& options)
     : options_(options), coordinator_(1000, options.membership) {}
 
@@ -204,32 +226,21 @@ Status Cluster::Scan(
     if (ltc_alive_[idx]) {
       Status s = ltcs_[idx]->Scan(start_key, num_records, out);
       if (!s.IsInvalidArgument() && !s.IsUnavailable()) {
-        // Scans spanning LTCs: continue on the next LTC (read committed).
-        while (s.ok() && static_cast<int>(out->size()) < num_records &&
-               !out->empty()) {
-          // Find the range containing the last returned key and continue
-          // past its LTC's upper bound if another LTC follows.
-          const std::string& last = out->back().first;
-          int cur = cfg.LtcForKey(last);
-          std::string next_lower;
-          for (const auto& r : cfg.ranges) {
-            if (r.ltc_index == cur &&
-                (r.lower.empty() || last >= r.lower) &&
-                (r.upper.empty() || last < r.upper)) {
-              next_lower = r.upper;
-              break;
-            }
-          }
-          if (next_lower.empty()) {
+        // Scans spanning LTCs: continue on the next LTC (read committed),
+        // from where this LTC's run of ranges ends — also when it
+        // returned no rows.
+        std::string pos = start_key.ToString();
+        while (s.ok() && static_cast<int>(out->size()) < num_records) {
+          pos = RunUpperBound(cfg, pos, idx);
+          if (pos.empty()) {
             break;
           }
-          int next_idx = cfg.LtcForKey(next_lower);
-          if (next_idx < 0 || next_idx == idx || !ltc_alive_[next_idx]) {
+          idx = cfg.LtcForKey(pos);
+          if (idx < 0 || !ltc_alive_[idx]) {
             break;
           }
-          idx = next_idx;
           // num_records is the total target on `out` (see RangeEngine::Scan).
-          s = ltcs_[idx]->Scan(next_lower, num_records, out);
+          s = ltcs_[idx]->Scan(pos, num_records, out);
         }
         return s;
       }

@@ -3,15 +3,20 @@
 namespace nova {
 namespace coord {
 
-int Configuration::LtcForKey(const Slice& key) const {
+const RangeAssignment* Configuration::RangeForKey(const Slice& key) const {
   for (const auto& r : ranges) {
     bool ge_lower = r.lower.empty() || key.compare(r.lower) >= 0;
     bool lt_upper = r.upper.empty() || key.compare(r.upper) < 0;
     if (ge_lower && lt_upper) {
-      return r.ltc_index;
+      return &r;
     }
   }
-  return -1;
+  return nullptr;
+}
+
+int Configuration::LtcForKey(const Slice& key) const {
+  const RangeAssignment* r = RangeForKey(key);
+  return r == nullptr ? -1 : r->ltc_index;
 }
 
 Configuration Coordinator::config() const {

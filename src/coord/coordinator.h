@@ -33,6 +33,8 @@ struct Configuration {
   std::vector<RangeAssignment> ranges;
   std::vector<int> alive_stocs;  // indices into the cluster's StoC list
 
+  /// The range holding key, or null.
+  const RangeAssignment* RangeForKey(const Slice& key) const;
   /// LTC index owning key, or -1.
   int LtcForKey(const Slice& key) const;
 };

@@ -564,9 +564,10 @@ lsm::FileMetaRef RangeEngine::FindL0FileIn(const lsm::VersionRef& version,
   return nullptr;
 }
 
-IteratorOptions RangeEngine::ScanIteratorOptions() {
+IteratorOptions RangeEngine::ScanIteratorOptions(int rows) {
   IteratorOptions opt;
   opt.readahead_blocks = options_.readahead_blocks;
+  opt.rows = rows;
   opt.counters = &readahead_counters_;
   return opt;
 }
@@ -652,12 +653,14 @@ Status RangeEngine::Scan(
     // A table that cannot be opened is as bad as a failed block read: its
     // keys would silently drop out of the merge.
     Status read_status;
+    const IteratorOptions table_options =
+        ScanIteratorOptions(num_records - static_cast<int>(out->size()));
     auto add_table = [&](const lsm::FileMetaRef& f) {
       lsm::TableCache::Handle handle;
       Status s = table_cache_->GetReader(f, &handle);
       if (s.ok()) {
         pins.push_back(handle);
-        children.push_back(handle.reader->NewIterator(ScanIteratorOptions()));
+        children.push_back(handle.reader->NewIterator(table_options));
       } else if (read_status.ok()) {
         read_status = s;
       }
@@ -703,6 +706,9 @@ Status RangeEngine::Scan(
       has_last = true;
       if (parsed.type != kTypeDeletion) {
         out->emplace_back(last_emitted, merged->value().ToString());
+        if (static_cast<int>(out->size()) >= num_records) {
+          break;  // a step past the last row could read a block for nothing
+        }
       }
       merged->Next();
     }
@@ -1432,7 +1438,7 @@ Status RangeEngine::RebuildFromLogs(int recovery_threads) {
           continue;
         }
         std::unique_ptr<Iterator> it(
-            handle.reader->NewIterator(ScanIteratorOptions()));
+            handle.reader->NewIterator(ScanIteratorOptions(/*rows=*/0)));
         for (it->SeekToFirst(); it->Valid(); it->Next()) {
           throttle_->Charge(costs.flush_per_record_us);
           ParsedInternalKey parsed;
@@ -1455,7 +1461,7 @@ Status RangeEngine::RebuildFromLogs(int recovery_threads) {
         file_to_mids_[f->number].push_back(synthetic_mid);
       }
       std::unique_ptr<Iterator> it(
-          handle.reader->NewIterator(ScanIteratorOptions()));
+          handle.reader->NewIterator(ScanIteratorOptions(/*rows=*/0)));
       it->SeekToFirst();
       while (it->Valid()) {
         throttle_->Charge(costs.flush_per_record_us);

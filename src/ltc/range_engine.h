@@ -326,8 +326,9 @@ class RangeEngine {
   Status RebuildFromLogs(int recovery_threads);
   void HandleReorg();
   /// How scans and log rebuilds iterate SSTables: this range's readahead
-  /// depth, counted into readahead_counters_.
-  IteratorOptions ScanIteratorOptions();
+  /// depth, counted into readahead_counters_, and the rows the caller
+  /// still wants (0 = not known; see IteratorOptions::rows).
+  IteratorOptions ScanIteratorOptions(int rows);
 
   RangeEngineOptions options_;
   stoc::StocClient* client_;

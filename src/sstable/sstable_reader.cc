@@ -66,6 +66,21 @@ Status SSTableReader::ReadBlock(const BlockHandle& handle,
                                 std::shared_ptr<Block>* block,
                                 bool fill_cache,
                                 Cache::Priority pri) const {
+  if (LookupBlock(handle, block, fill_cache, pri)) {
+    return Status::OK();
+  }
+  std::string stored;
+  Status s = FetchStored(handle.offset, handle.size, &stored);
+  if (!s.ok()) {
+    return s;
+  }
+  return InstallBlock(std::move(stored), handle.offset, handle.size,
+                      fill_cache, pri, block);
+}
+
+bool SSTableReader::LookupBlock(const BlockHandle& handle,
+                                std::shared_ptr<Block>* block,
+                                bool fill_cache, Cache::Priority pri) const {
   std::string cache_key;
   if (block_cache_ != nullptr || compressed_cache_ != nullptr) {
     cache_key = BlockCacheKey(range_id_, meta_.file_number, handle.offset);
@@ -77,7 +92,7 @@ Status SSTableReader::ReadBlock(const BlockHandle& handle,
         block_cache_->Lookup(cache_key, /*count=*/fill_cache, pri);
     if (h != nullptr) {
       *block = PinnedBlock(block_cache_, h);
-      return Status::OK();
+      return true;
     }
   }
   if (compressed_cache_ != nullptr) {
@@ -94,28 +109,47 @@ Status SSTableReader::ReadBlock(const BlockHandle& handle,
       compressed_cache_->Release(ch);
       if (ds.ok()) {
         *block = InstallHot(std::move(raw), handle.offset, fill_cache, pri);
-        return Status::OK();
+        return true;
       }
       // A poisoned tier entry (should not happen — inserts were verified)
       // is dropped and the block refetched rather than surfaced.
       compressed_cache_->Erase(cache_key);
     }
   }
+  return false;
+}
+
+bool SSTableReader::IsCached(uint64_t offset) const {
+  // kCold lookups so probing cannot promote scan blocks into the hot set.
+  for (Cache* cache : {block_cache_, compressed_cache_}) {
+    if (cache == nullptr) {
+      continue;
+    }
+    Cache::Handle* h =
+        cache->Lookup(BlockCacheKey(range_id_, meta_.file_number, offset),
+                      /*count=*/false, Cache::Priority::kCold);
+    if (h != nullptr) {
+      cache->Release(h);
+      return true;
+    }
+  }
+  return false;
+}
+
+Status SSTableReader::FetchStored(uint64_t offset, uint64_t size,
+                                  std::string* stored) const {
   int fragment;
   uint64_t local_offset;
-  if (!meta_.Locate(handle.offset, &fragment, &local_offset)) {
+  if (!meta_.Locate(offset, &fragment, &local_offset)) {
     return Status::Corruption("block offset outside fragment map");
   }
-  std::string contents;
+  if (size > meta_.fragment_sizes[fragment] - local_offset) {
+    return Status::Corruption("block range crosses a fragment boundary");
+  }
   // Which replica serves this range is the fetcher's call (power-of-d
   // plus hedging over the StoC client); the reader only names the
   // fragment-relative range. See BlockFetcher in sstable/format.h.
-  Status s = fetcher_->Fetch(fragment, local_offset, handle.size, &contents);
-  if (!s.ok()) {
-    return s;
-  }
-  return InstallBlock(std::move(contents), handle.offset, handle.size,
-                      fill_cache, pri, block);
+  return fetcher_->Fetch(fragment, local_offset, size, stored);
 }
 
 std::shared_ptr<Block> SSTableReader::InstallHot(std::string raw,
@@ -161,20 +195,10 @@ Status SSTableReader::InstallBlock(std::string stored, uint64_t offset,
 
 std::unique_ptr<SSTableReader::PendingBlock> SSTableReader::Prefetch(
     const BlockHandle& handle, ReadaheadCounters* counters) const {
-  // Already resident in either tier: the iterator's ReadBlock will hit
+  // Already resident in either tier: the iterator's lookup will hit
   // (decompressing from the compressed tier if need be); nothing to do.
-  // kCold lookups so probing cannot promote scan blocks into the hot set.
-  for (Cache* cache : {block_cache_, compressed_cache_}) {
-    if (cache == nullptr) {
-      continue;
-    }
-    Cache::Handle* h = cache->Lookup(
-        BlockCacheKey(range_id_, meta_.file_number, handle.offset),
-        /*count=*/false, Cache::Priority::kCold);
-    if (h != nullptr) {
-      cache->Release(h);
-      return nullptr;
-    }
+  if (IsCached(handle.offset)) {
+    return nullptr;
   }
   int fragment;
   uint64_t local_offset;
@@ -265,7 +289,21 @@ bool SSTableReader::Get(const LookupKey& lookup_key, std::string* value,
 namespace {
 
 /// Two-level iterator: walks the index block; materializes one data block
-/// at a time through the reader (which consults the block cache first).
+/// at a time through the reader (which consults the cache tiers first).
+///
+/// A miss reads a *run*: the missed block plus the adjacent uncached
+/// blocks after it in the same fragment that the caller's remaining rows
+/// may need (IteratorOptions::rows), in one fetch. Only the missed block
+/// is installed at once. The others wait in run_ as stored bytes until the
+/// iterator reaches them, and then take the same path as any block: the
+/// tier lookups (so hit/miss counts stay one per materialized block), the
+/// crc check and decode, and the cold install. Blocks it never reaches
+/// are dropped with the iterator.
+///
+/// A Seek at or before the table's first key stands on meta().smallest
+/// without reading a block; value() or a move reads it. A merge that
+/// fills its rows before this table becomes current never reads it.
+///
 /// With readahead_blocks > 0 it keeps that many upcoming data blocks in
 /// flight (issued to the StoC asynchronously) while the current block
 /// drains, so a forward scan or compaction merge overlaps compute with
@@ -282,11 +320,11 @@ class SSTableIterator : public Iterator {
         options_(options) {}
 
   bool Valid() const override {
-    return block_iter_ != nullptr && block_iter_->Valid();
+    return deferred_ || (block_iter_ != nullptr && block_iter_->Valid());
   }
 
   void SeekToFirst() override {
-    forward_ = true;
+    Reposition(/*forward=*/true);
     index_iter_->SeekToFirst();
     InitDataBlock();
     if (block_iter_) {
@@ -296,7 +334,7 @@ class SSTableIterator : public Iterator {
   }
 
   void SeekToLast() override {
-    forward_ = false;
+    Reposition(/*forward=*/false);
     index_iter_->SeekToLast();
     InitDataBlock();
     if (block_iter_) {
@@ -306,7 +344,14 @@ class SSTableIterator : public Iterator {
   }
 
   void Seek(const Slice& target) override {
-    forward_ = true;
+    Reposition(/*forward=*/true);
+    const InternalKey& first = reader_->meta().smallest;
+    if (!first.empty() && icmp_->Compare(target, first.Encode()) <= 0) {
+      // The entry Seek would land on is the table's first; defer its read.
+      index_iter_->SeekToFirst();
+      deferred_ = index_iter_->Valid();
+      return;
+    }
     index_iter_->Seek(target);
     InitDataBlock();
     if (block_iter_) {
@@ -317,21 +362,61 @@ class SSTableIterator : public Iterator {
 
   void Next() override {
     forward_ = true;
+    if (!ReadDeferred()) {
+      return;
+    }
+    rows_passed_++;
     block_iter_->Next();
     SkipEmptyBlocksForward();
   }
 
   void Prev() override {
     forward_ = false;
+    if (!ReadDeferred()) {
+      return;
+    }
     block_iter_->Prev();
     SkipEmptyBlocksBackward();
   }
 
-  Slice key() const override { return block_iter_->key(); }
-  Slice value() const override { return block_iter_->value(); }
+  Slice key() const override {
+    return deferred_ ? reader_->meta().smallest.Encode() : block_iter_->key();
+  }
+
+  Slice value() const override {
+    // The one accessor that may read: the block a deferred Seek skipped.
+    if (!const_cast<SSTableIterator*>(this)->ReadDeferred()) {
+      return Slice();
+    }
+    return block_iter_->value();
+  }
+
   Status status() const override { return status_; }
 
  private:
+  void Reposition(bool forward) {
+    forward_ = forward;
+    deferred_ = false;
+    rows_passed_ = 0;
+  }
+
+  /// Read the first block a deferred Seek skipped; returns Valid(). A
+  /// failed read leaves the iterator invalid, with the error in status_,
+  /// rather than moving on: a merge has already ordered this table by
+  /// key() and may be about to take value().
+  bool ReadDeferred() {
+    if (deferred_) {
+      deferred_ = false;
+      InitDataBlock();
+      if (block_iter_ == nullptr) {
+        return false;
+      }
+      block_iter_->SeekToFirst();
+      SkipEmptyBlocksForward();
+    }
+    return Valid();
+  }
+
   void InitDataBlock() {
     block_iter_.reset();
     block_.reset();
@@ -360,7 +445,8 @@ class SSTableIterator : public Iterator {
   }
 
   /// Serve the block from a matching in-flight prefetch when one exists
-  /// (a readahead hit), falling back to the reader's normal path.
+  /// (a readahead hit), else from the cache tiers, else from the current
+  /// run, else by fetching a new run that starts with it.
   Status MaterializeBlock(const BlockHandle& handle) {
     for (auto it = prefetched_.begin(); it != prefetched_.end(); ++it) {
       if ((*it)->offset != handle.offset) {
@@ -378,18 +464,93 @@ class SSTableIterator : public Iterator {
     }
     // Iterators admit cold: a scan or compaction sweep stays in the cold
     // queue and cannot evict the point-get working set (see
-    // Cache::Priority). The synchronous path keeps replica failover and
-    // parity reconstruction.
-    return reader_->ReadBlock(handle, &block_, options_.fill_cache,
-                              Cache::Priority::kCold);
+    // Cache::Priority).
+    if (reader_->LookupBlock(handle, &block_, options_.fill_cache,
+                             Cache::Priority::kCold)) {
+      return Status::OK();
+    }
+    std::string stored;
+    if (RunHolds(handle.offset)) {
+      stored = run_.substr(handle.offset - run_offset_, handle.size);
+    } else {
+      // The fetch keeps replica failover and parity reconstruction.
+      uint64_t size = RunSize(handle);
+      Status s = reader_->FetchStored(handle.offset, size, &stored);
+      if (s.ok() && stored.size() != size) {
+        s = Status::Corruption("short block read");
+      }
+      if (!s.ok()) {
+        return s;
+      }
+      run_offset_ = handle.offset + handle.size;
+      run_ = stored.substr(handle.size);
+      stored.resize(handle.size);
+    }
+    return reader_->InstallBlock(std::move(stored), handle.offset,
+                                 handle.size, options_.fill_cache,
+                                 Cache::Priority::kCold, &block_);
+  }
+
+  /// Whether run_ holds the block starting at offset. Runs end on block
+  /// boundaries, so a block that starts inside one ends inside it too.
+  bool RunHolds(uint64_t offset) const {
+    return offset >= run_offset_ && offset - run_offset_ < run_.size();
+  }
+
+  bool InFlight(uint64_t offset) const {
+    for (const auto& pb : prefetched_) {
+      if (pb->offset == offset) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Bytes to fetch on a miss at handle (index_iter_'s entry): the block,
+  /// then the adjacent blocks after it while they lie in its fragment, no
+  /// cache tier or prefetch holds them, and the rows still wanted may
+  /// reach them. The missed block holds at least one wanted row, so the
+  /// blocks after it need cover at most rows - 1 rows of the table's
+  /// average stored row size.
+  uint64_t RunSize(const BlockHandle& handle) {
+    const SSTableMetadata& meta = reader_->meta();
+    const uint64_t rows = options_.rows > 0 ? options_.rows : 0;
+    const uint64_t wanted = rows > rows_passed_ ? rows - rows_passed_ : 0;
+    int fragment;
+    uint64_t local_offset;
+    if (!forward_ || wanted <= 1 || meta.num_entries == 0 ||
+        !meta.Locate(handle.offset, &fragment, &local_offset)) {
+      return handle.size;
+    }
+    const uint64_t budget =
+        (wanted - 1) * (meta.data_size / meta.num_entries);
+    const uint64_t fragment_end =
+        handle.offset - local_offset + meta.fragment_sizes[fragment];
+    uint64_t size = handle.size;
+    peek_iter_->Seek(index_iter_->key());
+    for (peek_iter_->Next();
+         peek_iter_->Valid() && size - handle.size < budget;
+         peek_iter_->Next()) {
+      BlockHandle next;
+      Slice contents = peek_iter_->value();
+      if (!next.DecodeFrom(&contents).ok() ||
+          next.offset != handle.offset + size ||
+          next.offset + next.size > fragment_end || InFlight(next.offset) ||
+          reader_->IsCached(next.offset)) {
+        break;
+      }
+      size += next.size;
+    }
+    return size;
   }
 
   /// Keep the next readahead_blocks data blocks in flight. Prefetches
   /// outside that window — blocks the scan has passed, or far-ahead
   /// leftovers after a backward re-seek — are dropped (an abandoned
-  /// response is discarded by the RPC layer). Forward scans only: a
-  /// backward scan never revisits the blocks ahead of it, so prefetching
-  /// there would be pure waste.
+  /// response is discarded by the RPC layer). Blocks the current run holds
+  /// are never prefetched. Forward scans only: a backward scan never
+  /// revisits the blocks ahead of it, so prefetching there would be pure
+  /// waste.
   void IssueReadahead() {
     if (options_.readahead_blocks <= 0 || !forward_) {
       return;
@@ -422,11 +583,7 @@ class SSTableIterator : public Iterator {
       it = in_window((*it)->offset) ? it + 1 : prefetched_.erase(it);
     }
     for (const BlockHandle& handle : wanted) {
-      bool in_flight = false;
-      for (const auto& pb : prefetched_) {
-        in_flight |= pb->offset == handle.offset;
-      }
-      if (in_flight) {
+      if (InFlight(handle.offset) || RunHolds(handle.offset)) {
         continue;
       }
       auto pb = reader_->Prefetch(handle, options_.counters);
@@ -467,16 +624,25 @@ class SSTableIterator : public Iterator {
   const SSTableReader* reader_;
   const InternalKeyComparator* icmp_;
   std::unique_ptr<Iterator> index_iter_;
-  /// Second cursor over the index block, used to peek ahead of
-  /// index_iter_ when issuing readahead without disturbing it; null when
-  /// this iterator has readahead disabled.
+  /// Second cursor over the index block, used to look ahead of
+  /// index_iter_ (readahead windows, run sizes) without disturbing it;
+  /// null when this iterator neither reads ahead nor sizes runs.
   std::unique_ptr<Iterator> peek_iter_;
   std::shared_ptr<Block> block_;  // pins the cached entry while in use
   std::unique_ptr<Iterator> block_iter_;
   IteratorOptions options_;
-  /// Scan direction, maintained by the movement methods; readahead only
-  /// pays off while moving forward.
+  /// Scan direction, maintained by the movement methods; readahead and
+  /// runs only pay off while moving forward.
   bool forward_ = true;
+  /// Positioned on meta().smallest by Seek, its block not yet read.
+  bool deferred_ = false;
+  /// Entries stepped past since the last seek; rows - rows_passed_ are
+  /// the rows still wanted when sizing a run.
+  uint64_t rows_passed_ = 0;
+  /// The blocks after the missed one of the last run fetched: stored
+  /// bytes of adjacent blocks starting at data offset run_offset_.
+  uint64_t run_offset_ = 0;
+  std::string run_;
   std::vector<std::unique_ptr<SSTableReader::PendingBlock>> prefetched_;
   Status status_;
 };
@@ -484,11 +650,13 @@ class SSTableIterator : public Iterator {
 }  // namespace
 
 Iterator* SSTableReader::NewIterator(const IteratorOptions& options) const {
-  // The peek cursor exists only when this iterator actually reads ahead.
+  // The peek cursor exists only when this iterator reads ahead or sizes
+  // runs.
   return new SSTableIterator(
       this, &icmp_, index_block()->NewIterator(&icmp_),
-      options.readahead_blocks > 0 ? index_block()->NewIterator(&icmp_)
-                                   : nullptr,
+      options.readahead_blocks > 0 || options.rows > 0
+          ? index_block()->NewIterator(&icmp_)
+          : nullptr,
       options);
 }
 

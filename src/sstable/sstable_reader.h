@@ -2,8 +2,10 @@
 // is memory-resident — the LTC caches it (paper Section 4.1.1) — and data
 // blocks are optionally served from a shared charge-based LRU block cache
 // (keyed by range/file number/block offset), so a warm get costs no
-// fragment fetch at all; a cold one costs at most one, and none when the
-// bloom filter rules the key out.
+// fragment fetch at all; a cold get costs one, and none when the bloom
+// filter rules the key out. An iterator's data-block miss costs one
+// fetch, which for a scan that says how many rows it still wants also
+// covers the adjacent blocks those rows may need (see IteratorOptions).
 #ifndef NOVA_SSTABLE_SSTABLE_READER_H_
 #define NOVA_SSTABLE_SSTABLE_READER_H_
 
@@ -50,6 +52,11 @@ struct IteratorOptions {
   /// Data blocks kept in flight past the iterator's position while the
   /// current one drains (0 = fetch each block when reached).
   int readahead_blocks = 0;
+  /// Rows the caller still wants from this iterator (0 = not known). A
+  /// data-block miss fetches the missed block together with the adjacent
+  /// uncached blocks of its fragment that this many rows may need, in one
+  /// read; 0 fetches the missed block alone. See docs/block_format.md.
+  int rows = 0;
   /// Optional sink for the accounting above; must outlive the iterator.
   ReadaheadCounters* counters = nullptr;
 };
@@ -85,7 +92,8 @@ class SSTableReader {
   /// cold (see ReadBlock).
   Iterator* NewIterator(const IteratorOptions& options = {}) const;
 
-  /// Fetch (or serve from a cache tier) the data block at handle. The
+  /// Fetch (or serve from a cache tier) the data block at handle: the
+  /// point-get path, LookupBlock and then FetchStored + InstallBlock. The
   /// returned shared_ptr pins the cached entry, so a block stays usable
   /// while iterators hold it even if the cache evicts it concurrently.
   /// pri: cache admission class — point gets default to kHot; iterators
@@ -93,6 +101,28 @@ class SSTableReader {
   Status ReadBlock(const BlockHandle& handle, std::shared_ptr<Block>* block,
                    bool fill_cache = true,
                    Cache::Priority pri = Cache::Priority::kHot) const;
+
+  /// --- The pieces of ReadBlock (the iterator also uses them) ---
+
+  /// Serve the block from the hot tier, or decode it from the compressed
+  /// tier, counting one lookup in each tier asked (unless !fill_cache).
+  /// False when neither tier holds it.
+  bool LookupBlock(const BlockHandle& handle, std::shared_ptr<Block>* block,
+                   bool fill_cache, Cache::Priority pri) const;
+  /// Whether either tier holds the block at offset; counts nothing and
+  /// promotes nothing.
+  bool IsCached(uint64_t offset) const;
+  /// The miss path: fetch `size` stored bytes starting at data offset
+  /// `offset` in one read. The range must lie inside one fragment.
+  Status FetchStored(uint64_t offset, uint64_t size,
+                     std::string* stored) const;
+  /// Verify and decode one stored block (crc before decompression) and
+  /// install it into the cache tiers (uncompressed into the hot tier under
+  /// pri, the stored bytes into the compressed tier) when fill_cache, or
+  /// hand back a private block.
+  Status InstallBlock(std::string stored, uint64_t offset, uint64_t size,
+                      bool fill_cache, Cache::Priority pri,
+                      std::shared_ptr<Block>* block) const;
 
   /// --- Readahead (used by the iterator) ---
 
@@ -119,14 +149,6 @@ class SSTableReader {
   /// The index block is materialized lazily so a bloom-rejected Get never
   /// touches (or allocates) it — bloom-before-index on the read path.
   Block* index_block() const;
-  /// Shared tail of ReadBlock/FinishPrefetch for bytes that arrived over
-  /// the wire: verify/decode the stored block (crc before decompression)
-  /// and install the result into the cache tiers (uncompressed into the
-  /// hot tier under pri, verbatim stored bytes into the compressed tier)
-  /// or hand back a private block.
-  Status InstallBlock(std::string stored, uint64_t offset, uint64_t size,
-                      bool fill_cache, Cache::Priority pri,
-                      std::shared_ptr<Block>* block) const;
   /// Insert an already-decoded block into the hot tier (or wrap it
   /// privately when uncached) and hand back the pin.
   std::shared_ptr<Block> InstallHot(std::string raw, uint64_t offset,

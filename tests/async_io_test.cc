@@ -3,8 +3,9 @@
 // replica failover, mixed success/failure), thread-free scatter writes,
 // degraded parity gathers through one batched read, scan readahead
 // (hit accounting + identical iteration results with readahead on/off),
-// and compactions reading through the same SSTable iterator (cold cache
-// admission, output independent of the readahead depth).
+// compactions reading through the same SSTable iterator (cold cache
+// admission, output independent of the readahead depth), and scan-sized
+// reads (one fetch per run of adjacent blocks, the deferred first block).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -17,12 +18,14 @@
 #include "lsm/compaction.h"
 #include "lsm/table_io.h"
 #include "rdma/rpc.h"
+#include "sstable/merging_iterator.h"
 #include "sstable/sstable_builder.h"
 #include "sstable/sstable_reader.h"
 #include "stoc/stoc_client.h"
 #include "stoc/stoc_server.h"
 #include "storage/block_store.h"
 #include "storage/simulated_device.h"
+#include "util/random.h"
 
 namespace nova {
 namespace {
@@ -337,27 +340,33 @@ TEST_F(AsyncStocTest, ReadaheadIteratorMatchesSerialScan) {
 // Compactions and table opens through the TableCache.
 // ---------------------------------------------------------------------------
 
-/// Offsets of a table's data blocks, read from its index block.
-std::vector<uint64_t> DataBlockOffsets(const SSTableMetadata& meta) {
+/// One data block of a table, as its index block lists it.
+struct DataBlock {
+  BlockHandle handle;
+  std::string last_key;  // user key of the block's last entry
+};
+
+std::vector<DataBlock> DataBlocks(const SSTableMetadata& meta) {
   InternalKeyComparator icmp;
   Block index(meta.index_contents);
   std::unique_ptr<Iterator> it(index.NewIterator(&icmp));
-  std::vector<uint64_t> offsets;
+  std::vector<DataBlock> blocks;
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    BlockHandle handle;
+    DataBlock block;
     Slice contents = it->value();
-    EXPECT_TRUE(handle.DecodeFrom(&contents).ok());
-    offsets.push_back(handle.offset);
+    EXPECT_TRUE(block.handle.DecodeFrom(&contents).ok());
+    block.last_key = ExtractUserKey(it->key()).ToString();
+    blocks.push_back(block);
   }
-  return offsets;
+  return blocks;
 }
 
 void DeleteNothing(const Slice& /*key*/, void* /*value*/) {}
 
 TEST_F(AsyncStocTest, CompactionReadsStayCold) {
   auto built = BuildTable(/*num_keys=*/300, /*num_fragments=*/3);
-  std::vector<uint64_t> offsets = DataBlockOffsets(built.meta);
-  ASSERT_GT(offsets.size(), 1u);
+  std::vector<DataBlock> blocks = DataBlocks(built.meta);
+  ASSERT_GT(blocks.size(), 1u);
   std::string data;
   lsm::FileMetaRef meta = WriteScatteredTable(std::move(built), &data);
 
@@ -369,9 +378,9 @@ TEST_F(AsyncStocTest, CompactionReadsStayCold) {
                          /*cache_data_blocks=*/true);
   auto resident = [&] {
     size_t n = 0;
-    for (uint64_t offset : offsets) {
+    for (const DataBlock& block : blocks) {
       Cache::Handle* h =
-          cache->Lookup(BlockCacheKey(0, meta->number, offset),
+          cache->Lookup(BlockCacheKey(0, meta->number, block.handle.offset),
                         /*count=*/false, Cache::Priority::kCold);
       if (h != nullptr) {
         cache->Release(h);
@@ -392,7 +401,7 @@ TEST_F(AsyncStocTest, CompactionReadsStayCold) {
     }
     EXPECT_EQ(rows, 300u);
   }
-  ASSERT_EQ(resident(), offsets.size());
+  ASSERT_EQ(resident(), blocks.size());
 
   // The compaction reads every block again, each one a cache hit.
   lsm::SSTablePlacer placer(client_.get(), Placement());
@@ -513,6 +522,374 @@ TEST_F(AsyncStocTest, ReaderOpensLeaveCompressedTierCountersAlone) {
   EXPECT_EQ(compressed->misses(), 0u);
   EXPECT_EQ(hot->hits(), 0u);
   EXPECT_EQ(hot->misses(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Scan-sized reads: a miss fetches the run of adjacent blocks a scan's
+// remaining rows may need in one read, and a Seek before a table's first
+// key reads nothing until the merge takes that row.
+// ---------------------------------------------------------------------------
+
+/// Forwards to another fetcher and records every read it is asked for
+/// (synchronous and readahead). It can fail the next synchronous read, or
+/// flip one stored byte of fragment `flip_fragment` on the way back.
+class RecordingFetcher : public BlockFetcher {
+ public:
+  struct Read {
+    int fragment;
+    uint64_t offset;
+    uint64_t size;
+  };
+
+  explicit RecordingFetcher(BlockFetcher* base) : base_(base) {}
+
+  Status Fetch(int fragment, uint64_t offset, uint64_t size,
+               std::string* out) override {
+    reads.push_back({fragment, offset, size});
+    if (!fail_next.ok()) {
+      Status s = fail_next;
+      fail_next = Status::OK();
+      return s;
+    }
+    Status s = base_->Fetch(fragment, offset, size, out);
+    if (s.ok() && fragment == flip_fragment && flip_offset >= offset &&
+        flip_offset - offset < out->size()) {
+      (*out)[flip_offset - offset] ^= 0x40;
+    }
+    return s;
+  }
+
+  std::unique_ptr<Pending> StartFetch(int fragment, uint64_t offset,
+                                      uint64_t size) override {
+    reads.push_back({fragment, offset, size});
+    return base_->StartFetch(fragment, offset, size);
+  }
+
+  std::vector<Read> reads;
+  Status fail_next;
+  int flip_fragment = -1;
+  uint64_t flip_offset = 0;
+
+ private:
+  BlockFetcher* base_;
+};
+
+using Rows = std::vector<std::pair<std::string, std::string>>;
+
+/// Up to n rows from target onward, the newest version of each user key,
+/// stopping on the n-th row without stepping past it (as
+/// RangeEngine::Scan does).
+Rows ScanRows(Iterator* it, const Slice& target, size_t n) {
+  Rows rows;
+  LookupKey start(target, kMaxSequenceNumber);
+  for (it->Seek(start.internal_key()); it->Valid(); it->Next()) {
+    Slice user_key = ExtractUserKey(it->key());
+    if (!rows.empty() && user_key == Slice(rows.back().first)) {
+      continue;  // an older version of the row just taken
+    }
+    rows.emplace_back(user_key.ToString(), it->value().ToString());
+    if (rows.size() == n) {
+      break;
+    }
+  }
+  return rows;
+}
+
+/// The fragment holding a block, and the block's offset inside it.
+std::pair<int, uint64_t> FragmentOf(const SSTableMetadata& meta,
+                                    const DataBlock& block) {
+  int fragment = -1;
+  uint64_t local = 0;
+  EXPECT_TRUE(meta.Locate(block.handle.offset, &fragment, &local));
+  return {fragment, local};
+}
+
+TEST_F(AsyncStocTest, ShortScanReadsItsBlocksInOneFetch) {
+  auto built = BuildTable(/*num_keys=*/300, /*num_fragments=*/3);
+  SSTableMetadata table_meta = built.meta;
+  std::vector<DataBlock> blocks = DataBlocks(table_meta);
+  std::string data;
+  lsm::FileMetaRef meta = WriteScatteredTable(std::move(built), &data);
+  lsm::StocBlockFetcher fetcher(client_.get(), meta);
+  // From the last key of block 1, ten rows span blocks 1 and 2 of
+  // fragment 0.
+  ASSERT_EQ(FragmentOf(table_meta, blocks[2]).first, 0);
+
+  auto scan = [&](int rows, uint64_t* stoc_reads) {
+    SSTableReader reader(table_meta, &fetcher);
+    IteratorOptions options;
+    options.rows = rows;
+    std::unique_ptr<Iterator> it(reader.NewIterator(options));
+    uint64_t before = client_->read_block_calls();
+    Rows got = ScanRows(it.get(), blocks[1].last_key, 10);
+    EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+    *stoc_reads = client_->read_block_calls() - before;
+    return got;
+  };
+  uint64_t block_reads = 0, run_reads = 0;
+  Rows per_block = scan(/*rows=*/0, &block_reads);
+  Rows run = scan(/*rows=*/10, &run_reads);
+  ASSERT_EQ(per_block.size(), 10u);
+  EXPECT_EQ(per_block.front().first, blocks[1].last_key);
+  EXPECT_EQ(run, per_block);
+  EXPECT_EQ(block_reads, 2u);
+  EXPECT_EQ(run_reads, 1u);
+}
+
+TEST_F(AsyncStocTest, RunBlocksEnterTheTiersOnlyWhenReached) {
+  auto built = BuildTable(/*num_keys=*/300, /*num_fragments=*/3);
+  SSTableMetadata table_meta = built.meta;
+  std::vector<DataBlock> blocks = DataBlocks(table_meta);
+  std::string data;
+  lsm::FileMetaRef meta = WriteScatteredTable(std::move(built), &data);
+  lsm::StocBlockFetcher stoc_fetcher(client_.get(), meta);
+  RecordingFetcher fetcher(&stoc_fetcher);
+  ASSERT_EQ(FragmentOf(table_meta, blocks[4]).first, 0);
+  std::unique_ptr<Cache> hot(NewShardedLRUCache(1 << 20));
+  std::unique_ptr<Cache> compressed(NewShardedLRUCache(1 << 20));
+  SSTableReader reader(table_meta, &fetcher, hot.get(), /*range_id=*/0,
+                       compressed.get());
+  auto resident = [&](Cache* cache, const DataBlock& block) {
+    Cache::Handle* h = cache->Lookup(
+        BlockCacheKey(0, table_meta.file_number, block.handle.offset),
+        /*count=*/false, Cache::Priority::kCold);
+    if (h != nullptr) {
+      cache->Release(h);
+    }
+    return h != nullptr;
+  };
+
+  // Ten rows from the first key of block 3 all lie in block 3, but the
+  // scan cannot know that before the read, so its run also holds block 4.
+  IteratorOptions options;
+  options.rows = 10;
+  options.readahead_blocks = 1;
+  std::unique_ptr<Iterator> it(reader.NewIterator(options));
+  Rows got = ScanRows(it.get(), blocks[2].last_key + '\0', 10);
+  ASSERT_EQ(got.size(), 10u);
+  ASSERT_EQ(fetcher.reads.size(), 1u);
+  EXPECT_EQ(fetcher.reads[0].offset, FragmentOf(table_meta, blocks[3]).second);
+  EXPECT_EQ(fetcher.reads[0].size,
+            blocks[3].handle.size + blocks[4].handle.size);
+  // Readahead found block 4 in the run and issued nothing. Only the block
+  // the scan reached was installed, and each tier counted one lookup.
+  EXPECT_TRUE(resident(hot.get(), blocks[3]));
+  EXPECT_TRUE(resident(compressed.get(), blocks[3]));
+  EXPECT_FALSE(resident(hot.get(), blocks[4]));
+  EXPECT_FALSE(resident(compressed.get(), blocks[4]));
+  EXPECT_EQ(hot->misses(), 1u);
+  EXPECT_EQ(compressed->misses(), 1u);
+
+  // Stepping into block 4 serves it from the run, through one more lookup
+  // per tier, and installs it.
+  do {
+    it->Next();
+  } while (it->Valid() &&
+           ExtractUserKey(it->key()).compare(blocks[3].last_key) <= 0);
+  ASSERT_TRUE(it->Valid()) << it->status().ToString();
+  EXPECT_TRUE(resident(hot.get(), blocks[4]));
+  EXPECT_TRUE(resident(compressed.get(), blocks[4]));
+  EXPECT_EQ(hot->misses(), 2u);
+  EXPECT_EQ(compressed->misses(), 2u);
+  // Block 4 had no read of its own, neither a fetch nor a prefetch.
+  for (const RecordingFetcher::Read& read : fetcher.reads) {
+    EXPECT_NE(read.offset, FragmentOf(table_meta, blocks[4]).second);
+  }
+}
+
+TEST_F(AsyncStocTest, RunStopsAtAFragmentBoundary) {
+  auto built = BuildTable(/*num_keys=*/300, /*num_fragments=*/3);
+  SSTableMetadata table_meta = built.meta;
+  std::vector<DataBlock> blocks = DataBlocks(table_meta);
+  std::string data;
+  lsm::FileMetaRef meta = WriteScatteredTable(std::move(built), &data);
+  lsm::StocBlockFetcher stoc_fetcher(client_.get(), meta);
+  // The last block of fragment 0.
+  size_t last = 0;
+  while (FragmentOf(table_meta, blocks[last + 1]).first == 0) {
+    last++;
+  }
+
+  auto scan = [&](int rows, RecordingFetcher* fetcher) {
+    SSTableReader reader(table_meta, fetcher);
+    IteratorOptions options;
+    options.rows = rows;
+    std::unique_ptr<Iterator> it(reader.NewIterator(options));
+    Rows got = ScanRows(it.get(), blocks[last].last_key, 30);
+    EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+    return got;
+  };
+  RecordingFetcher per_block(&stoc_fetcher);
+  RecordingFetcher runs(&stoc_fetcher);
+  Rows expected = scan(/*rows=*/0, &per_block);
+  EXPECT_EQ(scan(/*rows=*/30, &runs), expected);
+  ASSERT_EQ(expected.size(), 30u);
+
+  // The run for the last block of fragment 0 holds that block alone; the
+  // scan goes on with one run at the start of fragment 1.
+  ASSERT_EQ(runs.reads.size(), 2u);
+  EXPECT_EQ(runs.reads[0].fragment, 0);
+  EXPECT_EQ(runs.reads[0].offset, FragmentOf(table_meta, blocks[last]).second);
+  EXPECT_EQ(runs.reads[0].size, blocks[last].handle.size);
+  EXPECT_EQ(runs.reads[1].fragment, 1);
+  EXPECT_EQ(runs.reads[1].offset, 0u);
+  EXPECT_GT(runs.reads[1].size, blocks[last + 1].handle.size);
+  for (const RecordingFetcher::Read& read : runs.reads) {
+    EXPECT_LE(read.offset + read.size, table_meta.fragment_sizes[read.fragment]);
+  }
+  EXPECT_LT(runs.reads.size(), per_block.reads.size());
+}
+
+TEST_F(AsyncStocTest, SeekBeforeTheFirstKeyDefersTheFirstBlock) {
+  auto built = BuildTable(/*num_keys=*/300, /*num_fragments=*/3);
+  SSTableMetadata table_meta = built.meta;
+  std::string data;
+  lsm::FileMetaRef meta = WriteScatteredTable(std::move(built), &data);
+  lsm::StocBlockFetcher stoc_fetcher(client_.get(), meta);
+  RecordingFetcher fetcher(&stoc_fetcher);
+  SSTableReader reader(table_meta, &fetcher);
+
+  // Both targets sort at or before the first entry, (Key(0), seq 1).
+  for (const std::string& target : {std::string("a"), Key(0)}) {
+    SCOPED_TRACE(target);
+    LookupKey lkey(target, kMaxSequenceNumber);
+    for (bool step : {false, true}) {
+      std::unique_ptr<Iterator> it(reader.NewIterator());
+      size_t reads = fetcher.reads.size();
+      it->Seek(lkey.internal_key());
+      ASSERT_TRUE(it->Valid());
+      EXPECT_EQ(it->key(), table_meta.smallest.Encode());
+      EXPECT_EQ(fetcher.reads.size(), reads);
+      if (step) {
+        it->Next();
+        ASSERT_TRUE(it->Valid());
+        EXPECT_EQ(ExtractUserKey(it->key()), Slice(Key(1)));
+      } else {
+        EXPECT_EQ(it->value().ToString(), std::string(256, 'v'));
+      }
+      EXPECT_EQ(fetcher.reads.size(), reads + 1);
+      EXPECT_TRUE(it->status().ok());
+    }
+  }
+
+  // A deferred block whose read fails leaves the iterator invalid with
+  // the error, for value() and for a step, even though the next block
+  // would read fine.
+  for (bool step : {false, true}) {
+    fetcher.fail_next = Status::IOError("injected fragment loss");
+    std::unique_ptr<Iterator> it(reader.NewIterator());
+    it->Seek(LookupKey(Key(0), kMaxSequenceNumber).internal_key());
+    ASSERT_TRUE(it->Valid());
+    if (step) {
+      it->Next();
+    } else {
+      EXPECT_TRUE(it->value().empty());
+    }
+    EXPECT_FALSE(it->Valid());
+    EXPECT_TRUE(it->status().IsIOError()) << it->status().ToString();
+    it->Next();  // a merge may still step it; that must be harmless
+    EXPECT_FALSE(it->Valid());
+  }
+}
+
+TEST_F(AsyncStocTest, CorruptBlockInARunSurfacesAsCorruption) {
+  auto built = BuildTable(/*num_keys=*/300, /*num_fragments=*/3);
+  SSTableMetadata table_meta = built.meta;
+  std::vector<DataBlock> blocks = DataBlocks(table_meta);
+  std::string data;
+  lsm::FileMetaRef meta = WriteScatteredTable(std::move(built), &data);
+  lsm::StocBlockFetcher stoc_fetcher(client_.get(), meta);
+  RecordingFetcher fetcher(&stoc_fetcher);
+  ASSERT_EQ(FragmentOf(table_meta, blocks[2]).first, 0);
+  // Flip a payload byte of block 2, the second block of the run that a
+  // 10-row scan from the last key of block 1 fetches.
+  fetcher.flip_fragment = 0;
+  fetcher.flip_offset = FragmentOf(table_meta, blocks[2]).second + 10;
+  SSTableReader reader(table_meta, &fetcher);
+  IteratorOptions options;
+  options.rows = 10;
+  std::unique_ptr<Iterator> it(reader.NewIterator(options));
+  Rows got = ScanRows(it.get(), blocks[1].last_key, 10);
+
+  ASSERT_GE(fetcher.reads.size(), 1u);
+  EXPECT_EQ(fetcher.reads[0].size,
+            blocks[1].handle.size + blocks[2].handle.size);
+  EXPECT_TRUE(it->status().IsCorruption()) << it->status().ToString();
+  // Block 1's row was good; none of block 2's rows came through.
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got[0].first, blocks[1].last_key);
+  for (size_t i = 1; i < got.size(); i++) {
+    EXPECT_GT(got[i].first, blocks[2].last_key);
+  }
+}
+
+TEST_F(AsyncStocTest, RunsOnOverlappingTablesMatchOracleWithNoExtraReads) {
+  // Three overlapping tables, each rewriting a shifted window of keys at
+  // newer sequence numbers (as in the compaction test above).
+  std::vector<lsm::FileMetaRef> files;
+  std::vector<SSTableMetadata> table_metas;
+  std::map<std::string, std::string> oracle;
+  for (int t = 0; t < 3; t++) {
+    SSTableBuilder builder;
+    for (int i = t * 100; i < t * 100 + 300; i++) {
+      std::string ikey;
+      AppendInternalKey(&ikey, ParsedInternalKey(Key(i), t * 1000 + i + 1,
+                                                 kTypeValue));
+      std::string value(256, static_cast<char>('a' + t));
+      builder.Add(ikey, value);
+      oracle[Key(i)] = value;
+    }
+    auto built = builder.Finish(/*file_number=*/t + 1, /*num_fragments=*/3);
+    table_metas.push_back(built.meta);
+    std::string data;
+    files.push_back(WriteScatteredTable(std::move(built), &data));
+  }
+  std::vector<std::unique_ptr<lsm::StocBlockFetcher>> fetchers;
+  std::vector<std::unique_ptr<SSTableReader>> readers;
+  for (int t = 0; t < 3; t++) {
+    fetchers.push_back(
+        std::make_unique<lsm::StocBlockFetcher>(client_.get(), files[t]));
+    readers.push_back(
+        std::make_unique<SSTableReader>(table_metas[t], fetchers[t].get()));
+  }
+
+  InternalKeyComparator icmp;
+  auto scan = [&](const std::string& start, size_t n, int rows,
+                  uint64_t* stoc_reads) {
+    IteratorOptions options;
+    options.rows = rows;
+    std::vector<Iterator*> children;
+    for (auto& reader : readers) {
+      children.push_back(reader->NewIterator(options));
+    }
+    std::unique_ptr<Iterator> merged(
+        NewMergingIterator(&icmp, std::move(children)));
+    uint64_t before = client_->read_block_calls();
+    Rows got = ScanRows(merged.get(), start, n);
+    EXPECT_TRUE(merged->status().ok()) << merged->status().ToString();
+    *stoc_reads = client_->read_block_calls() - before;
+    return got;
+  };
+
+  Random rng(14);
+  uint64_t total_block_reads = 0, total_run_reads = 0;
+  for (int trial = 0; trial < 100; trial++) {
+    std::string start = Key(rng.Uniform(520));
+    size_t n = 1 + rng.Uniform(40);
+    SCOPED_TRACE(start + " x" + std::to_string(n));
+    Rows expected;
+    for (auto it = oracle.lower_bound(start);
+         it != oracle.end() && expected.size() < n; ++it) {
+      expected.push_back(*it);
+    }
+    uint64_t block_reads = 0, run_reads = 0;
+    EXPECT_EQ(scan(start, n, /*rows=*/0, &block_reads), expected);
+    EXPECT_EQ(scan(start, n, static_cast<int>(n), &run_reads), expected);
+    EXPECT_LE(run_reads, block_reads);
+    total_block_reads += block_reads;
+    total_run_reads += run_reads;
+  }
+  EXPECT_LT(total_run_reads, total_block_reads);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@
 #include "bench_core/workload.h"
 #include "coord/cluster.h"
 #include "client/nova_client.h"
+#include "lsm/table_io.h"
 #include "lsm/version.h"
+#include "sstable/block.h"
 #include "util/failpoint.h"
 #include "util/random.h"
 
@@ -198,6 +200,59 @@ TEST_F(IntegrationTest, ScanRetriesStretchAfterFailedBlockRead) {
   }
 }
 
+// A scan whose last row is the last entry of a data block reads no block
+// past it: stepping the merge past its last row would fetch the next
+// block only to throw it away.
+TEST_F(IntegrationTest, ScanStopsAtItsLastRow) {
+  ClusterOptions opt = FastOptions(1, 2);
+  opt.range.enable_dranges = false;  // one memtable, flushed as one table
+  opt.range.num_active_memtables = 1;
+  opt.range.memtable_size = 1 << 20;
+  opt.range.max_sstable_size = 1 << 20;
+  opt.range.lsm.l0_compaction_trigger_bytes = 64 << 20;  // stays in L0
+  StartCluster(opt);
+  for (int i = 0; i < 200; i++) {
+    ASSERT_TRUE(cluster_->Put(Key(i), std::string(200, 'v')).ok());
+  }
+  auto* engine = cluster_->ltc(0)->ranges()[0];
+  engine->FlushAllMemtables();
+  engine->WaitForQuiescence(/*flush_all=*/true);
+  lsm::VersionRef version = engine->versions()->current();
+  ASSERT_EQ(version->files(0).size(), 1u);
+  lsm::TableCache::Handle table;
+  ASSERT_TRUE(
+      engine->table_cache()->GetReader(version->files(0)[0], &table).ok());
+  // Key index of each data block's last entry, from the index block.
+  InternalKeyComparator icmp;
+  Block index(table.reader->meta().index_contents);
+  std::unique_ptr<Iterator> index_iter(index.NewIterator(&icmp));
+  std::vector<int> block_ends;
+  for (index_iter->SeekToFirst(); index_iter->Valid(); index_iter->Next()) {
+    Slice last = ExtractUserKey(index_iter->key());
+    for (int i = 0; i < 200; i++) {
+      if (last == Slice(Key(i))) {
+        block_ends.push_back(i);
+      }
+    }
+  }
+  ASSERT_GT(block_ends.size(), 3u);
+
+  stoc::StocClient* client = cluster_->ltc(0)->stoc_client();
+  for (size_t b = 0; b + 1 < block_ends.size(); b++) {
+    for (int rows : {1, 3}) {
+      SCOPED_TRACE("block " + std::to_string(b) + ", " +
+                   std::to_string(rows) + " rows");
+      std::vector<std::pair<std::string, std::string>> got;
+      uint64_t reads = client->read_block_calls();
+      ASSERT_TRUE(
+          cluster_->Scan(Key(block_ends[b] - rows + 1), rows, &got).ok());
+      EXPECT_EQ(client->read_block_calls() - reads, 1u);
+      ASSERT_EQ(got.size(), static_cast<size_t>(rows));
+      EXPECT_EQ(got.back().first, Key(block_ends[b]));
+    }
+  }
+}
+
 // A writer parked on the L0 stall is counted while it waits, released by
 // a decommission, and charged the time it waited.
 TEST_F(IntegrationTest, L0StallIsCountedAndReleasedByDecommission) {
@@ -277,6 +332,37 @@ TEST_F(IntegrationTest, MultiLtcRouting) {
   EXPECT_EQ(got.size(), 5u);
   EXPECT_EQ(got[0].first, Key(245));
   EXPECT_EQ(got[1].first, Key(252));
+}
+
+// A scan goes on to the next LTC whenever it still wants rows, also when
+// the LTC it started on, or one it passed, had no rows for it.
+TEST_F(IntegrationTest, ScanContinuesPastLtcsWithNoRows) {
+  ClusterOptions opt = FastOptions(3, 2);
+  opt.split_points = {Key(100), Key(200)};  // one range per LTC
+  StartCluster(opt);
+  std::map<std::string, std::string> oracle;
+  for (int i : {90, 91, 92, 93, 94}) {
+    oracle[Key(i)] = "v" + std::to_string(i);
+  }
+  for (int i = 200; i < 220; i++) {
+    oracle[Key(i)] = "v" + std::to_string(i);
+  }
+  for (const auto& [key, value] : oracle) {
+    ASSERT_TRUE(cluster_->Put(key, value).ok());
+  }
+  // LTC 1, which owns [Key(100), Key(200)), holds nothing.
+  for (int start : {5, 92, 95, 99, 150}) {
+    SCOPED_TRACE(start);
+    std::vector<std::pair<std::string, std::string>> got;
+    ASSERT_TRUE(cluster_->Scan(Key(start), 10, &got).ok());
+    std::vector<std::pair<std::string, std::string>> expected;
+    for (auto it = oracle.lower_bound(Key(start));
+         it != oracle.end() && expected.size() < 10; ++it) {
+      expected.push_back(*it);
+    }
+    ASSERT_EQ(expected.size(), 10u);
+    EXPECT_EQ(got, expected);
+  }
 }
 
 TEST_F(IntegrationTest, ClientRoutesAndRefreshesConfig) {
