@@ -18,12 +18,13 @@
 # `compression` runs only the block-compression / cache-tier suites
 # (Compressor, stored-block corruption, two-queue admission, compressed
 # tier, compressed-fragment repair) and the SSTable iterator's suites
-# (readahead scans, block runs, compaction merges, cluster scans) under
-# ASan — decompression scratch buffers, the trailer parsing paths and
-# the slicing of a run into blocks are where out-of-bounds reads would
-# hide, and a prefetched block that outlives its reader pin, or a failed
-# read of a deferred first block, would surface here. `all` includes
-# these tests via the full ASan tier-1 pass.
+# (block runs, whole-table sweeps, compaction merges and the cleanup of
+# a failed one, cluster scans) under ASan — decompression scratch
+# buffers, the trailer parsing paths and the slicing of a run into
+# blocks are where out-of-bounds reads would hide, and a run block that
+# outlives its reader pin, or a failed read of a deferred first block,
+# would surface here. `all` includes these tests via the full ASan
+# tier-1 pass.
 #
 # Sanitized runs are several times slower than the plain suite; -j is
 # capped below the machine width so the timing-sensitive churn tests do

@@ -61,7 +61,6 @@ std::string CompactionJob::Serialize() const {
   PutVarint64(&out, max_output_bytes);
   PutVarint32(&out, is_last_level ? 1 : 0);
   PutVarint64(&out, first_output_number);
-  PutVarint32(&out, static_cast<uint32_t>(std::max(0, readahead_blocks)));
   PutVarint32(&out, static_cast<uint32_t>(std::max(0, compression_codec)));
   return out;
 }
@@ -106,15 +105,14 @@ Status CompactionJob::Deserialize(Slice input) {
     }
     boundaries.push_back(b.ToString());
   }
-  uint32_t readahead, codec;
+  uint32_t codec;
   if (!GetVarint64(&input, &max_output_bytes) ||
       !GetVarint32(&input, &last) ||
       !GetVarint64(&input, &first_output_number) ||
-      !GetVarint32(&input, &readahead) || !GetVarint32(&input, &codec)) {
+      !GetVarint32(&input, &codec)) {
     return Status::Corruption("bad compaction job tail");
   }
   is_last_level = last != 0;
-  readahead_blocks = static_cast<int>(readahead);
   compression_codec = static_cast<int>(codec);
   return Status::OK();
 }
@@ -287,12 +285,13 @@ Status CompactionExecutor::Run(const CompactionJob& job,
   InternalKeyComparator icmp;
   // Stage 1: stream, don't cache. A compaction reads every input block
   // once and then deletes the file, so filling the cache tiers would
-  // evict the read-path working set for nothing. Job-private counters
-  // keep compaction gathers out of the scan-readahead stats.
+  // evict the read-path working set for nothing. Asking for every row
+  // makes each miss fetch the rest of its fragment in one read.
+  // Job-private counters keep compaction reads out of the scan stats.
   ReadaheadCounters counters;
   IteratorOptions iter_options;
   iter_options.fill_cache = false;
-  iter_options.readahead_blocks = job.readahead_blocks;
+  iter_options.rows = kAllRows;
   iter_options.counters = &counters;
   // The pins keep every input's reader alive until the merge is gone.
   std::vector<TableCache::Handle> pins;
@@ -341,23 +340,21 @@ Status CompactionExecutor::Run(const CompactionJob& job,
                         : nullptr;
 
   // Stage 3: finished outputs are armed through StartWrite and their
-  // flush acks collected while the merge continues; only when `window`
-  // batches are already in flight does the merge wait for the oldest.
-  // Dropping `armed` on an error path abandons the in-flight appends
-  // safely. A serial job (readahead 0) has a window of 0: each output's
-  // acks are collected before the merge goes on.
-  const size_t window = job.readahead_blocks > 0 ? kMaxInflightOutputs : 0;
+  // flush acks collected while the merge continues; only when
+  // kMaxInflightOutputs batches are already in flight does the merge wait
+  // for the oldest. Every output lands in result->outputs, a failed write
+  // too: Wait hands back the pieces that did land, so a failed job can
+  // delete them.
   std::deque<PendingSSTable> armed;
   auto drain_oldest = [&]() -> Status {
     FileMetaData out;
     Status ws = armed.front().Wait(&out);
     armed.pop_front();
-    if (!ws.ok()) {
-      return ws;
+    if (ws.ok()) {
+      result->bytes_written += out.data_size;
     }
-    result->bytes_written += out.data_size;
     result->outputs.push_back(std::move(out));
-    return Status::OK();
+    return ws;
   };
   auto finish_output = [&]() -> Status {
     if (builder == nullptr || builder->empty()) {
@@ -375,20 +372,17 @@ Status CompactionExecutor::Run(const CompactionJob& job,
       return ws;
     }
     armed.push_back(std::move(pending));
-    while (armed.size() > window) {
-      Status ds = drain_oldest();
-      if (!ds.ok()) {
-        return ds;
-      }
-    }
-    return Status::OK();
+    return armed.size() > kMaxInflightOutputs ? drain_oldest() : Status::OK();
   };
 
-  while (merged->Valid()) {
+  // A failed input read ends the merge, so no further output is armed.
+  Status s = merged->status();
+  while (s.ok() && merged->Valid()) {
     Slice ikey = merged->key();
     ParsedInternalKey parsed;
     if (!ParseInternalKey(ikey, &parsed)) {
-      return Status::Corruption("bad key during compaction");
+      s = Status::Corruption("bad key during compaction");
+      break;
     }
     result->records_in++;
     throttle_->Charge(costs.compaction_per_record_us);
@@ -417,9 +411,9 @@ Status CompactionExecutor::Run(const CompactionJob& job,
       }
       if (builder != nullptr &&
           (crossed || builder->EstimatedSize() >= job.max_output_bytes)) {
-        Status fs = finish_output();
-        if (!fs.ok()) {
-          return fs;
+        s = finish_output();
+        if (!s.ok()) {
+          break;
         }
       }
       if (builder == nullptr) {
@@ -430,17 +424,29 @@ Status CompactionExecutor::Run(const CompactionJob& job,
     }
     merged->Next();
     charge_reads();
+    s = merged->status();
   }
-  Status s2 = merged->status();
-  if (s2.ok()) {
-    s2 = finish_output();
+  if (s.ok()) {
+    s = finish_output();
   }
-  while (s2.ok() && !armed.empty()) {
-    s2 = drain_oldest();
+  // Collect every output still in flight, even after an error, so that a
+  // failed job can delete all it wrote: otherwise each retry of the same
+  // inputs would leave another set of files behind on the StoCs.
+  while (!armed.empty()) {
+    Status ds = drain_oldest();
+    if (s.ok()) {
+      s = ds;
+    }
+  }
+  if (!s.ok()) {
+    for (const FileMetaData& out : result->outputs) {
+      placer_->Delete(out);
+    }
+    result->outputs.clear();
   }
   result->prefetches = counters.issued.load(std::memory_order_relaxed);
   result->bytes_read = counters.bytes.load(std::memory_order_relaxed);
-  return s2;
+  return s;
 }
 
 }  // namespace lsm

@@ -10,11 +10,10 @@
 // Execution is a three-stage pipeline on the async StoC I/O layer:
 //   1. fetch — each input file is read through the same SSTable iterator
 //      scans use (SSTableReader::NewIterator), opened without filling the
-//      cache tiers and keeping the next `readahead_blocks` data blocks in
-//      flight (StocBlockFetcher::StartFetch under the hood) while the
-//      merge drains the current one, so the k-way merge is never gated on
-//      a single StoC round-trip. A failed prefetch falls back to the
-//      synchronous fetch, which keeps replica failover and parity
+//      cache tiers and asking for all its rows, so each miss fetches the
+//      rest of the missed block's fragment in one StoC read: a job reads
+//      each input fragment once. The read goes through
+//      StocBlockFetcher::Fetch, which keeps replica failover and parity
 //      reconstruction;
 //   2. merge — the k-way merge keeps only the newest version of each user
 //      key (dropping tombstones at the bottom level) and splits outputs at
@@ -23,12 +22,10 @@
 //      (AsyncAppendBlock fan-out) and their flush acknowledgments are
 //      collected in the background of further merging, bounded by a small
 //      in-flight window.
-// With readahead_blocks == 0 the iterators fetch each block when reached
-// and the output window is 0, which is the serial fetch-merge-write loop
-// (kept as the bench baseline). Jobs serialize — including the pipeline
-// depth — so an LTC can offload them to a StoC (Section 4.3
-// "Offloading") which runs the same executor against its own StoC
-// client.
+// A job that fails deletes every output it wrote, so a retry of the same
+// inputs leaks nothing. Jobs serialize so an LTC can offload them to a
+// StoC (Section 4.3 "Offloading") which runs the same executor against
+// its own StoC client.
 #ifndef NOVA_LSM_COMPACTION_H_
 #define NOVA_LSM_COMPACTION_H_
 
@@ -57,11 +54,6 @@ struct CompactionJob {
   /// Pre-allocated file-number block for the outputs (offloaded StoCs
   /// cannot mint numbers themselves).
   uint64_t first_output_number = 0;
-  /// Input-gather pipeline depth: data blocks kept in flight per input
-  /// file while the merge drains the current one. 0 = serial executor.
-  /// Serialized so an offloaded job honors the scheduling LTC's
-  /// compaction_readahead_blocks knob.
-  int readahead_blocks = 0;
   /// Codec id (CompressionCodec) the output builders compress data blocks
   /// with; 0 = store raw. Serialized so an offloaded StoC writes outputs
   /// in the same format the scheduling LTC expects to read back.
@@ -83,8 +75,9 @@ struct CompactionResult {
   uint64_t records_in = 0;
   uint64_t records_out = 0;
   /// Pipeline accounting, reported back to the scheduling LTC even for
-  /// offloaded jobs: data blocks the input iterators prefetched, input
-  /// data-block bytes read, and output bytes written.
+  /// offloaded jobs: data blocks the input iterators fetched ahead of a
+  /// missed block in their runs, input data-block bytes read, and output
+  /// bytes written.
   uint64_t prefetches = 0;
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
@@ -114,14 +107,13 @@ class CompactionExecutor {
 
   /// Outputs armed through SSTablePlacer::StartWrite while the merge
   /// continues; the next output only waits when this many flush batches
-  /// are already in flight. (Input readahead is a per-job knob —
-  /// CompactionJob::readahead_blocks — because it crosses the offload
-  /// wire; the output window is an executor constant, 0 for a serial
-  /// job.)
+  /// are already in flight.
   static constexpr int kMaxInflightOutputs = 2;
 
   /// The throttle is charged compaction_read_block_us per input data
-  /// block read, whether prefetched, fetched or served from a cache tier.
+  /// block read, whether fetched, taken from a run or served from a cache
+  /// tier. On error no output is left on any StoC and result->outputs is
+  /// empty.
   Status Run(const CompactionJob& job, CompactionResult* result);
 
  private:

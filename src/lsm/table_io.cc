@@ -66,40 +66,6 @@ Status StocBlockFetcher::ReconstructFromParity(int fragment,
   return Status::OK();
 }
 
-namespace {
-
-/// One readahead read in flight to the least-loaded replica. Failures
-/// surface to the caller (the SSTable iterator), which retries through the
-/// reader's synchronous path — full replica failover + parity
-/// reconstruction — so a failed prefetch is never silently counted as
-/// served-ahead.
-class StocPendingFetch : public BlockFetcher::Pending {
- public:
-  explicit StocPendingFetch(stoc::PendingRead read) : read_(std::move(read)) {}
-
-  Status Wait(std::string* out) override { return read_.Wait(out); }
-
- private:
-  stoc::PendingRead read_;
-};
-
-}  // namespace
-
-std::unique_ptr<BlockFetcher::Pending> StocBlockFetcher::StartFetch(
-    int fragment, uint64_t offset, uint64_t size) {
-  if (fragment < 0 || fragment >= static_cast<int>(meta_->fragments.size()) ||
-      meta_->fragments[fragment].empty()) {
-    return nullptr;
-  }
-  std::vector<stoc::GatherRead::Target> targets;
-  targets.reserve(meta_->fragments[fragment].size());
-  for (const BlockLocation& loc : meta_->fragments[fragment]) {
-    targets.push_back({loc.stoc_id, loc.file_id});
-  }
-  return std::make_unique<StocPendingFetch>(
-      client_->AsyncReadLeastLoaded(targets, offset, size));
-}
-
 Status StocBlockFetcher::Fetch(int fragment, uint64_t offset, uint64_t size,
                                std::string* out) {
   if (fragment < 0 || fragment >= static_cast<int>(meta_->fragments.size())) {
@@ -419,6 +385,19 @@ Status PendingSSTable::Wait(FileMetaData* out) {
   }
   *out = std::move(st->meta);
   return first_error;
+}
+
+void SSTablePlacer::Delete(const FileMetaData& meta) {
+  std::vector<BlockLocation> locations = meta.meta_replicas;
+  for (const auto& replicas : meta.fragments) {
+    locations.insert(locations.end(), replicas.begin(), replicas.end());
+  }
+  locations.push_back(meta.parity);
+  for (const BlockLocation& loc : locations) {
+    if (loc.valid()) {
+      client_->DeleteFile(loc.stoc_id, loc.file_id, /*in_memory=*/false);
+    }
+  }
 }
 
 Status SSTablePlacer::Write(SSTableBuilder::Result&& built, int drange_id,

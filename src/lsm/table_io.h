@@ -40,13 +40,6 @@ class StocBlockFetcher : public BlockFetcher {
   Status Fetch(int fragment, uint64_t offset, uint64_t size,
                std::string* out) override;
 
-  /// Async fetch for iterator readahead: issues the read to the
-  /// least-loaded replica immediately. A failed read surfaces from
-  /// Pending::Wait; callers retry through Fetch (replica failover +
-  /// parity reconstruction).
-  std::unique_ptr<Pending> StartFetch(int fragment, uint64_t offset,
-                                      uint64_t size) override;
-
   /// Number of reads that had to be served by parity reconstruction.
   uint64_t degraded_reads() const { return degraded_reads_; }
 
@@ -175,6 +168,11 @@ class SSTablePlacer {
   /// StartWrite + PendingSSTable::Wait == Write.
   Status StartWrite(SSTableBuilder::Result&& built, int drange_id,
                     uint32_t generation, PendingSSTable* pending);
+
+  /// Delete every StoC file of an SSTable: its fragment replicas, metadata
+  /// replicas and parity block. Best effort; locations a failed write
+  /// never filled in are skipped.
+  void Delete(const FileMetaData& meta);
 
   void UpdateStocs(const std::vector<rdma::NodeId>& stocs);
   PlacementOptions options() const;

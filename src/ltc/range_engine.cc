@@ -566,7 +566,6 @@ lsm::FileMetaRef RangeEngine::FindL0FileIn(const lsm::VersionRef& version,
 
 IteratorOptions RangeEngine::ScanIteratorOptions(int rows) {
   IteratorOptions opt;
-  opt.readahead_blocks = options_.readahead_blocks;
   opt.rows = rows;
   opt.counters = &readahead_counters_;
   return opt;
@@ -1114,9 +1113,6 @@ void RangeEngine::ScheduleCompactions() {
       job.boundaries = drange_->Boundaries();
     }
     job.max_output_bytes = options_.max_sstable_size;
-    // The gather pipeline depth travels with the job so an offloaded run
-    // honors this range's knob.
-    job.readahead_blocks = options_.compaction_readahead_blocks;
     // The output codec travels with the job too: an offloaded StoC must
     // write blocks this LTC can read back.
     job.compression_codec = options_.compression_codec;
@@ -1244,17 +1240,7 @@ void RangeEngine::ApplyCompactionResult(const lsm::CompactionJob& job,
 }
 
 void RangeEngine::DeleteFileBlocks(const lsm::FileMetaData& meta) {
-  for (const auto& replicas : meta.fragments) {
-    for (const auto& loc : replicas) {
-      client_->DeleteFile(loc.stoc_id, loc.file_id, false);
-    }
-  }
-  for (const auto& loc : meta.meta_replicas) {
-    client_->DeleteFile(loc.stoc_id, loc.file_id, false);
-  }
-  if (meta.parity.valid()) {
-    client_->DeleteFile(meta.parity.stoc_id, meta.parity.file_id, false);
-  }
+  placer_->Delete(meta);
 }
 
 Status RangeEngine::ManifestAppend(const Slice& record) {
@@ -1438,7 +1424,7 @@ Status RangeEngine::RebuildFromLogs(int recovery_threads) {
           continue;
         }
         std::unique_ptr<Iterator> it(
-            handle.reader->NewIterator(ScanIteratorOptions(/*rows=*/0)));
+            handle.reader->NewIterator(ScanIteratorOptions(kAllRows)));
         for (it->SeekToFirst(); it->Valid(); it->Next()) {
           throttle_->Charge(costs.flush_per_record_us);
           ParsedInternalKey parsed;
@@ -1461,7 +1447,7 @@ Status RangeEngine::RebuildFromLogs(int recovery_threads) {
         file_to_mids_[f->number].push_back(synthetic_mid);
       }
       std::unique_ptr<Iterator> it(
-          handle.reader->NewIterator(ScanIteratorOptions(/*rows=*/0)));
+          handle.reader->NewIterator(ScanIteratorOptions(kAllRows)));
       it->SeekToFirst();
       while (it->Valid()) {
         throttle_->Charge(costs.flush_per_record_us);

@@ -72,19 +72,11 @@ struct RangeEngineOptions {
   /// Codec data blocks are written with. kNoCompression stores every
   /// block raw (still with the codec/length/crc trailer).
   CompressionCodec compression_codec = kNovaLzCompression;
-  /// Scan readahead: how many data blocks an SSTable scan iterator keeps
-  /// in flight past its position (prefetched into the block cache while
-  /// the current block drains). 0 = off.
-  int readahead_blocks = 0;
   uint64_t max_sstable_size = 512 << 10;
   int max_parallel_compactions = 4;
   /// Offload compaction jobs to StoCs (Section 4.3); the scheduler picks
   /// the least-loaded StoC and falls back to local execution.
   bool offload_compaction = false;
-  /// Compaction input-gather pipeline depth: data blocks each input
-  /// stream keeps in flight while the merge drains the current one
-  /// (travels with offloaded jobs). 0 = serial gather.
-  int compaction_readahead_blocks = 0;
   /// Replicas of the MANIFEST file.
   int manifest_replicas = 1;
 };
@@ -118,14 +110,15 @@ struct RangeStats {
   /// StoC wire traffic (StocClient byte counters; shared-client rule as
   /// pod_reads — filled once by LtcServer::TotalStats).
   uint64_t bytes_over_wire = 0;
-  /// Scan-readahead counters: prefetches issued and prefetches that
-  /// served a block the scan then consumed.
+  /// Scan and log-rebuild run counters: data blocks a run fetched ahead
+  /// of the block that missed, and those of them the iterator reached.
   uint64_t readahead_issued = 0;
   uint64_t readahead_hits = 0;
   /// Compaction pipeline accounting (includes offloaded jobs, which
-  /// report their numbers back in the CompactionResult): data blocks
-  /// the input iterators prefetched, input/output bytes moved, and total
-  /// time jobs spent queued between scheduling and execution start.
+  /// report their numbers back in the CompactionResult): data blocks the
+  /// input iterators' runs fetched ahead of a missed block, input/output
+  /// bytes moved, and total time jobs spent queued between scheduling and
+  /// execution start.
   uint64_t compaction_prefetches = 0;
   uint64_t compaction_bytes_read = 0;
   uint64_t compaction_bytes_written = 0;
@@ -325,9 +318,9 @@ class RangeEngine {
                       SequenceNumber* seq_out = nullptr);
   Status RebuildFromLogs(int recovery_threads);
   void HandleReorg();
-  /// How scans and log rebuilds iterate SSTables: this range's readahead
-  /// depth, counted into readahead_counters_, and the rows the caller
-  /// still wants (0 = not known; see IteratorOptions::rows).
+  /// How scans and log rebuilds iterate SSTables: counted into
+  /// readahead_counters_, with the rows the caller still wants (kAllRows
+  /// for a whole-table sweep; see IteratorOptions::rows).
   IteratorOptions ScanIteratorOptions(int rows);
 
   RangeEngineOptions options_;

@@ -27,7 +27,6 @@
 #define NOVA_SSTABLE_FORMAT_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,29 +92,15 @@ struct SSTableMetadata {
 /// serves a given fetch. The StoC-backed implementation fans a Fetch out
 /// to the d least-loaded replicas (power-of-d over queue depth and EWMA
 /// read latency) and returns the first success, hedging stragglers after
-/// a p99-derived delay; StartFetch goes to the single least-loaded
-/// replica since readahead is advisory. Readers therefore always ask for
-/// (fragment, offset, size) and never name a replica.
+/// a p99-derived delay, and rebuilds a lost fragment from parity. Readers
+/// therefore always ask for (fragment, offset, size) and never name a
+/// replica. Every data read goes through Fetch, a single block or an
+/// iterator's run of adjacent blocks alike.
 class BlockFetcher {
  public:
-  /// An in-flight asynchronous fetch started with StartFetch.
-  class Pending {
-   public:
-    virtual ~Pending() = default;
-    virtual Status Wait(std::string* out) = 0;
-  };
-
   virtual ~BlockFetcher() = default;
   virtual Status Fetch(int fragment, uint64_t offset, uint64_t size,
                        std::string* out) = 0;
-  /// Begin an asynchronous fetch of the same range. Returns null when the
-  /// fetcher has no async path (callers then skip readahead or fall back
-  /// to the synchronous Fetch).
-  virtual std::unique_ptr<Pending> StartFetch(int /*fragment*/,
-                                              uint64_t /*offset*/,
-                                              uint64_t /*size*/) {
-    return nullptr;
-  }
 };
 
 }  // namespace nova

@@ -39,7 +39,8 @@ void SSTableBuilder::FlushBlock() {
   handle.offset = data_.size();
   // The handle covers the *stored* block — payload (compressed when that
   // shrinks it) plus trailer — so fragment partitioning, Locate, and
-  // readahead windows keep working on stored offsets unchanged.
+  // iterator runs of adjacent blocks keep working on stored offsets
+  // unchanged.
   EncodeBlockTo(contents, options_.compressor, &data_);
   handle.size = data_.size() - handle.offset;
   raw_bytes_ += contents.size() + kBlockTrailerSize;

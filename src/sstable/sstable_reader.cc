@@ -193,49 +193,6 @@ Status SSTableReader::InstallBlock(std::string stored, uint64_t offset,
   return Status::OK();
 }
 
-std::unique_ptr<SSTableReader::PendingBlock> SSTableReader::Prefetch(
-    const BlockHandle& handle, ReadaheadCounters* counters) const {
-  // Already resident in either tier: the iterator's lookup will hit
-  // (decompressing from the compressed tier if need be); nothing to do.
-  if (IsCached(handle.offset)) {
-    return nullptr;
-  }
-  int fragment;
-  uint64_t local_offset;
-  if (!meta_.Locate(handle.offset, &fragment, &local_offset)) {
-    return nullptr;
-  }
-  auto pending = fetcher_->StartFetch(fragment, local_offset, handle.size);
-  if (pending == nullptr) {
-    return nullptr;
-  }
-  if (counters != nullptr) {
-    counters->issued.fetch_add(1, std::memory_order_relaxed);
-  }
-  auto pb = std::make_unique<PendingBlock>();
-  pb->offset = handle.offset;
-  pb->size = handle.size;
-  pb->pending = std::move(pending);
-  return pb;
-}
-
-Status SSTableReader::FinishPrefetch(PendingBlock* pb,
-                                     std::shared_ptr<Block>* block,
-                                     bool fill_cache,
-                                     ReadaheadCounters* counters) const {
-  std::string contents;
-  Status s = pb->pending->Wait(&contents);
-  if (s.ok()) {
-    // Readahead serves iterators, which admit cold (see MaterializeBlock).
-    s = InstallBlock(std::move(contents), pb->offset, pb->size, fill_cache,
-                     Cache::Priority::kCold, block);
-  }
-  if (s.ok() && counters != nullptr) {
-    counters->hits.fetch_add(1, std::memory_order_relaxed);
-  }
-  return s;
-}
-
 bool SSTableReader::Get(const LookupKey& lookup_key, std::string* value,
                         Status* s, SequenceNumber* seq) {
   // Bloom before index: a rejected key never materializes or seeks the
@@ -303,11 +260,6 @@ namespace {
 /// A Seek at or before the table's first key stands on meta().smallest
 /// without reading a block; value() or a move reads it. A merge that
 /// fills its rows before this table becomes current never reads it.
-///
-/// With readahead_blocks > 0 it keeps that many upcoming data blocks in
-/// flight (issued to the StoC asynchronously) while the current block
-/// drains, so a forward scan or compaction merge overlaps compute with
-/// fragment round-trips.
 class SSTableIterator : public Iterator {
  public:
   SSTableIterator(const SSTableReader* reader,
@@ -317,7 +269,9 @@ class SSTableIterator : public Iterator {
         icmp_(icmp),
         index_iter_(index_iter),
         peek_iter_(peek_iter),
-        options_(options) {}
+        options_(options),
+        counters_(options.counters != nullptr ? options.counters
+                                              : &uncounted_) {}
 
   bool Valid() const override {
     return deferred_ || (block_iter_ != nullptr && block_iter_->Valid());
@@ -436,32 +390,13 @@ class SSTableIterator : public Iterator {
       return;
     }
     block_iter_.reset(block_->NewIterator(icmp_));
-    if (options_.counters != nullptr) {
-      options_.counters->blocks.fetch_add(1, std::memory_order_relaxed);
-      options_.counters->bytes.fetch_add(handle.size,
-                                         std::memory_order_relaxed);
-    }
-    IssueReadahead();
+    counters_->blocks.fetch_add(1, std::memory_order_relaxed);
+    counters_->bytes.fetch_add(handle.size, std::memory_order_relaxed);
   }
 
-  /// Serve the block from a matching in-flight prefetch when one exists
-  /// (a readahead hit), else from the cache tiers, else from the current
-  /// run, else by fetching a new run that starts with it.
+  /// Serve the block from the cache tiers, else from the current run, else
+  /// by fetching a new run that starts with it.
   Status MaterializeBlock(const BlockHandle& handle) {
-    for (auto it = prefetched_.begin(); it != prefetched_.end(); ++it) {
-      if ((*it)->offset != handle.offset) {
-        continue;
-      }
-      std::unique_ptr<SSTableReader::PendingBlock> pb = std::move(*it);
-      prefetched_.erase(it);
-      if (reader_
-              ->FinishPrefetch(pb.get(), &block_, options_.fill_cache,
-                               options_.counters)
-              .ok()) {
-        return Status::OK();
-      }
-      break;  // prefetch failed; retry through the synchronous path
-    }
     // Iterators admit cold: a scan or compaction sweep stays in the cold
     // queue and cannot evict the point-get working set (see
     // Cache::Priority).
@@ -472,9 +407,11 @@ class SSTableIterator : public Iterator {
     std::string stored;
     if (RunHolds(handle.offset)) {
       stored = run_.substr(handle.offset - run_offset_, handle.size);
+      counters_->hits.fetch_add(1, std::memory_order_relaxed);
     } else {
       // The fetch keeps replica failover and parity reconstruction.
-      uint64_t size = RunSize(handle);
+      uint64_t blocks_ahead = 0;
+      uint64_t size = RunSize(handle, &blocks_ahead);
       Status s = reader_->FetchStored(handle.offset, size, &stored);
       if (s.ok() && stored.size() != size) {
         s = Status::Corruption("short block read");
@@ -482,6 +419,7 @@ class SSTableIterator : public Iterator {
       if (!s.ok()) {
         return s;
       }
+      counters_->issued.fetch_add(blocks_ahead, std::memory_order_relaxed);
       run_offset_ = handle.offset + handle.size;
       run_ = stored.substr(handle.size);
       stored.resize(handle.size);
@@ -497,22 +435,14 @@ class SSTableIterator : public Iterator {
     return offset >= run_offset_ && offset - run_offset_ < run_.size();
   }
 
-  bool InFlight(uint64_t offset) const {
-    for (const auto& pb : prefetched_) {
-      if (pb->offset == offset) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   /// Bytes to fetch on a miss at handle (index_iter_'s entry): the block,
   /// then the adjacent blocks after it while they lie in its fragment, no
-  /// cache tier or prefetch holds them, and the rows still wanted may
-  /// reach them. The missed block holds at least one wanted row, so the
-  /// blocks after it need cover at most rows - 1 rows of the table's
-  /// average stored row size.
-  uint64_t RunSize(const BlockHandle& handle) {
+  /// cache tier holds them, and the rows still wanted may reach them. The
+  /// missed block holds at least one wanted row, so the blocks after it
+  /// need cover at most rows - 1 rows of the table's average stored row
+  /// size. *blocks_ahead receives the number of blocks after the missed
+  /// one.
+  uint64_t RunSize(const BlockHandle& handle, uint64_t* blocks_ahead) {
     const SSTableMetadata& meta = reader_->meta();
     const uint64_t rows = options_.rows > 0 ? options_.rows : 0;
     const uint64_t wanted = rows > rows_passed_ ? rows - rows_passed_ : 0;
@@ -535,62 +465,14 @@ class SSTableIterator : public Iterator {
       Slice contents = peek_iter_->value();
       if (!next.DecodeFrom(&contents).ok() ||
           next.offset != handle.offset + size ||
-          next.offset + next.size > fragment_end || InFlight(next.offset) ||
+          next.offset + next.size > fragment_end ||
           reader_->IsCached(next.offset)) {
         break;
       }
       size += next.size;
+      (*blocks_ahead)++;
     }
     return size;
-  }
-
-  /// Keep the next readahead_blocks data blocks in flight. Prefetches
-  /// outside that window — blocks the scan has passed, or far-ahead
-  /// leftovers after a backward re-seek — are dropped (an abandoned
-  /// response is discarded by the RPC layer). Blocks the current run holds
-  /// are never prefetched. Forward scans only: a backward scan never
-  /// revisits the blocks ahead of it, so prefetching there would be pure
-  /// waste.
-  void IssueReadahead() {
-    if (options_.readahead_blocks <= 0 || !forward_) {
-      return;
-    }
-    // The window: the next readahead_blocks index entries.
-    std::vector<BlockHandle> wanted;
-    peek_iter_->Seek(index_iter_->key());
-    for (int i = 0; i < options_.readahead_blocks && peek_iter_->Valid();
-         i++) {
-      peek_iter_->Next();
-      if (!peek_iter_->Valid()) {
-        break;
-      }
-      BlockHandle handle;
-      Slice contents = peek_iter_->value();
-      if (!handle.DecodeFrom(&contents).ok()) {
-        break;
-      }
-      wanted.push_back(handle);
-    }
-    auto in_window = [&wanted](uint64_t offset) {
-      for (const BlockHandle& h : wanted) {
-        if (h.offset == offset) {
-          return true;
-        }
-      }
-      return false;
-    };
-    for (auto it = prefetched_.begin(); it != prefetched_.end();) {
-      it = in_window((*it)->offset) ? it + 1 : prefetched_.erase(it);
-    }
-    for (const BlockHandle& handle : wanted) {
-      if (InFlight(handle.offset) || RunHolds(handle.offset)) {
-        continue;
-      }
-      auto pb = reader_->Prefetch(handle, options_.counters);
-      if (pb != nullptr) {
-        prefetched_.push_back(std::move(pb));
-      }
-    }
   }
 
   void SkipEmptyBlocksForward() {
@@ -624,15 +506,18 @@ class SSTableIterator : public Iterator {
   const SSTableReader* reader_;
   const InternalKeyComparator* icmp_;
   std::unique_ptr<Iterator> index_iter_;
-  /// Second cursor over the index block, used to look ahead of
-  /// index_iter_ (readahead windows, run sizes) without disturbing it;
-  /// null when this iterator neither reads ahead nor sizes runs.
+  /// Second cursor over the index block, used to size runs ahead of
+  /// index_iter_ without disturbing it; null when this iterator sizes no
+  /// runs.
   std::unique_ptr<Iterator> peek_iter_;
   std::shared_ptr<Block> block_;  // pins the cached entry while in use
   std::unique_ptr<Iterator> block_iter_;
   IteratorOptions options_;
-  /// Scan direction, maintained by the movement methods; readahead and
-  /// runs only pay off while moving forward.
+  /// options_.counters, or uncounted_ when the caller gave none.
+  ReadaheadCounters* counters_;
+  ReadaheadCounters uncounted_;
+  /// Scan direction, maintained by the movement methods; runs only pay
+  /// off while moving forward.
   bool forward_ = true;
   /// Positioned on meta().smallest by Seek, its block not yet read.
   bool deferred_ = false;
@@ -643,20 +528,16 @@ class SSTableIterator : public Iterator {
   /// bytes of adjacent blocks starting at data offset run_offset_.
   uint64_t run_offset_ = 0;
   std::string run_;
-  std::vector<std::unique_ptr<SSTableReader::PendingBlock>> prefetched_;
   Status status_;
 };
 
 }  // namespace
 
 Iterator* SSTableReader::NewIterator(const IteratorOptions& options) const {
-  // The peek cursor exists only when this iterator reads ahead or sizes
-  // runs.
+  // The peek cursor exists only when this iterator sizes runs.
   return new SSTableIterator(
       this, &icmp_, index_block()->NewIterator(&icmp_),
-      options.readahead_blocks > 0 || options.rows > 0
-          ? index_block()->NewIterator(&icmp_)
-          : nullptr,
+      options.rows > 0 ? index_block()->NewIterator(&icmp_) : nullptr,
       options);
 }
 

@@ -10,6 +10,7 @@
 #define NOVA_SSTABLE_SSTABLE_READER_H_
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -32,9 +33,10 @@ std::string BlockCacheKey(uint32_t range_id, uint64_t file_number,
 
 /// Iterator block accounting. Scans share one instance per range, which
 /// the RangeEngine rolls into RangeStats; a compaction passes job-private
-/// counters so its gathers stay out of the scan stats.
+/// counters so its reads stay out of the scan stats.
 struct ReadaheadCounters {
-  /// Prefetches issued, and prefetches that served the block they fetched.
+  /// Run blocks fetched ahead of the block that missed, and those of them
+  /// the iterator then reached and took from its run.
   std::atomic<uint64_t> issued{0};
   std::atomic<uint64_t> hits{0};
   /// Data blocks the iterator materialized, from any source, and their
@@ -43,19 +45,21 @@ struct ReadaheadCounters {
   std::atomic<uint64_t> bytes{0};
 };
 
+/// IteratorOptions::rows for an iterator that reads every row of its table.
+constexpr int kAllRows = std::numeric_limits<int>::max();
+
 /// How one SSTable iterator reads its data blocks.
 struct IteratorOptions {
   /// false serves hits from the cache tiers but leaves misses uncached:
   /// compactions stream every block once and must not flush the working
   /// set (nor cache blocks of files they are about to delete).
   bool fill_cache = true;
-  /// Data blocks kept in flight past the iterator's position while the
-  /// current one drains (0 = fetch each block when reached).
-  int readahead_blocks = 0;
   /// Rows the caller still wants from this iterator (0 = not known). A
   /// data-block miss fetches the missed block together with the adjacent
   /// uncached blocks of its fragment that this many rows may need, in one
-  /// read; 0 fetches the missed block alone. See docs/block_format.md.
+  /// read; 0 fetches the missed block alone. Sweeps over a whole table
+  /// pass kAllRows, so each miss fetches the rest of its fragment. See
+  /// docs/block_format.md.
   int rows = 0;
   /// Optional sink for the accounting above; must outlive the iterator.
   ReadaheadCounters* counters = nullptr;
@@ -123,25 +127,6 @@ class SSTableReader {
   Status InstallBlock(std::string stored, uint64_t offset, uint64_t size,
                       bool fill_cache, Cache::Priority pri,
                       std::shared_ptr<Block>* block) const;
-
-  /// --- Readahead (used by the iterator) ---
-
-  /// One data block being prefetched ahead of an iterator.
-  struct PendingBlock {
-    uint64_t offset = 0;
-    uint64_t size = 0;
-    std::unique_ptr<BlockFetcher::Pending> pending;
-  };
-
-  /// Begin an async fetch of the block at handle, counting the issue into
-  /// counters (null = no accounting). Returns null when the block is
-  /// already cached or the fetcher has no async path.
-  std::unique_ptr<PendingBlock> Prefetch(const BlockHandle& handle,
-                                         ReadaheadCounters* counters) const;
-  /// Complete a prefetch and hand the block over, inserting it into the
-  /// cache tiers like ReadBlock when fill_cache. Counts a readahead hit.
-  Status FinishPrefetch(PendingBlock* pb, std::shared_ptr<Block>* block,
-                        bool fill_cache, ReadaheadCounters* counters) const;
 
   const SSTableMetadata& meta() const { return meta_; }
 

@@ -383,16 +383,6 @@ PendingRead StocClient::AsyncReadBlock(rdma::NodeId stoc, uint64_t file_id,
   return pending;
 }
 
-PendingRead StocClient::AsyncReadLeastLoaded(
-    const std::vector<GatherRead::Target>& replicas, uint64_t offset,
-    uint64_t size) {
-  if (replicas.empty()) {
-    return PendingRead();
-  }
-  const GatherRead::Target& t = replicas[RankReplicas(replicas)[0]];
-  return AsyncReadBlock(t.stoc, t.file_id, offset, size);
-}
-
 Status StocClient::ReadBlock(rdma::NodeId stoc, uint64_t file_id,
                              uint64_t offset, uint64_t size,
                              std::string* out) {

@@ -174,7 +174,7 @@ class StocClient {
                    uint64_t size, std::string* out);
 
   /// --- Asynchronous data path (the fan-out substrate: scatter writes,
-  /// parity gathers, scan readahead all ride on these) ---
+  /// replica fan-out with hedging, and parity gathers ride on these) ---
 
   /// Begin an append (step 1 of Figure 10: the buffer-grant RPC plus the
   /// completion-token registration). See PendingAppend for the protocol.
@@ -183,11 +183,6 @@ class StocClient {
   /// Begin a read; collect it with PendingRead::Wait.
   PendingRead AsyncReadBlock(rdma::NodeId stoc, uint64_t file_id,
                              uint64_t offset, uint64_t size);
-  /// Begin a read against the least-loaded of the candidate replicas
-  /// (readahead path: one attempt, no hedging).
-  PendingRead AsyncReadLeastLoaded(
-      const std::vector<GatherRead::Target>& replicas, uint64_t offset,
-      uint64_t size);
   /// Issue every read concurrently under the client's ReadPolicy: each
   /// entry goes to its d least-loaded replicas (first success wins, the
   /// losers are cancelled), fails over to the remaining candidates when

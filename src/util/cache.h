@@ -9,7 +9,7 @@
 // Admission is scan-resistant (two-queue, RocksDB-midpoint-style): each
 // shard keeps two eviction queues. kHot accesses (point gets, reader
 // entries) live in the hot queue, capped at hot_fraction of capacity;
-// kCold admissions (scan readahead, streaming) enter the cold queue,
+// kCold admissions (scans, compactions, streaming) enter the cold queue,
 // which is evicted first — so a scan sweeping the file set can only ever
 // displace other cold blocks, never the point-get working set. A cold
 // entry touched again by a kHot access is promoted; hot overflow demotes
@@ -42,7 +42,7 @@ class Cache {
 
   /// Access/admission class for the two-queue policy. kHot is the default
   /// everywhere so callers that never heard of scans behave as before;
-  /// scan readahead and other streaming reads pass kCold.
+  /// scans, compactions and other streaming reads pass kCold.
   enum class Priority { kHot, kCold };
 
   /// Insert key -> value with the given charge against capacity. The
@@ -59,8 +59,8 @@ class Cache {
   /// leaves the hit/miss counters alone (reader-entry lookups, so the
   /// reported stats reflect data-block traffic only). A kHot lookup that
   /// hits a cold-queue entry promotes it (the two-queue "second access"
-  /// rule); a kCold lookup never promotes, so a scan re-reading its own
-  /// readahead cannot smuggle blocks into the hot queue.
+  /// rule); a kCold lookup never promotes, so a scan re-reading blocks it
+  /// admitted itself cannot smuggle them into the hot queue.
   virtual Handle* Lookup(const Slice& key, bool count = true,
                          Priority pri = Priority::kHot) = 0;
 

@@ -606,14 +606,13 @@ TEST_F(IntegrationTest, OffloadedCompactionProducesSameData) {
 
 TEST_F(IntegrationTest, DegradedCompactionReconstructsFromParity) {
   // Compaction inputs scattered with parity keep merging correctly after
-  // a StoC dies: the input gather's async prefetch to the dead replica
-  // fails, falls back to the synchronous fetch path, and reconstructs the
-  // missing fragment from the surviving fragments + parity.
+  // a StoC dies: an input's run fetch from the dead StoC fails over to
+  // parity reconstruction, which rebuilds the missing fragment from the
+  // surviving fragments + parity.
   ClusterOptions opt = FastOptions(1, 4);
   opt.placement.rho = 3;
   opt.placement.use_parity = true;
   opt.placement.num_meta_replicas = 3;
-  opt.range.compaction_readahead_blocks = 4;  // exercise the pipeline
   StartCluster(opt);
   std::map<std::string, std::string> oracle;
   for (int i = 0; i < 2500; i++) {

@@ -241,7 +241,6 @@ TEST(CompactionJobTest, SerializeRoundTrip) {
   job.max_output_bytes = 12345;
   job.is_last_level = true;
   job.first_output_number = 77;
-  job.readahead_blocks = 4;
   job.compression_codec = 1;
 
   CompactionJob out;
@@ -254,7 +253,6 @@ TEST(CompactionJobTest, SerializeRoundTrip) {
   EXPECT_EQ(out.max_output_bytes, 12345u);
   EXPECT_TRUE(out.is_last_level);
   EXPECT_EQ(out.first_output_number, 77u);
-  EXPECT_EQ(out.readahead_blocks, 4);
   EXPECT_EQ(out.compression_codec, 1);
 }
 
@@ -280,7 +278,7 @@ TEST(CompactionResultTest, SerializeRoundTrip) {
 }
 
 /// Fuzz-ish: random jobs — empty input lists, empty boundary sets, huge
-/// file numbers, zero/large readahead — must round-trip exactly, and a
+/// file numbers, raw/compressed outputs — must round-trip exactly, and a
 /// truncated encoding must fail cleanly rather than misparse.
 TEST(CompactionJobTest, SerializeRoundTripFuzz) {
   Random rng(20260807);
@@ -310,7 +308,6 @@ TEST(CompactionJobTest, SerializeRoundTripFuzz) {
     job.max_output_bytes = rng.OneIn(3) ? 0 : (uint64_t{1} << rng.Uniform(40));
     job.is_last_level = rng.OneIn(2);
     job.first_output_number = rng.Next();
-    job.readahead_blocks = rng.OneIn(3) ? 0 : static_cast<int>(rng.Uniform(64));
     job.compression_codec = rng.OneIn(2) ? 0 : static_cast<int>(rng.Uniform(4));
 
     std::string encoded = job.Serialize();
@@ -332,7 +329,6 @@ TEST(CompactionJobTest, SerializeRoundTripFuzz) {
     EXPECT_EQ(out.max_output_bytes, job.max_output_bytes);
     EXPECT_EQ(out.is_last_level, job.is_last_level);
     EXPECT_EQ(out.first_output_number, job.first_output_number);
-    EXPECT_EQ(out.readahead_blocks, job.readahead_blocks);
     EXPECT_EQ(out.compression_codec, job.compression_codec);
 
     // Re-encoding the decoded job must be byte-identical (canonical form).
