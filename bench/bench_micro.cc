@@ -208,7 +208,6 @@ struct ScanEnv {
     }
     popt.rho = kNumStocs;
     popt.power_of_d = false;
-    popt.adjust_rho_by_size = false;
     lsm::SSTablePlacer placer(client.get(), popt);
     auto out = std::make_shared<lsm::FileMetaData>();
     Status s = placer.Write(std::move(built), 0, 0, out.get());
@@ -322,7 +321,6 @@ struct CompactionEnv {
     }
     popt.rho = 2;
     popt.power_of_d = false;
-    popt.adjust_rho_by_size = false;
     return popt;
   }
 

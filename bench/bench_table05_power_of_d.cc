@@ -21,7 +21,6 @@ double RunPoint(const BenchConfig& cfg, int rho, bool power_of_d) {
   opt.range.max_parallel_compactions = 1;
   opt.placement.rho = rho;
   opt.placement.power_of_d = power_of_d;
-  opt.placement.adjust_rho_by_size = false;
   coord::Cluster cluster(opt);
   cluster.Start();
   WorkloadSpec spec;

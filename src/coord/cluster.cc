@@ -62,7 +62,6 @@ void Cluster::WireStoc(int index) {
         lsm::PlacementOptions p = options_.placement;
         p.stocs = AliveStocNodes();
         p.range_id = range_id;
-        p.max_sstable_size = options_.range.max_sstable_size;
         lsm::SSTablePlacer placer(stoc_clients_[index].get(), p);
         lsm::CompactionExecutor exec(&cache, &placer,
                                      stocs_[index]->throttle());
@@ -146,7 +145,6 @@ void Cluster::Start() {
     lsm::PlacementOptions p = options_.placement;
     p.stocs = stoc_nodes;
     p.range_id = a.range_id;
-    p.max_sstable_size = options_.range.max_sstable_size;
     engine->placer()->set_options(p);
   }
   for (int i = 0; i < options_.num_stocs; i++) {
@@ -326,7 +324,6 @@ Status Cluster::RecoverLtcRanges(int crashed_ltc, int dst_ltc,
     lsm::PlacementOptions p = options_.placement;
     p.stocs = stoc_nodes;
     p.range_id = r.range_id;
-    p.max_sstable_size = options_.range.max_sstable_size;
     engine->placer()->set_options(p);
     Status s = engine->RecoverFromManifest(recovery_threads);
     if (!s.ok() && !s.IsNotFound()) {
@@ -380,7 +377,6 @@ Status Cluster::MigrateRange(uint32_t range_id, int dst_ltc,
   lsm::PlacementOptions p = options_.placement;
   p.stocs = stoc_nodes;
   p.range_id = range_id;
-  p.max_sstable_size = options_.range.max_sstable_size;
   engine->placer()->set_options(p);
   Status s = engine->InstallFromMigrationState(state, recovery_threads);
   if (!s.ok()) {

@@ -19,45 +19,37 @@ Status LogClient::CreateLogFile(uint64_t memtable_id,
   uint64_t file_id =
       stoc::MakeFileId(range_id_, static_cast<uint32_t>(memtable_id),
                        stoc::FileKind::kLog, 0);
-  if (options_.mode == LogMode::kInMemory ||
-      options_.mode == LogMode::kBoth) {
-    int want = std::min<int>(options_.num_replicas,
-                             static_cast<int>(stocs.size()));
-    // Walk the whole candidate list, skipping unreachable StoCs, so one
-    // dead node degrades to fewer replicas instead of failing the create.
-    // Returning early here used to leak the regions already opened on
-    // the live StoCs — every memtable rotation leaked more until the
-    // log slab was exhausted and flushes wedged.
-    Status last_error;
-    for (size_t r = 0;
-         r < stocs.size() && static_cast<int>(state->replicas.size()) < want;
-         r++) {
-      // Membership-aware placement: don't even attempt suspect/dead StoCs
-      // when enough healthy candidates remain — an expired lease means
-      // the log region could vanish under the memtable it backs.
-      if (!stoc_client_->IsRoutable(stocs[r]) &&
-          static_cast<int>(stocs.size() - r) >
-              want - static_cast<int>(state->replicas.size())) {
-        continue;
-      }
-      stoc::InMemFileHandle handle;
-      Status s = stoc_client_->OpenInMemFile(stocs[r], file_id,
-                                             options_.region_size, &handle);
-      if (!s.ok()) {
-        last_error = s;
-        continue;
-      }
-      state->replicas.push_back(std::move(handle));
+  int want =
+      std::min<int>(options_.num_replicas, static_cast<int>(stocs.size()));
+  // Walk the whole candidate list, skipping unreachable StoCs, so one
+  // dead node degrades to fewer replicas instead of failing the create.
+  // Returning early here used to leak the regions already opened on
+  // the live StoCs — every memtable rotation leaked more until the
+  // log slab was exhausted and flushes wedged.
+  Status last_error;
+  for (size_t r = 0;
+       r < stocs.size() && static_cast<int>(state->replicas.size()) < want;
+       r++) {
+    // Membership-aware placement: don't even attempt suspect/dead StoCs
+    // when enough healthy candidates remain — an expired lease means
+    // the log region could vanish under the memtable it backs.
+    if (!stoc_client_->IsRoutable(stocs[r]) &&
+        static_cast<int>(stocs.size() - r) >
+            want - static_cast<int>(state->replicas.size())) {
+      continue;
     }
-    if (state->replicas.empty()) {
-      return last_error.ok() ? Status::Unavailable("no log replicas opened")
-                             : last_error;
+    stoc::InMemFileHandle handle;
+    Status s = stoc_client_->OpenInMemFile(stocs[r], file_id,
+                                           options_.region_size, &handle);
+    if (!s.ok()) {
+      last_error = s;
+      continue;
     }
+    state->replicas.push_back(std::move(handle));
   }
-  if (options_.mode == LogMode::kPersistent ||
-      options_.mode == LogMode::kBoth) {
-    state->persistent_stoc = stocs[0];
-    state->persistent_file_id = file_id;
+  if (state->replicas.empty()) {
+    return last_error.ok() ? Status::Unavailable("no log replicas opened")
+                           : last_error;
   }
   std::lock_guard<std::mutex> l(mu_);
   files_[memtable_id] = std::move(state);
@@ -164,15 +156,6 @@ Status LogClient::Append(uint64_t memtable_id, const LogRecord& rec) {
       return s;
     }
   }
-  if (state->persistent_stoc >= 0) {
-    stoc::StocBlockHandle handle;
-    Status s = stoc_client_->AppendBlock(state->persistent_stoc,
-                                         state->persistent_file_id, encoded,
-                                         &handle);
-    if (!s.ok()) {
-      return s;
-    }
-  }
   records_appended_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -200,10 +183,6 @@ Status LogClient::DeleteLogFile(uint64_t memtable_id) {
   }
   for (const auto& replica : state->replicas) {
     stoc_client_->DeleteFile(replica.stoc_id, replica.file_id, true);
-  }
-  if (state->persistent_stoc >= 0) {
-    stoc_client_->DeleteFile(state->persistent_stoc,
-                             state->persistent_file_id, false);
   }
   return Status::OK();
 }

@@ -1,10 +1,9 @@
 // LogC (paper Section 5): a library integrated into an LTC that maintains
-// one log file per memtable. Availability and durability are separable:
-//   * kInMemory  — records replicated to in-memory StoC files on
-//                  num_replicas StoCs via one-sided RDMA WRITE (StoC CPUs
-//                  bypassed); all replicas lost => data loss.
-//   * kPersistent — records appended to a persistent StoC file (disk).
-//   * kBoth      — both of the above.
+// one log file per memtable.
+//   * kInMemory — records replicated to in-memory StoC files on
+//                 num_replicas StoCs via one-sided RDMA WRITE (StoC CPUs
+//                 bypassed); all replicas lost => data loss.
+//   * kNone     — no log: a memtable is lost with its LTC.
 // A NIC-path mode routes replication through StoC request handlers (their
 // CPU is involved), reproducing the paper's RDMA-vs-NIC service-time
 // comparison in Section 8.2.3.
@@ -23,7 +22,7 @@
 namespace nova {
 namespace logc {
 
-enum class LogMode { kNone, kInMemory, kPersistent, kBoth };
+enum class LogMode { kNone, kInMemory };
 
 struct LogOptions {
   LogMode mode = LogMode::kInMemory;
@@ -46,7 +45,7 @@ class LogClient {
   Status CreateLogFile(uint64_t memtable_id,
                        const std::vector<rdma::NodeId>& stocs);
 
-  /// Append one record to every replica (and/or the persistent file).
+  /// Append one record to every replica.
   Status Append(uint64_t memtable_id, const LogRecord& rec);
 
   /// Drop the log file once its memtable is flushed to an SSTable.
@@ -77,10 +76,7 @@ class LogClient {
 
  private:
   struct LogFileState {
-    std::vector<stoc::InMemFileHandle> replicas;  // in-memory mode
-    stoc::StocBlockHandle persistent;             // persistent mode
-    rdma::NodeId persistent_stoc = -1;
-    uint64_t persistent_file_id = 0;
+    std::vector<stoc::InMemFileHandle> replicas;
     uint64_t next_offset = 0;       // within the region chain
     size_t current_region = 0;
     std::mutex mu;                  // serializes offset reservation

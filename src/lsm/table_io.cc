@@ -422,20 +422,8 @@ Status SSTablePlacer::StartWrite(SSTableBuilder::Result&& built,
   state->data = std::move(built.data);  // the task slices point into this
   FileMetaData* out = &state->meta;
 
-  // Decide ρ for this SSTable from its size (Figure 9: a small SSTable is
-  // partitioned across fewer StoCs).
-  int rho = opt.rho;
-  if (opt.adjust_rho_by_size && opt.rho > 1) {
-    uint64_t frag_target =
-        std::max<uint64_t>(1, opt.max_sstable_size / opt.rho);
-    uint64_t by_size = (state->data.size() + frag_target - 1) / frag_target;
-    rho = static_cast<int>(
-        std::clamp<uint64_t>(by_size, 1, static_cast<uint64_t>(opt.rho)));
-  }
-  rho = std::min<int>(rho, static_cast<int>(opt.stocs.size()));
-
-  // Re-partition the built data into exactly the chosen fragment count.
-  // (Builder already split at block boundaries for the requested count.)
+  // The builder already split the data at block boundaries into the
+  // fragment count the caller requested.
   const SSTableMetadata& tmeta = built.meta;
   int nfrags = tmeta.num_fragments();
 

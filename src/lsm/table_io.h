@@ -10,10 +10,10 @@
 //    blocks — so concurrent gets on different files do not serialize on
 //    one mutex and open readers are evicted under memory pressure instead
 //    of accumulating forever.
-//  * SSTablePlacer — decides ρ from the SSTable's size, picks StoCs by
-//    random or power-of-d on disk-queue length, writes the ρ fragments in
-//    parallel with R replicas each, an optional parity block, and
-//    replicated metadata blocks (Section 4.4, Figure 9/10).
+//  * SSTablePlacer — picks StoCs by random or power-of-d on disk-queue
+//    length, writes the ρ fragments in parallel with R replicas each, an
+//    optional parity block, and replicated metadata blocks (Section 4.4,
+//    Figure 9/10).
 #ifndef NOVA_LSM_TABLE_IO_H_
 #define NOVA_LSM_TABLE_IO_H_
 
@@ -120,10 +120,6 @@ struct PlacementOptions {
   int num_meta_replicas = 1;
   /// Construct one parity block over the data fragments (Hybrid).
   bool use_parity = false;
-  /// Shrink ρ for small SSTables (paper: a SSTable with few unique keys
-  /// after compaction is partitioned across fewer StoCs).
-  bool adjust_rho_by_size = true;
-  uint64_t max_sstable_size = 512 << 10;
   uint32_t range_id = 0;
 };
 

@@ -30,7 +30,6 @@ struct LsmOptions {
   uint64_t l0_stop_bytes = 32 << 20;
   /// Expected size of Level 1; each higher level is 10x larger.
   uint64_t base_level_bytes = 32 << 20;
-  uint64_t max_sstable_size = 512 << 10;
 };
 
 class Version {

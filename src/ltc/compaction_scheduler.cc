@@ -6,19 +6,25 @@
 
 namespace nova {
 namespace ltc {
+namespace {
 
-CompactionScheduler::CompactionScheduler(
-    stoc::StocClient* client, std::vector<rdma::NodeId> stocs,
-    const CompactionSchedulerOptions& options)
-    : client_(client), options_(options), stocs_(std::move(stocs)) {}
+/// In-flight jobs per StoC before the scheduler stops offloading there.
+constexpr int kMaxJobsPerStoc = 2;
+
+}  // namespace
+
+CompactionScheduler::CompactionScheduler(stoc::StocClient* client,
+                                         std::vector<rdma::NodeId> stocs,
+                                         bool offload)
+    : client_(client), offload_(offload), stocs_(std::move(stocs)) {}
 
 bool CompactionScheduler::Acquire(rdma::NodeId* target) {
-  if (!options_.offload) {
+  if (!offload_) {
     return false;
   }
   std::lock_guard<std::mutex> lk(mu_);
   bool found = false;
-  int best_load = options_.max_jobs_per_stoc;
+  int best_load = kMaxJobsPerStoc;
   for (rdma::NodeId stoc : stocs_) {
     // Membership exclusion: never offload to a suspect/dead StoC — the
     // job would burn its whole RPC deadline before falling back locally.
@@ -52,9 +58,7 @@ void CompactionScheduler::Release(rdma::NodeId target) {
 
 Status CompactionScheduler::Run(const lsm::CompactionJob& job,
                                 lsm::CompactionExecutor* local,
-                                lsm::CompactionResult* result,
-                                bool* offloaded) {
-  *offloaded = false;
+                                lsm::CompactionResult* result) {
   rdma::NodeId target;
   if (Acquire(&target)) {
     std::string resp;
@@ -71,7 +75,6 @@ Status CompactionScheduler::Run(const lsm::CompactionJob& job,
     std::lock_guard<std::mutex> lk(mu_);
     if (s.ok()) {
       stats_.offloads++;
-      *offloaded = true;
       return s;
     }
     stats_.offload_failures++;
@@ -80,27 +83,12 @@ Status CompactionScheduler::Run(const lsm::CompactionJob& job,
               static_cast<int>(target), s.ToString().c_str());
     *result = lsm::CompactionResult();
   }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stats_.local_runs++;
-  }
   return local->Run(job, result);
-}
-
-void CompactionScheduler::UpdateStocs(const std::vector<rdma::NodeId>& stocs) {
-  std::lock_guard<std::mutex> lk(mu_);
-  stocs_ = stocs;
 }
 
 CompactionScheduler::Stats CompactionScheduler::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   return stats_;
-}
-
-int CompactionScheduler::inflight(rdma::NodeId stoc) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = inflight_.find(stoc);
-  return it == inflight_.end() ? 0 : it->second;
 }
 
 }  // namespace ltc

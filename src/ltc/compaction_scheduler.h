@@ -20,25 +20,17 @@
 namespace nova {
 namespace ltc {
 
-struct CompactionSchedulerOptions {
-  /// Offload at all? When false every job runs on the LTC.
-  bool offload = false;
-  /// In-flight jobs per StoC before the scheduler stops offloading there.
-  int max_jobs_per_stoc = 2;
-};
-
 class CompactionScheduler {
  public:
   struct Stats {
     uint64_t offloads = 0;          // jobs completed on a StoC
     uint64_t offload_failures = 0;  // offload RPCs that failed
     uint64_t local_fallbacks = 0;   // failed offloads retried locally
-    uint64_t local_runs = 0;        // jobs run locally (incl. fallbacks)
   };
 
+  /// offload = false runs every job on the LTC.
   CompactionScheduler(stoc::StocClient* client,
-                      std::vector<rdma::NodeId> stocs,
-                      const CompactionSchedulerOptions& options);
+                      std::vector<rdma::NodeId> stocs, bool offload);
 
   CompactionScheduler(const CompactionScheduler&) = delete;
   CompactionScheduler& operator=(const CompactionScheduler&) = delete;
@@ -47,17 +39,11 @@ class CompactionScheduler {
   /// enabled and one is under the bound, otherwise execute on `local`.
   /// A failed offload (RPC error, empty response from a StoC whose
   /// handler failed, or an undeserializable result) falls back to
-  /// `local` — the job is never dropped. *offloaded reports where the
-  /// successful run happened.
+  /// `local` — the job is never dropped.
   Status Run(const lsm::CompactionJob& job, lsm::CompactionExecutor* local,
-             lsm::CompactionResult* result, bool* offloaded);
-
-  /// Elasticity: replace the candidate StoC set.
-  void UpdateStocs(const std::vector<rdma::NodeId>& stocs);
+             lsm::CompactionResult* result);
 
   Stats stats() const;
-  /// In-flight offloaded jobs on one StoC (tests).
-  int inflight(rdma::NodeId stoc) const;
 
  private:
   /// Reserve a slot on the least-loaded StoC; false = run locally.
@@ -65,9 +51,9 @@ class CompactionScheduler {
   void Release(rdma::NodeId target);
 
   stoc::StocClient* client_;
-  CompactionSchedulerOptions options_;
+  const bool offload_;
+  const std::vector<rdma::NodeId> stocs_;
   mutable std::mutex mu_;
-  std::vector<rdma::NodeId> stocs_;
   std::map<rdma::NodeId, int> inflight_;
   Stats stats_;
 };

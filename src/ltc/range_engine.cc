@@ -56,14 +56,11 @@ RangeEngine::RangeEngine(const RangeEngineOptions& options,
   lsm::PlacementOptions popt;
   popt.stocs = stocs;
   popt.range_id = options_.range_id;
-  popt.max_sstable_size = options_.max_sstable_size;
   placer_ = std::make_unique<lsm::SSTablePlacer>(client_, popt);
   executor_ = std::make_unique<lsm::CompactionExecutor>(
       table_cache_.get(), placer_.get(), throttle_);
-  CompactionSchedulerOptions sched_opt;
-  sched_opt.offload = options_.offload_compaction;
-  scheduler_ =
-      std::make_unique<CompactionScheduler>(client_, stocs, sched_opt);
+  scheduler_ = std::make_unique<CompactionScheduler>(
+      client_, stocs, options_.offload_compaction);
   logc_ = std::make_unique<logc::LogClient>(client_, options_.range_id,
                                             options_.log);
   range_index_ =
@@ -282,6 +279,45 @@ void RangeEngine::RotateLocked(int drange_id,
   }
 }
 
+/// The newest version of one key among the tables a Get has probed. A
+/// tombstone counts as found: it hides every older version of the key.
+struct RangeEngine::NewestVersion {
+  bool found = false;
+  SequenceNumber seq = 0;
+  std::string value;
+  Status status;
+
+  /// Looks the key up in a memtable or SSTable and keeps the table's
+  /// version when it is the newest so far. Returns whether the table holds
+  /// a version of the key.
+  template <typename Table>
+  bool Probe(Table* table, const LookupKey& lkey) {
+    std::string v;
+    Status s;
+    SequenceNumber table_seq = 0;
+    if (!table->Get(lkey, &v, &s, &table_seq)) {
+      return false;
+    }
+    if (!found || table_seq > seq) {
+      found = true;
+      seq = table_seq;
+      value = std::move(v);
+      status = s;
+    }
+    return true;
+  }
+
+  Status Result(std::string* out) {
+    if (!found) {
+      return Status::NotFound("key not found");
+    }
+    if (status.ok()) {
+      *out = std::move(value);
+    }
+    return status;
+  }
+};
+
 Status RangeEngine::Get(const Slice& key, std::string* value) {
   const sim::CostModel& costs = sim::DefaultCostModel();
   throttle_->Charge(costs.request_dispatch_us + costs.get_base_us);
@@ -289,28 +325,31 @@ Status RangeEngine::Get(const Slice& key, std::string* value) {
     std::lock_guard<std::mutex> l(stats_mu_);
     stats_.gets++;
   }
-  SequenceNumber snapshot = last_sequence_.load();
-  LookupKey lkey(key, snapshot);
-  Status result;
-
+  LookupKey lkey(key, last_sequence_.load());
+  // The sequence the lookup index claims for the key's newest version. It
+  // stays 0 when the index is off or has no entry, so any memtable or L0
+  // version then stands without a look at the levels.
+  SequenceNumber claimed_seq = 0;
+  // Without the index (Challenge 2's ablation) every memtable is probed.
+  bool sweep_memtables = !options_.enable_lookup_index;
   if (options_.enable_lookup_index) {
     // A hit may go momentarily stale while a memtable merge retires its
     // mid (the index is rewritten before the old mid is erased), so a
-    // stale hit retries; if it stays inconsistent, fall through to the
-    // exhaustive memtable sweep below which is always correct.
-    bool inconsistent_hit = false;
-    uint64_t claimed_seq = 0;
+    // stale hit retries; if it stays inconsistent, the memtable sweep
+    // below is always correct.
     for (int retry = 0; retry < 3; retry++) {
+      sweep_memtables = false;
       uint64_t mid;
       if (!lookup_index_.LookupWithSeq(key, &mid, &claimed_seq)) {
-        inconsistent_hit = false;
+        claimed_seq = 0;
         break;
       }
       MidTable::Entry entry;
       if (!mid_table_.Get(mid, &entry)) {
-        inconsistent_hit = true;
+        sweep_memtables = true;
         continue;  // merge in flight: the index will be re-pointed
       }
+      Status result;
       if (!entry.is_file) {
         throttle_->Charge(costs.memtable_probe_us);
         if (entry.memtable->Get(lkey, value, &result)) {
@@ -318,126 +357,50 @@ Status RangeEngine::Get(const Slice& key, std::string* value) {
           stats_.lookup_index_hits++;
           return result;
         }
-        inconsistent_hit = true;  // slot should have held this key
+        sweep_memtables = true;  // slot should have held this key
         continue;
       }
       lsm::FileMetaRef meta = FindL0File(entry.file_number);
-      if (meta != nullptr) {
-        lsm::TableCache::Handle handle;
-        Status s = table_cache_->GetReader(meta, &handle);
-        if (s.ok()) {
-          throttle_->Charge(costs.l0_sstable_probe_us);
-          if (handle.reader->Get(lkey, value, &result)) {
-            std::lock_guard<std::mutex> l(stats_mu_);
-            stats_.lookup_index_hits++;
-            return result;
-          }
-        }
-        inconsistent_hit = false;
+      if (meta == nullptr) {
+        // The L0 file was compacted into L1+: self-clean the index.
+        lookup_index_.EraseIf(key, mid);
+        mid_table_.Erase(mid);
         break;
       }
-      // The L0 file was compacted into L1+: self-clean the index.
-      lookup_index_.EraseIf(key, mid);
-      mid_table_.Erase(mid);
-      inconsistent_hit = false;
+      lsm::TableCache::Handle handle;
+      if (table_cache_->GetReader(meta, &handle).ok()) {
+        throttle_->Charge(costs.l0_sstable_probe_us);
+        if (handle.reader->Get(lkey, value, &result)) {
+          std::lock_guard<std::mutex> l(stats_mu_);
+          stats_.lookup_index_hits++;
+          return result;
+        }
+      }
       break;
     }
-    SequenceNumber best_seq = 0;
-    bool found = false;
-    std::string best_value;
-    Status best_status;
-    if (inconsistent_hit) {
-      // Exhaustive-but-safe path: probe every memtable; the L0 probe
-      // below then takes the best across memtables and L0 (an old
-      // memtable can coexist with a newer already-flushed L0 version).
-      std::vector<MemTableRef> mems;
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        mems.reserve(all_memtables_.size());
-        for (auto& [m, mem] : all_memtables_) {
-          mems.push_back(mem);
-        }
-      }
-      for (auto& mem : mems) {
-        throttle_->Charge(costs.memtable_probe_us);
-        std::string v;
-        Status s;
-        SequenceNumber seq;
-        if (mem->Get(lkey, &v, &s, &seq) && (!found || seq > best_seq)) {
-          found = true;
-          best_seq = seq;
-          best_value = std::move(v);
-          best_status = s;
-        }
-      }
-    }
-    {
-      std::lock_guard<std::mutex> l(stats_mu_);
-      stats_.lookup_index_misses++;
-    }
-    // Index miss: during normal operation any key in a memtable or L0
-    // SSTable is indexed, but after recovery/migration L0-resident keys
-    // may not be (the index is rebuilt from log records only). Probe
-    // overlapping L0 files bloom-first — cheap, and preserves safety.
-    {
-      lsm::VersionRef version = versions_->current();
-      for (const auto& f : version->files(0)) {
-        if (key.compare(f->smallest.user_key()) < 0 ||
-            key.compare(f->largest.user_key()) > 0) {
-          continue;
-        }
-        lsm::TableCache::Handle handle;
-        if (!table_cache_->GetReader(f, &handle).ok()) {
-          continue;
-        }
-        if (!handle.reader->KeyMayMatch(key)) {
-          continue;
-        }
-        throttle_->Charge(costs.l0_sstable_probe_us);
-        std::string v;
-        Status s;
-        SequenceNumber seq;
-        if (handle.reader->Get(lkey, &v, &s, &seq)) {
-          if (!found || seq > best_seq) {
-            found = true;
-            best_seq = seq;
-            best_value = std::move(v);
-            best_status = s;
-          }
-        }
-      }
-      if (found && (!inconsistent_hit || best_seq >= claimed_seq)) {
-        if (best_status.ok()) {
-          *value = std::move(best_value);
-        }
-        return best_status;
-      }
-    }
-    // Either nothing found yet, or the index claimed a newer version than
-    // anything in the memtables/L0 — it was compacted into the levels.
-    // Consult the levels and return the newest of both.
-    {
-      std::string lv;
-      SequenceNumber lseq = 0;
-      Status ls = SearchLevels(lkey, &lv, &lseq);
-      if (!ls.IsNotFound() && (!found || lseq > best_seq)) {
-        if (ls.ok()) {
-          *value = std::move(lv);
-        }
-        return ls;
-      }
-    }
-    if (found) {
-      if (best_status.ok()) {
-        *value = std::move(best_value);
-      }
-      return best_status;
-    }
-    return Status::NotFound("key not found");
+    std::lock_guard<std::mutex> l(stats_mu_);
+    stats_.lookup_index_misses++;
   }
+  // The index did not resolve the key, or is off. L0 is probed bloom-first
+  // either way: an index miss does not rule out an L0 version (after
+  // recovery or migration the index may not cover every L0 key), and an
+  // old memtable can coexist with a newer version already flushed to L0.
+  NewestVersion newest;
+  if (sweep_memtables) {
+    ProbeMemtables(lkey, &newest);
+  }
+  ProbeL0(lkey, &newest);
+  if (!newest.found || newest.seq < claimed_seq) {
+    // No memtable or L0 version, or only one older than the index claimed:
+    // the newer one was compacted into the levels, and the levels' version
+    // wins when it is newer, a tombstone included.
+    SearchLevels(lkey, &newest);
+  }
+  return newest.Result(value);
+}
 
-  // Ablation path (Challenge 2): no lookup index — probe every memtable
-  // and every L0 SSTable, keeping the entry with the highest sequence.
+void RangeEngine::ProbeMemtables(const LookupKey& lkey,
+                                 NewestVersion* newest) {
   std::vector<MemTableRef> mems;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -446,24 +409,16 @@ Status RangeEngine::Get(const Slice& key, std::string* value) {
       mems.push_back(mem);
     }
   }
-  SequenceNumber best_seq = 0;
-  bool found = false;
-  std::string best_value;
-  Status best_status;
+  const sim::CostModel& costs = sim::DefaultCostModel();
   for (auto& mem : mems) {
     throttle_->Charge(costs.memtable_probe_us);
-    std::string v;
-    Status s;
-    SequenceNumber seq;
-    if (mem->Get(lkey, &v, &s, &seq)) {
-      if (!found || seq > best_seq) {
-        found = true;
-        best_seq = seq;
-        best_value = std::move(v);
-        best_status = s;
-      }
-    }
+    newest->Probe(mem.get(), lkey);
   }
+}
+
+void RangeEngine::ProbeL0(const LookupKey& lkey, NewestVersion* newest) {
+  const sim::CostModel& costs = sim::DefaultCostModel();
+  const Slice key = lkey.user_key();
   lsm::VersionRef version = versions_->current();
   for (const auto& f : version->files(0)) {
     if (key.compare(f->smallest.user_key()) < 0 ||
@@ -478,42 +433,20 @@ Status RangeEngine::Get(const Slice& key, std::string* value) {
       continue;  // bloom rejected: skip the index seek and probe charge
     }
     throttle_->Charge(costs.l0_sstable_probe_us);
-    std::string v;
-    Status s;
-    SequenceNumber seq;
-    if (handle.reader->Get(lkey, &v, &s, &seq)) {
-      if (!found || seq > best_seq) {
-        found = true;
-        best_seq = seq;
-        best_value = std::move(v);
-        best_status = s;
-      }
-    }
+    newest->Probe(handle.reader, lkey);
   }
-  if (found) {
-    if (best_status.ok()) {
-      *value = std::move(best_value);
-    }
-    return best_status;
-  }
-  return SearchLevels(lkey, value);
 }
 
-Status RangeEngine::SearchLevels(const LookupKey& lkey, std::string* value,
-                                 SequenceNumber* seq_out) {
+void RangeEngine::SearchLevels(const LookupKey& lkey, NewestVersion* newest) {
   const sim::CostModel& costs = sim::DefaultCostModel();
   lsm::VersionRef version = versions_->current();
   for (int level = 1; level < version->num_levels(); level++) {
     // Levels are normally sorted and disjoint, but while compactions are
     // in flight a level can transiently hold overlapping files, so probe
-    // every overlapping file and keep the newest version.
-    auto files = version->OverlappingFiles(level, lkey.user_key(),
-                                           lkey.user_key());
-    SequenceNumber best_seq = 0;
-    bool found = false;
-    std::string best_value;
-    Status best_status;
-    for (const auto& f : files) {
+    // every overlapping file.
+    bool level_has_key = false;
+    for (const auto& f : version->OverlappingFiles(level, lkey.user_key(),
+                                                   lkey.user_key())) {
       lsm::TableCache::Handle handle;
       Status s = table_cache_->GetReader(f, &handle);
       if (!s.ok()) {
@@ -526,28 +459,14 @@ Status RangeEngine::SearchLevels(const LookupKey& lkey, std::string* value,
         continue;  // bloom filter skip (Section 4.1.1)
       }
       throttle_->Charge(costs.high_level_probe_us);
-      std::string v;
-      Status result;
-      SequenceNumber seq;
-      if (handle.reader->Get(lkey, &v, &result, &seq) &&
-          (!found || seq > best_seq)) {
-        found = true;
-        best_seq = seq;
-        best_value = std::move(v);
-        best_status = result;
+      if (newest->Probe(handle.reader, lkey)) {
+        level_has_key = true;
       }
     }
-    if (found) {
-      if (seq_out != nullptr) {
-        *seq_out = best_seq;
-      }
-      if (best_status.ok()) {
-        *value = std::move(best_value);
-      }
-      return best_status;
+    if (level_has_key) {
+      return;  // deeper levels hold only older versions
     }
   }
-  return Status::NotFound("key not found");
 }
 
 lsm::FileMetaRef RangeEngine::FindL0File(uint64_t number) {
@@ -830,7 +749,10 @@ void RangeEngine::FlushTask(MemTableRef mem) {
                      options_.max_memtables;
   }
   Status s;
-  if (options_.enable_memtable_merge && unique > 0 && merge_has_room &&
+  // Without the lookup index small memtables flush like any other (see
+  // RangeEngineOptions::enable_memtable_merge).
+  if (options_.enable_memtable_merge && options_.enable_lookup_index &&
+      unique > 0 && merge_has_room &&
       unique < static_cast<uint64_t>(options_.unique_key_threshold)) {
     // Small memtable: merge with the Drange's other small immutables
     // instead of writing an SSTable (Section 4.2).
@@ -1146,11 +1068,10 @@ void RangeEngine::ScheduleCompactions() {
 
 void RangeEngine::RunCompaction(lsm::CompactionJob job, uint64_t queue_us) {
   lsm::CompactionResult result;
-  bool offloaded = false;
   // The scheduler offloads to the least-loaded StoC (Section 4.3
   // "Offloading") and retries locally on failure, so the job completes
   // exactly once wherever it ran.
-  Status s = scheduler_->Run(job, executor_.get(), &result, &offloaded);
+  Status s = scheduler_->Run(job, executor_.get(), &result);
   if (s.ok()) {
     ApplyCompactionResult(job, result);
   } else {
@@ -1311,6 +1232,10 @@ Status RangeEngine::RecoverFromManifest(int recovery_threads) {
       return s;
     }
   }
+  return InstallRecoveredState(recovery_threads);
+}
+
+Status RangeEngine::InstallRecoveredState(int recovery_threads) {
   last_sequence_.store(versions_->last_sequence());
   std::string dstate = versions_->drange_state();
   if (!dstate.empty()) {
@@ -1329,10 +1254,7 @@ Status RangeEngine::RecoverFromManifest(int recovery_threads) {
                               f->largest.user_key().ToString());
     }
   }
-  return RebuildFromLogs(recovery_threads);
-}
 
-Status RangeEngine::RebuildFromLogs(int recovery_threads) {
   std::map<uint64_t, std::vector<logc::LogRecord>> by_memtable;
   std::map<uint64_t, std::vector<stoc::InMemFileHandle>> handles;
   Status s = logc::LogClient::FetchAllLogRecords(
@@ -1414,14 +1336,21 @@ Status RangeEngine::RebuildFromLogs(int recovery_threads) {
     // levels. Recreate the same shape here by claiming every L1+ key
     // under one sentinel mid that is never registered in MIDToTable —
     // a hit on it fails to resolve and falls through to SearchLevels.
-    // This pass runs before the L0 pass so an L0 copy at the same seq
-    // wins the slot (>= guard) and keeps the resolvable fast path.
+    // L0 is indexed last so an L0 copy at the same seq wins the slot
+    // (>= guard) and keeps the resolvable fast path.
     uint64_t levels_mid = next_mid_.fetch_add(1);
-    for (int level = 1; level < v->num_levels(); level++) {
+    for (int level = v->num_levels() - 1; level >= 0; level--) {
       for (const auto& f : v->files(level)) {
         lsm::TableCache::Handle handle;
         if (!table_cache_->GetReader(f, &handle).ok()) {
           continue;
+        }
+        uint64_t mid = levels_mid;
+        if (level == 0) {
+          mid = next_mid_.fetch_add(1);
+          mid_table_.SetFile(mid, f->number);
+          std::lock_guard<std::mutex> cl(compaction_mu_);
+          file_to_mids_[f->number].push_back(mid);
         }
         std::unique_ptr<Iterator> it(
             handle.reader->NewIterator(ScanIteratorOptions(kAllRows)));
@@ -1429,34 +1358,9 @@ Status RangeEngine::RebuildFromLogs(int recovery_threads) {
           throttle_->Charge(costs.flush_per_record_us);
           ParsedInternalKey parsed;
           if (ParseInternalKey(it->key(), &parsed)) {
-            lookup_index_.Update(parsed.user_key, levels_mid,
-                                 parsed.sequence);
+            lookup_index_.Update(parsed.user_key, mid, parsed.sequence);
           }
         }
-      }
-    }
-    for (const auto& f : v->files(0)) {
-      lsm::TableCache::Handle handle;
-      if (!table_cache_->GetReader(f, &handle).ok()) {
-        continue;
-      }
-      uint64_t synthetic_mid = next_mid_.fetch_add(1);
-      mid_table_.SetFile(synthetic_mid, f->number);
-      {
-        std::lock_guard<std::mutex> cl(compaction_mu_);
-        file_to_mids_[f->number].push_back(synthetic_mid);
-      }
-      std::unique_ptr<Iterator> it(
-          handle.reader->NewIterator(ScanIteratorOptions(kAllRows)));
-      it->SeekToFirst();
-      while (it->Valid()) {
-        throttle_->Charge(costs.flush_per_record_us);
-        ParsedInternalKey parsed;
-        if (ParseInternalKey(it->key(), &parsed)) {
-          lookup_index_.Update(parsed.user_key, synthetic_mid,
-                               parsed.sequence);
-        }
-        it->Next();
       }
     }
   }
@@ -1492,22 +1396,7 @@ Status RangeEngine::InstallFromMigrationState(const Slice& state,
   if (!s.ok()) {
     return s;
   }
-  last_sequence_.store(edit.last_sequence);
-  if (!edit.drange_state.empty()) {
-    drange_->Deserialize(edit.drange_state);
-  }
-  l0_bytes_.store(versions_->current()->LevelBytes(0));
-  if (options_.enable_range_index) {
-    for (const std::string& b : drange_->Boundaries()) {
-      range_index_->SplitAt(b);
-    }
-    lsm::VersionRef v = versions_->current();
-    for (const auto& f : v->files(0)) {
-      range_index_->AddL0File(f->number, f->smallest.user_key().ToString(),
-                              f->largest.user_key().ToString());
-    }
-  }
-  return RebuildFromLogs(recovery_threads);
+  return InstallRecoveredState(recovery_threads);
 }
 
 void RangeEngine::BeginDecommission() {
@@ -1716,8 +1605,13 @@ std::string RangeEngine::DebugLookupState(const Slice& key) {
 std::string RangeEngine::DebugFindNewest(const Slice& key) {
   LookupKey lkey(key, kMaxSequenceNumber);
   char buf[256];
-  SequenceNumber best = 0;
+  NewestVersion newest;
   std::string where = "nowhere";
+  // Probes one table; true when it holds the newest version so far.
+  auto took_newest = [&](auto* table) {
+    SequenceNumber before = newest.seq;
+    return newest.Probe(table, lkey) && newest.seq > before;
+  };
   std::vector<std::pair<uint64_t, MemTableRef>> mems;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -1726,13 +1620,9 @@ std::string RangeEngine::DebugFindNewest(const Slice& key) {
     }
   }
   for (auto& [m, mem] : mems) {
-    std::string v;
-    Status s;
-    SequenceNumber seq = 0;
-    if (mem->Get(lkey, &v, &s, &seq) && seq > best) {
-      best = seq;
+    if (took_newest(mem.get())) {
       snprintf(buf, sizeof(buf), "memtable mid=%llu seq=%llu im=%d dr=%d",
-               (unsigned long long)m, (unsigned long long)seq,
+               (unsigned long long)m, (unsigned long long)newest.seq,
                mem->immutable(), mem->drange_id());
       where = buf;
     }
@@ -1742,13 +1632,10 @@ std::string RangeEngine::DebugFindNewest(const Slice& key) {
     for (const auto& f : version->files(level)) {
       lsm::TableCache::Handle handle;
       if (!table_cache_->GetReader(f, &handle).ok()) continue;
-      std::string v;
-      Status s;
-      SequenceNumber seq = 0;
-      if (handle.reader->Get(lkey, &v, &s, &seq) && seq > best) {
-        best = seq;
+      if (took_newest(handle.reader)) {
         snprintf(buf, sizeof(buf), "L%d file=%llu seq=%llu", level,
-                 (unsigned long long)f->number, (unsigned long long)seq);
+                 (unsigned long long)f->number,
+                 (unsigned long long)newest.seq);
         where = buf;
       }
     }

@@ -57,7 +57,11 @@ struct RangeEngineOptions {
   bool enable_lookup_index = true;
   bool enable_range_index = true;
   /// Merge immutable memtables with < unique_key_threshold unique keys
-  /// instead of flushing them (Section 4.2; off in Nova-LSM-R/S).
+  /// instead of flushing them (Section 4.2; off in Nova-LSM-R/S). Needs
+  /// enable_lookup_index: a merged memtable waits in memory outside the
+  /// flush order, so it can hold versions older than ones compacted into
+  /// L1+ meanwhile, and only the index's claimed sequence sends a Get on
+  /// to the levels.
   bool enable_memtable_merge = true;
   int unique_key_threshold = 100;
 
@@ -262,7 +266,6 @@ class RangeEngine {
   LookupIndex* lookup_index() { return &lookup_index_; }
   RangeIndex* range_index() { return range_index_.get(); }
   lsm::SSTablePlacer* placer() { return placer_.get(); }
-  CompactionScheduler* compaction_scheduler() { return scheduler_.get(); }
   const RangeEngineOptions& options() const { return options_; }
   int num_memtables();
   uint64_t l0_bytes() const { return l0_bytes_.load(); }
@@ -314,9 +317,20 @@ class RangeEngine {
   lsm::FileMetaRef FindL0File(uint64_t number);
   static lsm::FileMetaRef FindL0FileIn(const lsm::VersionRef& version,
                                        uint64_t number);
-  Status SearchLevels(const LookupKey& lkey, std::string* value,
-                      SequenceNumber* seq_out = nullptr);
-  Status RebuildFromLogs(int recovery_threads);
+  /// The newest version of a key (a tombstone included) among the tables
+  /// probed so far: Get's one selection rule.
+  struct NewestVersion;
+  /// Probe every memtable, snapshotted under mu_.
+  void ProbeMemtables(const LookupKey& lkey, NewestVersion* newest);
+  /// Probe the L0 SSTables whose key range and bloom filter admit the key.
+  void ProbeL0(const LookupKey& lkey, NewestVersion* newest);
+  /// Probe L1 and deeper, stopping at the first level that holds a
+  /// version of the key.
+  void SearchLevels(const LookupKey& lkey, NewestVersion* newest);
+  /// Adopt what versions_->Recover restored (last sequence, Drange state,
+  /// L0 bytes, range-index partitions), then rebuild the memtables and
+  /// the lookup index from the log records.
+  Status InstallRecoveredState(int recovery_threads);
   void HandleReorg();
   /// How scans and log rebuilds iterate SSTables: counted into
   /// readahead_counters_, with the rows the caller still wants (kAllRows

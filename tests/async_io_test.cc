@@ -170,7 +170,6 @@ class AsyncStocTest : public testing::Test {
     }
     popt.rho = 3;
     popt.power_of_d = false;
-    popt.adjust_rho_by_size = false;
     popt.use_parity = true;
     popt.num_meta_replicas = 2;
     return popt;

@@ -80,8 +80,21 @@ TEST_F(IntegrationTest, PutGetRoundTrip) {
   EXPECT_TRUE(cluster_->Get("missing", &value).IsNotFound());
 }
 
-TEST_F(IntegrationTest, OverwriteAndDelete) {
-  StartCluster(FastOptions(1, 2));
+/// Get-path tests run once with the lookup index on (Nova-LSM) and once
+/// with it off (Challenge 2's ablation, which every LevelDB*/RocksDB*
+/// baseline uses).
+class LookupIndexSettingTest : public IntegrationTest,
+                               public testing::WithParamInterface<bool> {
+ protected:
+  ClusterOptions Options(int ltcs, int stocs) {
+    ClusterOptions opt = FastOptions(ltcs, stocs);
+    opt.range.enable_lookup_index = GetParam();
+    return opt;
+  }
+};
+
+TEST_P(LookupIndexSettingTest, OverwriteAndDelete) {
+  StartCluster(Options(1, 2));
   ASSERT_TRUE(cluster_->Put("k", "v1").ok());
   ASSERT_TRUE(cluster_->Put("k", "v2").ok());
   std::string value;
@@ -91,8 +104,8 @@ TEST_F(IntegrationTest, OverwriteAndDelete) {
   EXPECT_TRUE(cluster_->Get("k", &value).IsNotFound());
 }
 
-TEST_F(IntegrationTest, OracleConsistencyThroughFlushesAndCompactions) {
-  StartCluster(FastOptions(1, 3));
+TEST_P(LookupIndexSettingTest, OracleConsistencyThroughFlushesAndCompactions) {
+  StartCluster(Options(1, 3));
   std::map<std::string, std::string> oracle;
   Random rng(11);
   // Enough writes to force many flushes and L0->L1 compactions.
@@ -112,8 +125,46 @@ TEST_F(IntegrationTest, OracleConsistencyThroughFlushesAndCompactions) {
     std::string got;
     Status s = cluster_->Get(key, &got);
     ASSERT_TRUE(s.ok()) << key << " " << s.ToString();
-    EXPECT_EQ(got, value) << key;
+    EXPECT_EQ(got, value) << key << " newest=" << engine->DebugFindNewest(key);
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(IntegrationTest, LookupIndexSettingTest,
+                         testing::Bool());
+
+// The index points a deleted key at the memtable that took the delete.
+// Once that memtable's L0 table is compacted into L1, the index entry no
+// longer resolves, and a Get sweeps the memtables. An older version
+// parked in a merged small memtable must then lose to the L1 tombstone,
+// which the index claimed as newer.
+TEST_F(IntegrationTest, TombstoneInL1HidesOlderParkedMemtableVersion) {
+  ClusterOptions opt = FastOptions(1, 3);
+  opt.range.enable_dranges = false;
+  opt.range.num_active_memtables = 1;
+  opt.range.lsm.l0_compaction_trigger_bytes = 1;
+  StartCluster(opt);
+  auto* engine = cluster_->ltc(0)->ranges()[0];
+  // A one-key memtable is merged, not flushed, and stays in memory.
+  ASSERT_TRUE(cluster_->Put("k", "v1").ok());
+  engine->FlushAllMemtables();
+  engine->WaitForQuiescence();
+  ASSERT_EQ(engine->stats().memtable_merges, 1u);
+  // The delete shares a memtable with enough keys to flush it to L0, and
+  // the one-byte trigger compacts that table into L1.
+  ASSERT_TRUE(cluster_->Delete("k").ok());
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(cluster_->Put(Key(i), "v").ok());
+  }
+  engine->FlushAllMemtables();
+  engine->WaitForQuiescence(/*flush_all=*/true);
+  ASSERT_GT(engine->stats().compactions, 0u);
+  std::string newest = engine->DebugFindNewest("k");
+  ASSERT_EQ(newest.rfind("L1 ", 0), 0u) << newest;
+
+  std::string value;
+  Status s = cluster_->Get("k", &value);
+  EXPECT_TRUE(s.IsNotFound()) << s.ToString() << " value=" << value
+                              << " newest=" << newest;
 }
 
 TEST_F(IntegrationTest, ScanMatchesOracle) {
