@@ -1,5 +1,6 @@
 #include "coord/cluster.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -47,6 +48,7 @@ std::vector<rdma::NodeId> Cluster::AliveStocNodes() {
 }
 
 void Cluster::WireStoc(int index) {
+  stocs_[index]->client()->set_membership(coordinator_.membership());
   stocs_[index]->set_compaction_handler(
       [this, index](rdma::NodeId, const Slice& payload) -> std::string {
         lsm::CompactionJob job;
@@ -58,11 +60,12 @@ void Cluster::WireStoc(int index) {
           range_id =
               stoc::FileIdRange(job.inputs[0]->meta_replicas[0].file_id);
         }
-        lsm::TableCache cache(stoc_clients_[index].get());
+        stoc::StocClient* client = stocs_[index]->client();
+        lsm::TableCache cache(client);
         lsm::PlacementOptions p = options_.placement;
         p.stocs = AliveStocNodes();
         p.range_id = range_id;
-        lsm::SSTablePlacer placer(stoc_clients_[index].get(), p);
+        lsm::SSTablePlacer placer(client, p);
         lsm::CompactionExecutor exec(&cache, &placer,
                                      stocs_[index]->throttle());
         lsm::CompactionResult result;
@@ -106,9 +109,6 @@ void Cluster::Start() {
     stocs_.push_back(std::make_unique<stoc::StocServer>(
         &fabric_, StocNode(i), devices_.back().get(), stores_.back().get(),
         options_.stoc));
-    stoc_clients_.push_back(
-        std::make_unique<stoc::StocClient>(stocs_.back()->endpoint()));
-    stoc_clients_.back()->set_membership(coordinator_.membership());
     stoc_alive_.push_back(true);
     WireStoc(i);
     stocs_[i]->Start();
@@ -263,9 +263,6 @@ void Cluster::RestartStoc(int index) {
   stocs_[index] = std::make_unique<stoc::StocServer>(
       &fabric_, StocNode(index), devices_[index].get(),
       stores_[index].get(), options_.stoc);
-  stoc_clients_[index] =
-      std::make_unique<stoc::StocClient>(stocs_[index]->endpoint());
-  stoc_clients_[index]->set_membership(coordinator_.membership());
   WireStoc(index);
   stocs_[index]->Start();
   stoc_alive_[index] = true;
@@ -397,9 +394,6 @@ int Cluster::AddStoc() {
   stocs_.push_back(std::make_unique<stoc::StocServer>(
       &fabric_, StocNode(index), devices_.back().get(),
       stores_.back().get(), options_.stoc));
-  stoc_clients_.push_back(
-      std::make_unique<stoc::StocClient>(stocs_.back()->endpoint()));
-  stoc_clients_.back()->set_membership(coordinator_.membership());
   stoc_alive_.push_back(true);
   WireStoc(index);
   stocs_[index]->Start();
@@ -414,68 +408,46 @@ int Cluster::AddStoc() {
 
 Status Cluster::RemoveStocGraceful(int index) {
   rdma::NodeId node = StocNode(index);
+  // MANIFEST replicas are positional: replica r lives on a range's r-th
+  // StoC, and recovery reads it back by that position. Refuse before
+  // anything moves.
+  for (size_t l = 0; l < ltcs_.size(); l++) {
+    if (!ltc_alive_[l]) {
+      continue;
+    }
+    for (ltc::RangeEngine* engine : ltcs_[l]->ranges()) {
+      std::vector<rdma::NodeId> manifest = engine->ManifestStocs();
+      if (std::find(manifest.begin(), manifest.end(), node) !=
+          manifest.end()) {
+        return Status::InvalidArgument(
+            "StoC holds a MANIFEST replica of range " +
+            std::to_string(engine->options().range_id));
+      }
+    }
+  }
+  if (AliveStocNodes().size() <= 1) {
+    return Status::InvalidArgument("cannot remove the last StoC");
+  }
   // 1. No new placements on the departing StoC.
   stoc_alive_[index] = false;
   RefreshPlacements();
-  std::vector<rdma::NodeId> alive = AliveStocNodes();
-  if (alive.empty()) {
-    return Status::InvalidArgument("cannot remove the last StoC");
-  }
-  // 2. Copy every referenced block elsewhere and update file metadata
-  //    (Section 9: the LTC identifies fragments and instructs the source
-  //    StoC to copy them to destinations).
-  int rr = 0;
+  // 2. Once in-flight flushes and compactions have settled, every live
+  //    LTC's repair manager copies the StoC's pieces to other StoCs and
+  //    swaps each file's placement (Section 9: the LTC identifies the
+  //    fragments and the source StoC copies them to their destinations).
   for (size_t l = 0; l < ltcs_.size(); l++) {
     if (!ltc_alive_[l]) {
       continue;
     }
     for (ltc::RangeEngine* engine : ltcs_[l]->ranges()) {
       engine->WaitForQuiescence();
-      lsm::VersionRef v = engine->versions()->current();
-      for (int level = 0; level < v->num_levels(); level++) {
-        for (const auto& f : v->files(level)) {
-          lsm::FileMetaData updated = *f;
-          bool touched = false;
-          auto relocate = [&](lsm::BlockLocation* loc) -> Status {
-            if (loc->stoc_id != node) {
-              return Status::OK();
-            }
-            rdma::NodeId dst = alive[rr++ % alive.size()];
-            Status cs = ltcs_[l]->stoc_client()->CopyFileTo(
-                node, loc->file_id, dst);
-            if (!cs.ok()) {
-              return cs;
-            }
-            loc->stoc_id = dst;
-            touched = true;
-            return Status::OK();
-          };
-          for (auto& replicas : updated.fragments) {
-            for (auto& loc : replicas) {
-              Status cs = relocate(&loc);
-              if (!cs.ok()) return cs;
-            }
-          }
-          for (auto& loc : updated.meta_replicas) {
-            Status cs = relocate(&loc);
-            if (!cs.ok()) return cs;
-          }
-          if (updated.parity.valid()) {
-            Status cs = relocate(&updated.parity);
-            if (!cs.ok()) return cs;
-          }
-          if (touched) {
-            lsm::VersionEdit edit;
-            edit.deleted_files.emplace_back(level, f->number);
-            edit.new_files.emplace_back(level, updated);
-            Status es = engine->versions()->LogAndApply(&edit);
-            if (!es.ok()) {
-              return es;
-            }
-            engine->table_cache()->Evict(f->number);
-          }
-        }
-      }
+    }
+    Status s = ltcs_[l]->repair_manager()->Drain(node);
+    if (!s.ok()) {
+      // The StoC keeps running and takes placements again.
+      stoc_alive_[index] = true;
+      RefreshPlacements();
+      return s;
     }
   }
   // 3. Shut the StoC down.

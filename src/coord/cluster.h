@@ -73,7 +73,10 @@ class Cluster {
   Status MigrateRange(uint32_t range_id, int dst_ltc, int recovery_threads);
   /// Add a new StoC (elastic scale-out); new SSTables use it immediately.
   int AddStoc();
-  /// Gracefully remove a StoC: its blocks are copied elsewhere first.
+  /// Gracefully remove a StoC: every LTC's repair manager drains its
+  /// SSTable pieces onto the other StoCs first. Refused, with nothing
+  /// moved, when the StoC holds a MANIFEST replica of any range (those are
+  /// positional); a failed drain leaves the StoC in service.
   Status RemoveStocGraceful(int index);
   /// Delete files on a (re-added) StoC that no range references anymore.
   Status GcStocFiles(int index);
@@ -108,8 +111,6 @@ class Cluster {
   std::vector<std::unique_ptr<SimulatedDevice>> devices_;
   std::vector<std::unique_ptr<BlockStore>> stores_;
   std::vector<std::unique_ptr<stoc::StocServer>> stocs_;
-  std::vector<std::unique_ptr<rdma::RpcEndpoint>> stoc_client_endpoints_;
-  std::vector<std::unique_ptr<stoc::StocClient>> stoc_clients_;
   std::vector<bool> stoc_alive_;
 
   std::vector<std::unique_ptr<ltc::LtcServer>> ltcs_;

@@ -49,6 +49,27 @@ struct FileMetaData {
 
 using FileMetaRef = std::shared_ptr<FileMetaData>;
 
+/// What one stored piece of an SSTable holds.
+enum class PieceKind { kFragment, kMeta, kParity };
+
+/// The one walk over an SSTable's stored pieces: fn(kind, fragment, loc)
+/// for every replica of every data fragment (fragment = its index), every
+/// metadata replica, then the parity block (fragment = -1 for both).
+/// Locations a failed write never filled in, and the parity when off, are
+/// skipped. With a non-const meta, fn may rewrite loc.
+template <typename Meta, typename Fn>
+void ForEachPiece(Meta& meta, Fn&& fn) {
+  for (size_t f = 0; f < meta.fragments.size(); f++) {
+    for (auto& loc : meta.fragments[f]) {
+      if (loc.valid()) fn(PieceKind::kFragment, static_cast<int>(f), loc);
+    }
+  }
+  for (auto& loc : meta.meta_replicas) {
+    if (loc.valid()) fn(PieceKind::kMeta, -1, loc);
+  }
+  if (meta.parity.valid()) fn(PieceKind::kParity, -1, meta.parity);
+}
+
 }  // namespace lsm
 }  // namespace nova
 

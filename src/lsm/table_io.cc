@@ -10,6 +10,13 @@
 namespace nova {
 namespace lsm {
 
+void XorInto(std::string* acc, const Slice& data) {
+  size_t n = std::min(acc->size(), data.size());
+  for (size_t i = 0; i < n; i++) {
+    (*acc)[i] ^= data[i];
+  }
+}
+
 Status StocBlockFetcher::ReadFragment(int fragment, uint64_t offset,
                                       uint64_t size, std::string* out) {
   // Power-of-d replica selection + hedging live in the client: the read
@@ -55,10 +62,7 @@ Status StocBlockFetcher::ReconstructFromParity(int fragment,
   }
   std::string acc = std::move(reads[0].data);
   for (size_t i = 1; i < reads.size(); i++) {
-    const std::string& other = reads[i].data;
-    for (size_t j = 0; j < other.size() && j < acc.size(); j++) {
-      acc[j] ^= other[j];
-    }
+    XorInto(&acc, reads[i].data);
   }
   acc.resize(meta_->fragment_sizes[fragment]);
   *full_fragment = std::move(acc);
@@ -388,16 +392,9 @@ Status PendingSSTable::Wait(FileMetaData* out) {
 }
 
 void SSTablePlacer::Delete(const FileMetaData& meta) {
-  std::vector<BlockLocation> locations = meta.meta_replicas;
-  for (const auto& replicas : meta.fragments) {
-    locations.insert(locations.end(), replicas.begin(), replicas.end());
-  }
-  locations.push_back(meta.parity);
-  for (const BlockLocation& loc : locations) {
-    if (loc.valid()) {
-      client_->DeleteFile(loc.stoc_id, loc.file_id, /*in_memory=*/false);
-    }
-  }
+  ForEachPiece(meta, [this](PieceKind, int, const BlockLocation& loc) {
+    client_->DeleteFile(loc.stoc_id, loc.file_id, /*in_memory=*/false);
+  });
 }
 
 Status SSTablePlacer::Write(SSTableBuilder::Result&& built, int drange_id,
@@ -472,9 +469,8 @@ Status SSTablePlacer::StartWrite(SSTableBuilder::Result&& built,
     parity.assign(max_frag, '\0');
     uint64_t off = 0;
     for (int f = 0; f < nfrags; f++) {
-      for (uint64_t i = 0; i < tmeta.fragment_sizes[f]; i++) {
-        parity[i] ^= state->data[off + i];
-      }
+      XorInto(&parity, Slice(state->data.data() + off,
+                             tmeta.fragment_sizes[f]));
       off += tmeta.fragment_sizes[f];
     }
     // Prefer a StoC not already hosting a fragment.

@@ -32,6 +32,11 @@
 namespace nova {
 namespace lsm {
 
+/// XOR data into the front of *acc. The parity block is the XOR of every
+/// data fragment zero-padded to the longest, so this one loop builds it
+/// and recovers a lost fragment (parity XOR every other fragment).
+void XorInto(std::string* acc, const Slice& data);
+
 class StocBlockFetcher : public BlockFetcher {
  public:
   StocBlockFetcher(stoc::StocClient* client, FileMetaRef meta)

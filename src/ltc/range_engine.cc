@@ -1164,39 +1164,43 @@ void RangeEngine::DeleteFileBlocks(const lsm::FileMetaData& meta) {
   placer_->Delete(meta);
 }
 
+std::vector<rdma::NodeId> RangeEngine::ManifestStocs() const {
+  size_t replicas = std::min<size_t>(std::max(1, options_.manifest_replicas),
+                                     stocs_.size());
+  return std::vector<rdma::NodeId>(stocs_.begin(), stocs_.begin() + replicas);
+}
+
 Status RangeEngine::ManifestAppend(const Slice& record) {
   std::string framed;
   PutFixed32(&framed, static_cast<uint32_t>(record.size()));
   framed.append(record.data(), record.size());
   int ok_count = 0;
-  int replicas = std::min<int>(std::max(1, options_.manifest_replicas),
-                               static_cast<int>(stocs_.size()));
-  for (int r = 0; r < replicas; r++) {
+  std::vector<rdma::NodeId> stocs = ManifestStocs();
+  for (size_t r = 0; r < stocs.size(); r++) {
     uint64_t file_id =
         stoc::MakeFileId(options_.range_id, 0, stoc::FileKind::kManifest,
                          static_cast<uint8_t>(r));
     stoc::StocBlockHandle handle;
-    Status s = client_->AppendBlock(stocs_[r], file_id, framed, &handle);
+    Status s = client_->AppendBlock(stocs[r], file_id, framed, &handle);
     if (s.ok()) {
       ok_count++;
     }
   }
-  if (ok_count == 0 && !stocs_.empty()) {
+  if (ok_count == 0 && !stocs.empty()) {
     return Status::IOError("no manifest replica reachable");
   }
   return Status::OK();
 }
 
 Status RangeEngine::ReadManifestRecords(std::vector<std::string>* records) {
-  int replicas = std::min<int>(std::max(1, options_.manifest_replicas),
-                               static_cast<int>(stocs_.size()));
+  std::vector<rdma::NodeId> stocs = ManifestStocs();
   std::vector<std::string> best;
-  for (int r = 0; r < replicas; r++) {
+  for (size_t r = 0; r < stocs.size(); r++) {
     uint64_t file_id =
         stoc::MakeFileId(options_.range_id, 0, stoc::FileKind::kManifest,
                          static_cast<uint8_t>(r));
     std::string contents;
-    if (!client_->ReadBlock(stocs_[r], file_id, 0, 0, &contents).ok()) {
+    if (!client_->ReadBlock(stocs[r], file_id, 0, 0, &contents).ok()) {
       continue;  // stale or unreachable replica
     }
     std::vector<std::string> parsed;

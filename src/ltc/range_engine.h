@@ -266,6 +266,9 @@ class RangeEngine {
   LookupIndex* lookup_index() { return &lookup_index_; }
   RangeIndex* range_index() { return range_index_.get(); }
   lsm::SSTablePlacer* placer() { return placer_.get(); }
+  /// The StoCs holding this range's MANIFEST replicas: replica r lives on
+  /// the range's r-th StoC, so they cannot move.
+  std::vector<rdma::NodeId> ManifestStocs() const;
   const RangeEngineOptions& options() const { return options_; }
   int num_memtables();
   uint64_t l0_bytes() const { return l0_bytes_.load(); }

@@ -1,9 +1,8 @@
 #include "ltc/repair_manager.h"
 
 #include <algorithm>
-#include <chrono>
 
-#include "stoc/stoc_common.h"
+#include "lsm/table_io.h"
 #include "util/logging.h"
 
 namespace nova {
@@ -13,32 +12,73 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Drain passes in a row that may find every remaining file held by a
+/// compaction before the drain gives up (each waits a scan interval).
+constexpr int kMaxIdleDrainPasses = 200;
+
 uint64_t ElapsedUs(Clock::time_point start) {
   return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                start)
       .count();
 }
 
-bool IsDead(const std::vector<rdma::NodeId>& dead, int32_t stoc) {
-  return std::find(dead.begin(), dead.end(), stoc) != dead.end();
+bool Contains(const std::vector<rdma::NodeId>& nodes, int32_t stoc) {
+  return std::find(nodes.begin(), nodes.end(), stoc) != nodes.end();
 }
 
-/// Lost pieces a file has on the given dead StoCs (the cheap
-/// metadata-only pass that publishes the degraded gauge before any
-/// repair I/O starts).
-int CountDegraded(const lsm::FileMetaData& meta,
-                  const std::vector<rdma::NodeId>& dead) {
+/// Pieces of a file stored on a StoC in `from`.
+int PiecesOn(const lsm::FileMetaData& meta,
+             const std::vector<rdma::NodeId>& from) {
   int n = 0;
-  for (const auto& replicas : meta.fragments) {
-    for (const auto& loc : replicas) {
-      if (IsDead(dead, loc.stoc_id)) n++;
+  lsm::ForEachPiece(meta,
+                    [&](lsm::PieceKind, int, const lsm::BlockLocation& loc) {
+                      n += Contains(from, loc.stoc_id);
+                    });
+  return n;
+}
+
+/// Calls fn(engine, file) for every live file of every engine, each
+/// engine's files from one version snapshot, until fn returns false.
+template <typename Fn>
+void ForEachLiveFile(const std::vector<RangeEngine*>& engines, Fn&& fn) {
+  for (RangeEngine* engine : engines) {
+    lsm::VersionRef v = engine->versions()->current();
+    for (int level = 0; level < v->num_levels(); level++) {
+      for (const auto& f : v->files(level)) {
+        if (!fn(engine, f)) {
+          return;
+        }
+      }
     }
   }
-  for (const auto& loc : meta.meta_replicas) {
-    if (IsDead(dead, loc.stoc_id)) n++;
+}
+
+/// The StoCs a re-homed piece must avoid: every StoC holding a copy of
+/// the same bytes. For parity that is the parity block itself plus every
+/// fragment it covers (a preference the caller may relax).
+std::vector<rdma::NodeId> CopyStocs(const lsm::FileMetaData& meta,
+                                    lsm::PieceKind kind, int fragment) {
+  std::vector<rdma::NodeId> stocs;
+  auto add = [&stocs](const std::vector<lsm::BlockLocation>& copies) {
+    for (const lsm::BlockLocation& loc : copies) {
+      stocs.push_back(loc.stoc_id);
+    }
+  };
+  switch (kind) {
+    case lsm::PieceKind::kFragment:
+      add(meta.fragments[fragment]);
+      break;
+    case lsm::PieceKind::kMeta:
+      add(meta.meta_replicas);
+      break;
+    case lsm::PieceKind::kParity:
+      stocs.push_back(meta.parity.stoc_id);
+      for (const auto& replicas : meta.fragments) {
+        add(replicas);
+      }
+      break;
   }
-  if (meta.parity.valid() && IsDead(dead, meta.parity.stoc_id)) n++;
-  return n;
+  return stocs;
 }
 
 }  // namespace
@@ -47,10 +87,7 @@ RepairManager::RepairManager(
     stoc::StocClient* client,
     std::function<std::vector<RangeEngine*>()> engines,
     const RepairOptions& options)
-    : client_(client),
-      engines_(std::move(engines)),
-      options_(options),
-      budget_refilled_(Clock::now()) {}
+    : client_(client), engines_(std::move(engines)), options_(options) {}
 
 RepairManager::~RepairManager() { Stop(); }
 
@@ -101,23 +138,20 @@ void RepairManager::ScanOnce() {
     return;
   }
   std::vector<rdma::NodeId> dead = membership->DeadNodes();
+  std::vector<RangeEngine*> engines = engines_();
+  std::lock_guard<std::mutex> l(mu_);
   if (dead.empty()) {
     PublishDegraded(0);
     return;
   }
-  std::vector<RangeEngine*> engines = engines_();
 
   // Pass 1 (metadata only): publish the degraded gauge before repair I/O
   // starts, so pollers observe the peak even when repair is fast.
   uint64_t found = 0;
-  for (RangeEngine* engine : engines) {
-    lsm::VersionRef v = engine->versions()->current();
-    for (int level = 0; level < v->num_levels(); level++) {
-      for (const auto& f : v->files(level)) {
-        found += CountDegraded(*f, dead);
-      }
-    }
-  }
+  ForEachLiveFile(engines, [&](RangeEngine*, const lsm::FileMetaRef& f) {
+    found += PiecesOn(*f, dead);
+    return true;
+  });
   if (found > 0 && !window_open_) {
     window_open_ = true;
     window_start_ = Clock::now();
@@ -127,81 +161,95 @@ void RepairManager::ScanOnce() {
     return;
   }
 
-  // Pass 2: repair file by file. Each file's pieces are rebuilt from
-  // survivors and the new placement swapped in atomically; a file that
-  // cannot be repaired yet (compaction claim, no healthy target, budget
-  // withdrawn mid-scan) simply stays degraded until the next scan.
+  // Pass 2: repair file by file. A file that cannot be repaired yet
+  // (compaction claim, no healthy target) simply stays degraded until the
+  // next scan.
   uint64_t remaining = found;
-  for (RangeEngine* engine : engines) {
-    lsm::VersionRef v = engine->versions()->current();
-    for (int level = 0; level < v->num_levels(); level++) {
-      for (const auto& f : v->files(level)) {
-        if (CountDegraded(*f, dead) == 0) {
-          continue;
-        }
-        FileRepairOutcome outcome = RepairFile(engine, f, dead);
-        remaining -= std::min<uint64_t>(remaining, outcome.repaired);
-        PublishDegraded(remaining);
-        if (!running_.load(std::memory_order_relaxed) &&
-            thread_.joinable()) {
-          return;  // Stop() requested mid-scan
-        }
-      }
-    }
-  }
+  ForEachLiveFile(engines, [&](RangeEngine* engine,
+                               const lsm::FileMetaRef& f) {
+    FileOutcome outcome = RepairFile(engine, f, dead);
+    repaired_fragments_.fetch_add(outcome.moved, std::memory_order_relaxed);
+    repaired_bytes_.fetch_add(outcome.rebuilt_bytes,
+                              std::memory_order_relaxed);
+    remaining -= std::min<uint64_t>(remaining, outcome.moved);
+    PublishDegraded(remaining);
+    // Stop() requested mid-scan ends the walk.
+    return running_.load(std::memory_order_relaxed) || !thread_.joinable();
+  });
 }
 
-Status RepairManager::FetchFragment(const lsm::FileMetaData& meta,
-                                    int fragment, std::string* out) {
-  // Surviving replicas first (cheap path)...
-  std::vector<stoc::GatherRead::Target> targets;
-  for (const lsm::BlockLocation& loc : meta.fragments[fragment]) {
-    if (client_->IsRoutable(loc.stoc_id)) {
-      targets.push_back({loc.stoc_id, loc.file_id});
+Status RepairManager::Drain(rdma::NodeId stoc) {
+  const std::vector<rdma::NodeId> from = {stoc};
+  for (int idle = 0; idle < kMaxIdleDrainPasses;) {
+    int found = 0;
+    int moved = 0;
+    Status stranded;  // a piece with no StoC free of its other copies
+    std::vector<RangeEngine*> engines = engines_();
+    {
+      std::lock_guard<std::mutex> l(mu_);
+      ForEachLiveFile(engines, [&](RangeEngine* engine,
+                                   const lsm::FileMetaRef& f) {
+        FileOutcome outcome = RepairFile(engine, f, from);
+        found += outcome.found;
+        moved += outcome.moved;
+        if (outcome.no_target) {
+          stranded = Status::Unavailable(
+              "no StoC free of the other copies of a piece of file " +
+              std::to_string(f->number));
+        }
+        return stranded.ok();
+      });
+    }
+    if (!stranded.ok()) {
+      return stranded;
+    }
+    if (found == 0) {
+      return Status::OK();
+    }
+    // What is left is held by a compaction (Busy: retried), retired by one
+    // (NotFound: gone from the next snapshot), or failed to copy.
+    idle = moved > 0 ? 0 : idle + 1;
+    if (moved < found) {
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(options_.scan_interval_ms));
     }
   }
-  if (!targets.empty()) {
-    Status s = client_->ReadReplicated(targets, 0,
-                                       meta.fragment_sizes[fragment], out);
-    if (s.ok()) {
-      return s;
+  return Status::Busy("drain made no progress: files stay claimed");
+}
+
+Status RepairManager::RebuildPiece(const lsm::FileMetaRef& file,
+                                   lsm::PieceKind kind, int fragment,
+                                   std::string* out) {
+  // Fragments come through the read path: replica failover, then parity.
+  lsm::StocBlockFetcher fetcher(client_, file);
+  switch (kind) {
+    case lsm::PieceKind::kFragment:
+      return fetcher.Fetch(fragment, 0, file->fragment_sizes[fragment], out);
+    case lsm::PieceKind::kMeta: {
+      std::vector<stoc::GatherRead::Target> replicas;
+      for (const lsm::BlockLocation& loc : file->meta_replicas) {
+        replicas.push_back({loc.stoc_id, loc.file_id});
+      }
+      return client_->ReadReplicated(replicas, 0, 0, out);
+    }
+    case lsm::PieceKind::kParity: {
+      uint64_t longest = 0;
+      for (uint64_t size : file->fragment_sizes) {
+        longest = std::max(longest, size);
+      }
+      out->assign(longest, '\0');
+      for (int f = 0; f < static_cast<int>(file->fragments.size()); f++) {
+        std::string data;
+        Status s = fetcher.Fetch(f, 0, file->fragment_sizes[f], &data);
+        if (!s.ok()) {
+          return s;
+        }
+        lsm::XorInto(out, data);
+      }
+      return Status::OK();
     }
   }
-  // ... else rebuild from parity + the other fragments in one gather
-  // (mirrors StocBlockFetcher::ReconstructFromParity).
-  if (!meta.parity.valid()) {
-    return Status::Unavailable("fragment lost and no parity block");
-  }
-  std::vector<stoc::GatherRead> reads;
-  reads.emplace_back();
-  reads.back().replicas.push_back({meta.parity.stoc_id, meta.parity.file_id});
-  for (int f = 0; f < static_cast<int>(meta.fragments.size()); f++) {
-    if (f == fragment) {
-      continue;
-    }
-    reads.emplace_back();
-    reads.back().size = meta.fragment_sizes[f];
-    for (const lsm::BlockLocation& loc : meta.fragments[f]) {
-      reads.back().replicas.push_back({loc.stoc_id, loc.file_id});
-    }
-  }
-  Status s = client_->GatherReads(&reads);
-  if (!s.ok()) {
-    return !reads[0].status.ok()
-               ? reads[0].status
-               : Status::Unavailable("second fragment loss; parity "
-                                     "insufficient for repair");
-  }
-  std::string acc = std::move(reads[0].data);
-  for (size_t i = 1; i < reads.size(); i++) {
-    const std::string& other = reads[i].data;
-    for (size_t j = 0; j < other.size() && j < acc.size(); j++) {
-      acc[j] ^= other[j];
-    }
-  }
-  acc.resize(meta.fragment_sizes[fragment]);
-  *out = std::move(acc);
-  return Status::OK();
+  return Status::InvalidArgument("unknown piece kind");
 }
 
 rdma::NodeId RepairManager::PickTarget(
@@ -210,213 +258,93 @@ rdma::NodeId RepairManager::PickTarget(
   if (candidates.empty()) {
     return -1;
   }
-  // Rotate the starting point so repair load spreads across the healthy
-  // StoCs instead of piling onto the first one.
+  // Rotate the starting point so re-homed pieces spread across the
+  // healthy StoCs instead of piling onto the first one.
   size_t start = rr_seed_++ % candidates.size();
   for (size_t i = 0; i < candidates.size(); i++) {
     rdma::NodeId n = candidates[(start + i) % candidates.size()];
-    if (!client_->IsRoutable(n)) {
-      continue;
+    if (client_->IsRoutable(n) && !Contains(exclude, n)) {
+      return n;
     }
-    if (std::find(exclude.begin(), exclude.end(), n) != exclude.end()) {
-      continue;
-    }
-    return n;
   }
   return -1;
 }
 
-bool RepairManager::WaitForBudget(uint64_t bytes) {
-  if (options_.bandwidth_bytes_per_sec == 0) {
-    return true;
-  }
-  double rate = static_cast<double>(options_.bandwidth_bytes_per_sec);
-  auto refill = [&] {
-    Clock::time_point now = Clock::now();
-    double secs = std::chrono::duration<double>(now - budget_refilled_).count();
-    // Burst cap of one second of budget; debt from an oversized piece is
-    // paid down over subsequent refills, so pieces larger than the cap
-    // still eventually go through instead of deadlocking.
-    budget_bytes_ = std::min(budget_bytes_ + secs * rate, rate);
-    budget_refilled_ = now;
-  };
-  refill();
-  while (budget_bytes_ < 0) {
-    if (thread_.joinable() && !running_.load(std::memory_order_relaxed)) {
-      return false;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    refill();
-  }
-  budget_bytes_ -= static_cast<double>(bytes);
-  return true;
-}
-
-RepairManager::FileRepairOutcome RepairManager::RepairFile(
+RepairManager::FileOutcome RepairManager::RepairFile(
     RangeEngine* engine, const lsm::FileMetaRef& file,
-    const std::vector<rdma::NodeId>& dead) {
-  FileRepairOutcome outcome;
+    const std::vector<rdma::NodeId>& from) {
+  FileOutcome outcome;
+  if (PiecesOn(*file, from) == 0) {
+    return outcome;
+  }
   lsm::FileMetaData updated = *file;
   const std::vector<rdma::NodeId> candidates =
       engine->placer()->options().stocs;
-  // Newly written replacement blocks, rolled back if the swap fails so a
-  // retried repair never appends a second copy into the same StoC file.
-  std::vector<std::pair<rdma::NodeId, uint64_t>> written;
-  uint64_t bytes_written = 0;
-  int repaired = 0;
-  bool skipped = false;
+  // Copies written so far, deleted again if the swap fails so a retry
+  // never appends a second copy into the same StoC file.
+  std::vector<lsm::BlockLocation> written;
 
-  auto write_piece = [&](rdma::NodeId target, uint64_t file_id,
-                         const std::string& data) {
-    if (!WaitForBudget(data.size())) {
-      return false;
+  lsm::ForEachPiece(updated, [&](lsm::PieceKind kind, int fragment,
+                                 lsm::BlockLocation& loc) {
+    if (!Contains(from, loc.stoc_id)) {
+      return;
     }
-    // Clear any partial block a previously failed repair attempt left
-    // behind under this id (idempotence), then write the replacement.
-    client_->DeleteFile(target, file_id, false);
-    stoc::StocBlockHandle handle;
-    Status s = client_->AppendBlock(target, file_id, data, &handle);
-    if (!s.ok()) {
-      return false;
+    outcome.found++;
+    rdma::NodeId target =
+        PickTarget(candidates, CopyStocs(updated, kind, fragment));
+    if (target < 0 && kind == lsm::PieceKind::kParity) {
+      // Co-locating parity with a fragment beats leaving it behind.
+      target = PickTarget(candidates, {loc.stoc_id});
     }
-    written.emplace_back(target, file_id);
-    bytes_written += data.size();
-    return true;
-  };
-
-  // Data fragments: every lost replica of fragment f gets the fragment
-  // bytes (fetched once) rewritten to a healthy StoC not already holding
-  // a copy of the same fragment.
-  for (int f = 0; f < static_cast<int>(updated.fragments.size()); f++) {
-    std::string data;
-    bool fetched = false;
-    for (int r = 0; r < static_cast<int>(updated.fragments[f].size()); r++) {
-      lsm::BlockLocation& loc = updated.fragments[f][r];
-      if (!IsDead(dead, loc.stoc_id)) {
-        continue;
-      }
-      outcome.degraded++;
-      if (!fetched) {
-        Status s = FetchFragment(updated, f, &data);
-        if (!s.ok()) {
-          NOVA_WARN("repair: fragment %d of file %llu unrecoverable: %s", f,
-                    (unsigned long long)updated.number, s.ToString().c_str());
-          skipped = true;
-          break;  // nothing to write for this fragment's lost replicas
-        }
-        fetched = true;
-      }
-      std::vector<rdma::NodeId> exclude;
-      for (const lsm::BlockLocation& other : updated.fragments[f]) {
-        exclude.push_back(other.stoc_id);
-      }
-      rdma::NodeId target = PickTarget(candidates, exclude);
-      if (target < 0 || !write_piece(target, loc.file_id, data)) {
-        skipped = true;
-        continue;
-      }
-      loc = {target, loc.file_id};
-      repaired++;
+    if (target < 0) {
+      outcome.no_target = true;
+      return;
     }
-  }
-
-  // Metadata replicas: rebuilt from any surviving replica (they are
-  // identical copies of the index + bloom block).
-  {
-    std::string meta_block;
-    bool fetched = false;
-    for (int r = 0; r < static_cast<int>(updated.meta_replicas.size()); r++) {
-      lsm::BlockLocation& loc = updated.meta_replicas[r];
-      if (!IsDead(dead, loc.stoc_id)) {
-        continue;
-      }
-      outcome.degraded++;
-      if (!fetched) {
-        std::vector<stoc::GatherRead::Target> survivors;
-        for (const lsm::BlockLocation& other : updated.meta_replicas) {
-          if (!IsDead(dead, other.stoc_id)) {
-            survivors.push_back({other.stoc_id, other.file_id});
-          }
-        }
-        if (survivors.empty() ||
-            !client_->ReadReplicated(survivors, 0, 0, &meta_block).ok()) {
-          skipped = true;
-          break;
-        }
-        fetched = true;
-      }
-      std::vector<rdma::NodeId> exclude;
-      for (const lsm::BlockLocation& other : updated.meta_replicas) {
-        exclude.push_back(other.stoc_id);
-      }
-      rdma::NodeId target = PickTarget(candidates, exclude);
-      if (target < 0 || !write_piece(target, loc.file_id, meta_block)) {
-        skipped = true;
-        continue;
-      }
-      loc = {target, loc.file_id};
-      repaired++;
-    }
-  }
-
-  // Parity: recomputed as the XOR of all data fragments, zero-padded to
-  // the longest (exactly how the placer built it).
-  if (updated.parity.valid() && IsDead(dead, updated.parity.stoc_id)) {
-    outcome.degraded++;
-    uint64_t max_frag = 0;
-    for (uint64_t fs : updated.fragment_sizes) {
-      max_frag = std::max(max_frag, fs);
-    }
-    std::string parity(max_frag, '\0');
-    bool ok = true;
-    for (int f = 0; f < static_cast<int>(updated.fragments.size()); f++) {
-      std::string data;
-      if (!FetchFragment(updated, f, &data).ok()) {
-        ok = false;
-        break;
-      }
-      for (size_t j = 0; j < data.size(); j++) {
-        parity[j] ^= data[j];
-      }
-    }
-    std::vector<rdma::NodeId> exclude;
-    for (const auto& replicas : updated.fragments) {
-      for (const lsm::BlockLocation& other : replicas) {
-        exclude.push_back(other.stoc_id);
-      }
-    }
-    rdma::NodeId target = ok ? PickTarget(candidates, exclude) : -1;
-    if (target < 0 && ok) {
-      // Co-locating parity with a fragment beats leaving it lost.
-      target = PickTarget(candidates, {});
-    }
-    if (!ok || target < 0 ||
-        !write_piece(target, updated.parity.file_id, parity)) {
-      skipped = true;
+    // Clear any partial copy a failed earlier attempt left under this id.
+    client_->DeleteFile(target, loc.file_id, false);
+    Status s;
+    if (client_->IsRoutable(loc.stoc_id)) {
+      s = client_->CopyFileTo(loc.stoc_id, loc.file_id, target);
     } else {
-      updated.parity = {target, updated.parity.file_id};
-      repaired++;
+      std::string data;
+      s = RebuildPiece(file, kind, fragment, &data);
+      stoc::StocBlockHandle handle;
+      if (s.ok()) {
+        s = client_->AppendBlock(target, loc.file_id, data, &handle);
+      }
+      if (s.ok()) {
+        outcome.rebuilt_bytes += data.size();
+      }
     }
-  }
+    if (!s.ok()) {
+      NOVA_WARN("repair: piece of file %llu not moved off StoC %d: %s",
+                (unsigned long long)updated.number, loc.stoc_id,
+                s.ToString().c_str());
+      return;
+    }
+    written.push_back({target, loc.file_id});
+    loc.stoc_id = target;
+    outcome.moved++;
+  });
 
-  if (repaired == 0) {
+  if (outcome.moved == 0) {
     return outcome;
   }
   Status s = engine->SwapFileMeta(updated);
   if (!s.ok()) {
-    // Compaction holds the file (Busy) or already retired it (NotFound):
-    // roll the fresh blocks back and let the next scan decide.
-    for (const auto& [stoc, file_id] : written) {
-      client_->DeleteFile(stoc, file_id, false);
+    // A compaction holds the file (Busy) or already retired it
+    // (NotFound): delete the fresh copies and let the caller decide.
+    for (const lsm::BlockLocation& loc : written) {
+      client_->DeleteFile(loc.stoc_id, loc.file_id, false);
     }
+    outcome.moved = 0;
+    outcome.rebuilt_bytes = 0;
     return outcome;
   }
-  outcome.repaired = repaired;
-  repaired_fragments_.fetch_add(repaired, std::memory_order_relaxed);
-  repaired_bytes_.fetch_add(bytes_written, std::memory_order_relaxed);
-  if (skipped) {
-    NOVA_WARN("repair: file %llu partially repaired (%d of %d pieces)",
-              (unsigned long long)updated.number, repaired, outcome.degraded);
+  if (outcome.moved < outcome.found) {
+    NOVA_WARN("repair: file %llu partially re-homed (%d of %d pieces)",
+              (unsigned long long)updated.number, outcome.moved,
+              outcome.found);
   }
   return outcome;
 }

@@ -1,22 +1,31 @@
-// RepairManager (ISSUE 9 tentpole, layer 2): automatic re-replication.
+// RepairManager: moves SSTable pieces off a StoC (paper Sections 4.4, 9).
 //
-// A background scan walks every hosted range's current Version looking for
-// fragment / metadata / parity replicas placed on StoCs the membership has
-// declared dead. Each lost piece is rebuilt from the surviving copies
-// (replica read, or a parity XOR gather when every replica of a data
-// fragment is gone), written to a healthy StoC under a bounded
-// repair-bandwidth budget, and the file's placement metadata is swapped
-// atomically through RangeEngine::SwapFileMeta — so post-repair reads take
-// the normal (non-parity) path again without any operator action.
+// One per-file path re-homes every fragment replica, metadata replica and
+// parity block a file stores on a given set of StoCs. Each piece goes to a
+// routable StoC that holds no other copy of the same bytes (parity may
+// share a StoC with a fragment when nothing else is left), and the file's
+// new placement is swapped in atomically through RangeEngine::SwapFileMeta,
+// so reads take the normal (non-parity) path again.
 //
-// The scan is driven by the death verdict only (Membership::DeadNodes):
-// suspect nodes may still come back, and re-replicating on every blip
-// would waste the bandwidth budget the verdict exists to protect.
+// Only the source of a piece's bytes varies. A piece whose StoC still
+// answers is copied StoC-to-StoC (StocClient::CopyFileTo, Section 9); a
+// piece on a StoC that does not is rebuilt from the surviving copies: a
+// replica read, or a parity XOR when every replica of a data fragment is
+// gone (the read path's StocBlockFetcher).
+//
+// Two callers share the path:
+//  * The background scan repairs pieces on StoCs the membership has
+//    declared dead (Membership::DeadNodes; suspects may still come back).
+//  * Drain moves every piece off a StoC being removed gracefully.
+// Both run under one mutex and take their version snapshot inside it, so
+// two re-homings of one file cannot overwrite each other's swap.
 #ifndef NOVA_LTC_REPAIR_MANAGER_H_
 #define NOVA_LTC_REPAIR_MANAGER_H_
 
 #include <atomic>
+#include <chrono>
 #include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -27,12 +36,10 @@ namespace nova {
 namespace ltc {
 
 struct RepairOptions {
+  /// Run the background scan (Drain works either way).
   bool enabled = true;
-  /// Token-bucket cap on repair write bytes per second. 0 = unlimited.
-  /// Repair competes with foreground traffic for StoC disk bandwidth;
-  /// the budget keeps MTTR bounded without starving client writes.
-  uint64_t bandwidth_bytes_per_sec = 0;
-  /// How often the scan thread looks for degraded files.
+  /// How often the scan thread looks for degraded files, and how long a
+  /// drain waits before retrying files a compaction holds.
   int scan_interval_ms = 50;
 };
 
@@ -68,28 +75,35 @@ class RepairManager {
   /// so tests and benchmarks can drive repair deterministically).
   void ScanOnce();
 
+  /// Re-home every piece the hosted ranges store on `stoc`, retrying files
+  /// a compaction holds, until no live file references it. Fails without
+  /// co-locating copies when a piece has no StoC free of its other
+  /// copies, and fails rather than spin when a retried file stays held.
+  /// Drained pieces are not repairs: no repair counter or gauge moves.
+  Status Drain(rdma::NodeId stoc);
+
   RepairStats stats() const;
 
  private:
-  struct FileRepairOutcome {
-    int degraded = 0;  // lost pieces found in this file
-    int repaired = 0;  // pieces re-replicated and swapped in
+  struct FileOutcome {
+    int found = 0;  // pieces stored on a StoC being moved off
+    int moved = 0;  // pieces re-homed and swapped in
+    uint64_t rebuilt_bytes = 0;  // bytes written from rebuilt pieces
+    bool no_target = false;  // a piece had no StoC free of its copies
   };
 
   void Loop();
-  /// Repair every lost piece of one file; returns what it found/fixed.
-  FileRepairOutcome RepairFile(RangeEngine* engine,
-                               const lsm::FileMetaRef& file,
-                               const std::vector<rdma::NodeId>& dead);
-  /// Read the full bytes of data fragment `fragment`, from a surviving
-  /// replica if any, else by parity reconstruction.
-  Status FetchFragment(const lsm::FileMetaData& meta, int fragment,
-                       std::string* out);
-  /// Pick a healthy target StoC not in `exclude`; -1 if none.
+  /// Re-home every piece of one file stored on a StoC in `from`, then
+  /// swap the new placement in (the written copies are deleted if the
+  /// swap fails). Requires mu_.
+  FileOutcome RepairFile(RangeEngine* engine, const lsm::FileMetaRef& file,
+                         const std::vector<rdma::NodeId>& from);
+  /// Rebuild one piece's bytes from the surviving copies of `file`.
+  Status RebuildPiece(const lsm::FileMetaRef& file, lsm::PieceKind kind,
+                      int fragment, std::string* out);
+  /// Pick a routable target StoC not in `exclude`; -1 if none.
   rdma::NodeId PickTarget(const std::vector<rdma::NodeId>& candidates,
                           const std::vector<rdma::NodeId>& exclude);
-  /// Block until the token bucket covers `bytes` (or stopping).
-  bool WaitForBudget(uint64_t bytes);
   /// Publish the degraded-pieces gauge. Publishing zero first closes an
   /// open repair window, so a poller that sees the gauge at zero also
   /// sees the window's time in repair_us.
@@ -102,20 +116,18 @@ class RepairManager {
   std::atomic<bool> running_{false};
   std::thread thread_;
 
-  // Token bucket (only touched by the scan thread / ScanOnce callers).
-  double budget_bytes_ = 0;
-  std::chrono::steady_clock::time_point budget_refilled_{};
-
+  /// Serializes scans and drain passes; guards the fields below it.
+  std::mutex mu_;
   // Measured repair window: opened when a scan first sees degraded
   // pieces, closed by the first scan that sees none.
   bool window_open_ = false;
   std::chrono::steady_clock::time_point window_start_{};
+  uint64_t rr_seed_ = 0x5eedbeef;
 
   std::atomic<uint64_t> degraded_fragments_{0};
   std::atomic<uint64_t> repaired_fragments_{0};
   std::atomic<uint64_t> repaired_bytes_{0};
   std::atomic<uint64_t> repair_us_{0};
-  uint64_t rr_seed_ = 0x5eedbeef;
 };
 
 }  // namespace ltc

@@ -30,6 +30,7 @@ StocServer::StocServer(rdma::RdmaFabric* fabric, rdma::NodeId node,
   endpoint_->set_write_imm_handler([this](rdma::NodeId src, uint32_t imm) {
     HandleWriteImm(src, imm);
   });
+  client_ = std::make_unique<StocClient>(endpoint_.get());
 }
 
 StocServer::~StocServer() { Stop(); }
@@ -435,34 +436,11 @@ void StocServer::DoCopyFileTo(rdma::NodeId src, uint64_t req_id,
       endpoint_->Reply(src, req_id, ErrorResponse(s));
       return;
     }
-    // Append the whole file as one block on the destination StoC using the
-    // standard client flow (StoC-to-StoC RDMA, paper Section 9).
-    rdma::Future flush_ack;
-    uint64_t token = endpoint_->AllocToken(&flush_ack);
-    std::string req;
-    req.push_back(kOpAllocBlock);
-    PutVarint64(&req, file_id);
-    PutVarint64(&req, data.size());
-    PutVarint64(&req, token);
-    std::string resp;
-    s = endpoint_->Call(static_cast<rdma::NodeId>(dst), req, &resp);
-    Slice body;
-    if (s.ok()) {
-      s = ParseResponse(resp, &body);
-    }
-    uint32_t mr_id = 0;
-    if (s.ok() && !GetVarint32(&body, &mr_id)) {
-      s = Status::IOError("bad alloc response");
-    }
-    if (s.ok()) {
-      s = fabric_->Write(node_, data, rdma::RemoteAddr{(int)dst, mr_id, 0},
-                         true, mr_id);
-    }
-    if (s.ok()) {
-      s = flush_ack.Wait(nullptr);
-    } else {
-      flush_ack.Wait(nullptr, 0);  // reap the never-to-complete token
-    }
+    // Append the whole file as one block on the destination StoC through
+    // the standard client flow (StoC-to-StoC RDMA, paper Section 9).
+    StocBlockHandle handle;
+    s = client_->AppendBlock(static_cast<rdma::NodeId>(dst), file_id, data,
+                             &handle);
     if (!s.ok()) {
       endpoint_->Reply(src, req_id, ErrorResponse(s));
       return;

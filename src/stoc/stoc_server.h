@@ -33,6 +33,7 @@
 #include "sim/cpu_throttle.h"
 #include "storage/block_store.h"
 #include "storage/simulated_device.h"
+#include "stoc/stoc_client.h"
 #include "stoc/stoc_common.h"
 #include "util/random.h"
 #include "util/slab_allocator.h"
@@ -80,6 +81,9 @@ class StocServer {
 
   rdma::NodeId node() const { return node_; }
   rdma::RpcEndpoint* endpoint() { return endpoint_.get(); }
+  /// This StoC's own client over its endpoint: StoC-to-StoC copies and
+  /// offloaded compactions reach the other StoCs through it.
+  StocClient* client() { return client_.get(); }
   sim::CpuThrottle* throttle() { return throttle_.get(); }
   SimulatedDevice* device() { return device_; }
   BlockStore* store() { return store_; }
@@ -133,6 +137,7 @@ class StocServer {
   std::unique_ptr<sim::CpuThrottle> throttle_;
   std::unique_ptr<SlabAllocator> slab_;
   std::unique_ptr<rdma::RpcEndpoint> endpoint_;
+  std::unique_ptr<StocClient> client_;
   std::unique_ptr<ThreadPool> storage_pool_;
   std::unique_ptr<ThreadPool> compaction_pool_;
   CompactionHandler compaction_handler_;

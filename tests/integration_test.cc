@@ -759,8 +759,30 @@ TEST_F(IntegrationTest, AddStocAndGracefulRemove) {
   engine->FlushAllMemtables();
   engine->WaitForQuiescence(true);
 
-  // Gracefully remove StoC 0: its blocks must be copied elsewhere first.
-  ASSERT_TRUE(cluster_->RemoveStocGraceful(0).ok());
+  // Both original StoCs hold a MANIFEST replica (manifest_replicas = 2),
+  // which cannot move: removing StoC 0 is refused.
+  EXPECT_FALSE(cluster_->RemoveStocGraceful(0).ok());
+  EXPECT_EQ(cluster_->AliveStocNodes().size(), 3u);
+
+  // Gracefully remove the added StoC: its blocks must be copied elsewhere
+  // first.
+  auto pieces_on_added = [&] {
+    int n = 0;
+    lsm::VersionRef v = engine->versions()->current();
+    for (int level = 0; level < v->num_levels(); level++) {
+      for (const auto& f : v->files(level)) {
+        lsm::ForEachPiece(
+            *f, [&](lsm::PieceKind, int, const lsm::BlockLocation& loc) {
+              n += loc.stoc_id == Cluster::StocNode(added);
+            });
+      }
+    }
+    return n;
+  };
+  ASSERT_GT(pieces_on_added(), 0);
+  Status removed = cluster_->RemoveStocGraceful(added);
+  ASSERT_TRUE(removed.ok()) << removed.ToString();
+  EXPECT_EQ(pieces_on_added(), 0);
   for (const auto& [key, value] : oracle) {
     std::string got;
     Status s = cluster_->Get(key, &got);

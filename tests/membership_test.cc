@@ -6,15 +6,22 @@
 //  * Repair end-to-end: R=3 under a Zipfian load, KillStoc drives
 //    degraded_fragments to a peak and back to zero with no operator
 //    action, and post-repair reads take the normal (non-parity) path.
+//  * Graceful StoC removal, which re-homes pieces through the repair
+//    path: replicas stay on distinct StoCs, a concurrent writer loses
+//    nothing, and a StoC holding a MANIFEST replica is refused.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <map>
+#include <set>
 #include <thread>
 
 #include "bench_core/workload.h"
 #include "coord/cluster.h"
 #include "coord/coordinator.h"
 #include "coord/membership.h"
+#include "lsm/table_io.h"
 #include "util/random.h"
 #include "util/zipfian.h"
 
@@ -466,6 +473,224 @@ TEST(RepairTest, RestartedStocRejoinsRotation) {
   EXPECT_EQ(cluster.coordinator()->membership()->health(victim),
             NodeHealth::kAlive);
   EXPECT_TRUE(client->IsRoutable(victim));
+  cluster.Stop();
+}
+
+/// Copies of one piece's bytes that share a StoC with another copy: a
+/// second replica of a data fragment or of the metadata block on the same
+/// StoC, across every live file of the engine.
+int CoLocatedReplicas(ltc::RangeEngine* engine) {
+  int n = 0;
+  auto count = [&n](const std::vector<lsm::BlockLocation>& copies) {
+    std::set<int32_t> stocs;
+    for (const auto& loc : copies) {
+      if (!stocs.insert(loc.stoc_id).second) n++;
+    }
+  };
+  lsm::VersionRef v = engine->versions()->current();
+  for (int level = 0; level < v->num_levels(); level++) {
+    for (const auto& f : v->files(level)) {
+      for (const auto& replicas : f->fragments) {
+        count(replicas);
+      }
+      count(f->meta_replicas);
+    }
+  }
+  return n;
+}
+
+/// Every oracle key reads back through Get, and one Scan over the whole
+/// keyspace returns exactly the oracle.
+void ExpectMatchesOracle(coord::Cluster* cluster,
+                         const std::map<std::string, std::string>& oracle) {
+  for (const auto& [key, value] : oracle) {
+    std::string got;
+    Status s = cluster->Get(key, &got);
+    ASSERT_TRUE(s.ok()) << key << " " << s.ToString();
+    EXPECT_EQ(got, value) << key;
+  }
+  std::vector<std::pair<std::string, std::string>> rows;
+  ASSERT_TRUE(
+      cluster->Scan("", static_cast<int>(oracle.size()) + 10, &rows).ok());
+  std::vector<std::pair<std::string, std::string>> want(oracle.begin(),
+                                                        oracle.end());
+  EXPECT_TRUE(rows == want) << "scan returned " << rows.size() << " rows, "
+                            << want.size() << " expected";
+}
+
+TEST(GracefulRemoveTest, ReplicasStayOnDistinctStocs) {
+  // R=2 data and metadata replicas on 3 StoCs: removing one leaves exactly
+  // one StoC free of each moved piece's other copy, and the drain must
+  // pick it.
+  coord::ClusterOptions opt = RepairClusterOptions(3);
+  opt.placement.num_data_replicas = 2;
+  opt.placement.num_meta_replicas = 2;
+  coord::Cluster cluster(opt);
+  cluster.Start();
+  std::map<std::string, std::string> oracle;
+  Random rng(17);
+  for (int i = 0; i < 3000; i++) {
+    std::string key = bench::MakeKey(rng.Uniform(600));
+    std::string value = "d" + std::to_string(i);
+    ASSERT_TRUE(cluster.Put(key, value).ok());
+    oracle[key] = value;
+  }
+  auto* engine = cluster.ltc(0)->ranges()[0];
+  engine->FlushAllMemtables();
+  engine->WaitForQuiescence(true);
+  ASSERT_EQ(CoLocatedReplicas(engine), 0);
+
+  // StoC 0 holds the MANIFEST (manifest_replicas = 1); remove StoC 2.
+  rdma::NodeId victim = coord::Cluster::StocNode(2);
+  int pieces = PiecesOnStoc(engine, victim);
+  ASSERT_GT(pieces, 0);
+  Status s = cluster.RemoveStocGraceful(2);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(PiecesOnStoc(engine, victim), 0);
+  EXPECT_EQ(CoLocatedReplicas(engine), 0)
+      << "co-located replicas after moving " << pieces << " pieces";
+  // A drain is not a repair: no piece was lost.
+  ltc::RangeStats stats = cluster.TotalStats();
+  EXPECT_EQ(stats.repaired_fragments, 0u);
+  EXPECT_EQ(stats.repaired_bytes, 0u);
+  ExpectMatchesOracle(&cluster, oracle);
+  cluster.Stop();
+}
+
+TEST(GracefulRemoveTest, RemovalUnderConcurrentWriter) {
+  // A writer keeps flushing (and compacting) while the StoC drains: files
+  // a compaction holds are retried, files it retires are dropped, and no
+  // re-homing overwrites another.
+  coord::ClusterOptions opt = RepairClusterOptions(4);
+  opt.placement.num_data_replicas = 2;
+  opt.placement.num_meta_replicas = 2;
+  coord::Cluster cluster(opt);
+  cluster.Start();
+  std::map<std::string, std::string> oracle;
+  for (int i = 0; i < 1500; i++) {
+    std::string key = bench::MakeKey(i % 500);
+    std::string value = "p" + std::to_string(i);
+    ASSERT_TRUE(cluster.Put(key, value).ok());
+    oracle[key] = value;
+  }
+  auto* engine = cluster.ltc(0)->ranges()[0];
+  engine->FlushAllMemtables();
+  engine->WaitForQuiescence(true);
+  rdma::NodeId victim = coord::Cluster::StocNode(3);
+  ASSERT_GT(PiecesOnStoc(engine, victim), 0);
+
+  // One writer, so the oracle's order is the store's order. Bounded in
+  // count and rate: the removal's quiescence barrier waits out its
+  // flushes.
+  std::atomic<bool> stop{false};
+  std::atomic<int> written{0};
+  std::thread writer([&] {
+    Random rng(29);
+    for (int i = 0; i < 4000 && !stop.load(); i++) {
+      std::string key = bench::MakeKey(rng.Uniform(500));
+      std::string value = "w" + std::to_string(i);
+      ASSERT_TRUE(cluster.Put(key, value).ok());
+      oracle[key] = value;
+      written.store(i + 1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  while (written.load() < 300) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Status s = cluster.RemoveStocGraceful(3);
+  stop.store(true);
+  writer.join();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(PiecesOnStoc(engine, victim), 0);
+
+  engine->FlushAllMemtables();
+  engine->WaitForQuiescence(true);
+  EXPECT_EQ(PiecesOnStoc(engine, victim), 0);
+  // Every live file's metadata block reads back from its new placement
+  // (a fresh cache, so no reader opened before the move is reused).
+  lsm::TableCache cache(cluster.ltc(0)->stoc_client());
+  lsm::VersionRef v = engine->versions()->current();
+  for (int level = 0; level < v->num_levels(); level++) {
+    for (const auto& f : v->files(level)) {
+      lsm::TableCache::Handle handle;
+      Status rs = cache.GetReader(f, &handle);
+      EXPECT_TRUE(rs.ok()) << "file " << f->number << ": " << rs.ToString();
+    }
+  }
+  ExpectMatchesOracle(&cluster, oracle);
+  cluster.Stop();
+}
+
+TEST(GracefulRemoveTest, FailsWithoutStocFreeOfOtherCopies) {
+  // R=2 on 2 StoCs: the only StoC left already holds every piece's other
+  // copy. The drain must fail rather than co-locate replicas, and the
+  // StoC must stay in service.
+  coord::ClusterOptions opt = RepairClusterOptions(2);
+  opt.placement.num_data_replicas = 2;
+  opt.placement.num_meta_replicas = 2;
+  coord::Cluster cluster(opt);
+  cluster.Start();
+  std::map<std::string, std::string> oracle;
+  for (int i = 0; i < 1200; i++) {
+    std::string key = bench::MakeKey(i % 400);
+    std::string value = "c" + std::to_string(i);
+    ASSERT_TRUE(cluster.Put(key, value).ok());
+    oracle[key] = value;
+  }
+  auto* engine = cluster.ltc(0)->ranges()[0];
+  engine->FlushAllMemtables();
+  engine->WaitForQuiescence(true);
+  rdma::NodeId victim = coord::Cluster::StocNode(1);
+  int pieces = PiecesOnStoc(engine, victim);
+  ASSERT_GT(pieces, 0);
+
+  EXPECT_FALSE(cluster.RemoveStocGraceful(1).ok());
+  EXPECT_EQ(CoLocatedReplicas(engine), 0);
+  EXPECT_EQ(PiecesOnStoc(engine, victim), pieces);
+  EXPECT_EQ(cluster.AliveStocNodes().size(), 2u);
+  EXPECT_TRUE(cluster.ltc(0)->stoc_client()->IsRoutable(victim));
+  ExpectMatchesOracle(&cluster, oracle);
+  cluster.Stop();
+}
+
+TEST(GracefulRemoveTest, RefusesStocHoldingManifest) {
+  // manifest_replicas = 1 puts every range's MANIFEST on StoC 0. Its
+  // replicas are positional, so the drain cannot move them: the removal
+  // is refused before anything moves, and the StoC keeps serving.
+  coord::ClusterOptions opt = RepairClusterOptions(3);
+  coord::Cluster cluster(opt);
+  cluster.Start();
+  std::map<std::string, std::string> oracle;
+  for (int i = 0; i < 1200; i++) {
+    std::string key = bench::MakeKey(i % 400);
+    std::string value = "m" + std::to_string(i);
+    ASSERT_TRUE(cluster.Put(key, value).ok());
+    oracle[key] = value;
+  }
+  auto* engine = cluster.ltc(0)->ranges()[0];
+  engine->FlushAllMemtables();
+  engine->WaitForQuiescence(true);
+  rdma::NodeId manifest_stoc = coord::Cluster::StocNode(0);
+  int pieces = PiecesOnStoc(engine, manifest_stoc);
+
+  EXPECT_FALSE(cluster.RemoveStocGraceful(0).ok());
+  EXPECT_EQ(cluster.AliveStocNodes().size(), 3u);
+  EXPECT_TRUE(cluster.ltc(0)->stoc_client()->IsRoutable(manifest_stoc));
+  EXPECT_EQ(PiecesOnStoc(engine, manifest_stoc), pieces);
+
+  // Later puts still flush: the MANIFEST stays writable.
+  uint64_t flushes = engine->stats().flushes;
+  for (int i = 0; i < 1200; i++) {
+    std::string key = bench::MakeKey(400 + i % 400);
+    std::string value = "n" + std::to_string(i);
+    ASSERT_TRUE(cluster.Put(key, value).ok());
+    oracle[key] = value;
+  }
+  engine->FlushAllMemtables();
+  engine->WaitForQuiescence(true);
+  EXPECT_GT(engine->stats().flushes, flushes);
+  ExpectMatchesOracle(&cluster, oracle);
   cluster.Stop();
 }
 
