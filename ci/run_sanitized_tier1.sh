@@ -11,11 +11,14 @@
 # WritersAndReadersRace / NoStaleReadsUnderReorgChurn flake fixes.
 #
 # `chaos` runs the seeded fault-injection suite (ChaosTest: StoC
-# kill/restart under failpoint-injected RPC errors, 10 seeds) and the
+# kill/restart under failpoint-injected RPC errors, 10 seeds), the
 # tests that move SSTable pieces off a StoC (RepairTest, and every
 # GracefulRemove test: the drain and the repair scan share one per-file
-# path under one mutex) under TSan. `all` runs it after the two full
-# tier-1 passes.
+# path under one mutex) and the MANIFEST group-commit tests
+# (VersionSetGroupCommitTest: one caller appends and publishes for a
+# queue of writers; FlushCommitDoesNotBlockGetsOrRouting: readers and
+# routing run while a commit waits on the disk) under TSan. `all` runs
+# it after the two full tier-1 passes.
 #
 # `compression` runs only the block-compression / cache-tier suites
 # (Compressor, stored-block corruption, two-queue admission, compressed
@@ -54,19 +57,20 @@ run_one() {
           --output-on-failure "$@"
 }
 
-# Chaos stage: the 10-seed kill/restart + failpoint suite plus the repair
-# and graceful-removal tests, serialized (-j 1) because each test churns a
-# whole cluster and the timing assumptions (death verdicts, probe
-# intervals) degrade when oversubscribed.
+# Chaos stage: the 10-seed kill/restart + failpoint suite plus the repair,
+# graceful-removal and MANIFEST group-commit tests, serialized (-j 1)
+# because each test churns a whole cluster and the timing assumptions
+# (death verdicts, probe intervals) degrade when oversubscribed.
 run_chaos() {
   local build_dir="${repo_root}/build-threadsan"
   echo "==> [chaos] configure + build (${build_dir})"
   cmake -S "${repo_root}" -B "${build_dir}" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSANITIZE=thread >/dev/null
   cmake --build "${build_dir}" -j "$(nproc)" >/dev/null
-  echo "==> [chaos] ctest -R ChaosTest|RepairTest|GracefulRemove (TSan)"
+  local tests="ChaosTest|RepairTest|GracefulRemove|VersionSetGroupCommitTest|FlushCommitDoesNotBlockGetsOrRouting"
+  echo "==> [chaos] ctest -R ${tests} (TSan)"
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-    ctest --test-dir "${build_dir}" -R "ChaosTest|RepairTest|GracefulRemove" -j 1 \
+    ctest --test-dir "${build_dir}" -R "${tests}" -j 1 \
           --output-on-failure "$@"
 }
 

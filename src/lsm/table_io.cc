@@ -1,6 +1,7 @@
 #include "lsm/table_io.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "stoc/stoc_common.h"
@@ -248,7 +249,7 @@ size_t TableCache::size() const {
 
 SSTablePlacer::SSTablePlacer(stoc::StocClient* client,
                              const PlacementOptions& options)
-    : client_(client), options_(options) {}
+    : client_(client), options_(options), rng_(0x9d1ace + options.range_id) {}
 
 void SSTablePlacer::UpdateStocs(const std::vector<rdma::NodeId>& stocs) {
   std::lock_guard<std::mutex> l(mu_);
@@ -296,8 +297,8 @@ std::vector<rdma::NodeId> SSTablePlacer::PickStocs(int count) {
     }
     return picked;
   }
-  // Power-of-d: peek at the disk queues of d = 2*count random StoCs and
-  // take the `count` shortest (paper Section 4.4).
+  // Power-of-d: ask d = 2*count random StoCs for their disk load and take
+  // the `count` least loaded (paper Section 4.4).
   int d = std::min<int>(2 * count, static_cast<int>(candidates.size()));
   {
     // mu_ guards the RNG only. Never hold it across the probe RPCs:
@@ -309,25 +310,26 @@ std::vector<rdma::NodeId> SSTablePlacer::PickStocs(int count) {
       std::swap(candidates[i], candidates[j]);
     }
   }
-  std::vector<std::pair<int, rdma::NodeId>> depths;
+  std::vector<std::pair<uint64_t, rdma::NodeId>> loads;
   for (int i = 0; i < d; i++) {
     stoc::StocStats stats;
-    int depth = 1 << 20;  // unreachable StoCs sort last
+    // Unreachable StoCs sort last.
+    uint64_t load = std::numeric_limits<uint64_t>::max();
     if (client_->GetStats(candidates[i], &stats, /*timeout_ms=*/100).ok()) {
-      depth = stats.queue_depth;
+      load = stats.disk_load_us;
     }
-    depths.emplace_back(depth, candidates[i]);
+    loads.emplace_back(load, candidates[i]);
   }
-  // Stable sort on depth alone: ties keep the shuffled order. A plain
+  // Stable sort on load alone: ties keep the shuffled order. A plain
   // pair-sort would tie-break on NodeId and collapse power-of-d to
   // "always the lowest-numbered StoCs" whenever the cluster is idle.
-  std::stable_sort(depths.begin(), depths.end(),
-                   [](const std::pair<int, rdma::NodeId>& a,
-                      const std::pair<int, rdma::NodeId>& b) {
+  std::stable_sort(loads.begin(), loads.end(),
+                   [](const std::pair<uint64_t, rdma::NodeId>& a,
+                      const std::pair<uint64_t, rdma::NodeId>& b) {
                      return a.first < b.first;
                    });
   for (int i = 0; i < count; i++) {
-    picked.push_back(depths[i].second);
+    picked.push_back(loads[i].second);
   }
   return picked;
 }

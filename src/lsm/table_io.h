@@ -10,8 +10,10 @@
 //    blocks — so concurrent gets on different files do not serialize on
 //    one mutex and open readers are evicted under memory pressure instead
 //    of accumulating forever.
-//  * SSTablePlacer — picks StoCs by random or power-of-d on disk-queue
-//    length, writes the ρ fragments in parallel with R replicas each, an
+//  * SSTablePlacer — picks StoCs at random or by power-of-d on each
+//    StoC's disk load (stoc::StocStats::disk_load_us: estimated service
+//    time of its accepted and unfinished disk work plus its recent busy
+//    time), writes the ρ fragments in parallel with R replicas each, an
 //    optional parity block, and replicated metadata blocks (Section 4.4,
 //    Figure 9/10).
 #ifndef NOVA_LSM_TABLE_IO_H_
@@ -117,7 +119,7 @@ struct PlacementOptions {
   std::vector<rdma::NodeId> stocs;
   /// Maximum scatter width ρ.
   int rho = 1;
-  /// Use power-of-d (d = 2ρ) on disk queue length; otherwise random.
+  /// Use power-of-d (d = 2ρ) on disk load; otherwise random.
   bool power_of_d = true;
   /// Replication degree R for data fragments (1 = no replication).
   int num_data_replicas = 1;
@@ -179,15 +181,18 @@ class SSTablePlacer {
   PlacementOptions options() const;
   void set_options(const PlacementOptions& options);
 
-  /// Pick `count` distinct StoCs for writes of `bytes_each` using the
-  /// configured policy (exposed for tests and Table 5).
+  /// Pick `count` distinct StoCs using the configured policy: at random,
+  /// or the `count` least loaded of d = 2*count random candidates
+  /// (exposed for tests and Table 5).
   std::vector<rdma::NodeId> PickStocs(int count);
 
  private:
   stoc::StocClient* client_;
   mutable std::mutex mu_;
   PlacementOptions options_;
-  Random rng_{0x9d1ace};
+  /// Seeded from the range id, so the ranges of one LTC do not all sample
+  /// the same candidates at the same flush count.
+  Random rng_;
 };
 
 }  // namespace lsm

@@ -117,7 +117,7 @@ Status VersionEdit::DecodeFrom(Slice input) {
 }
 
 VersionSet::VersionSet(const LsmOptions& options,
-                       std::function<Status(const Slice&)> manifest_append)
+                       ManifestSink manifest_append)
     : options_(options), manifest_append_(std::move(manifest_append)) {
   current_ = std::make_shared<Version>(options_.num_levels);
 }
@@ -138,25 +138,24 @@ uint64_t VersionSet::ExpectedLevelBytes(int level) const {
   return size;
 }
 
-VersionRef VersionSet::ApplyLocked(const VersionEdit& edit) {
+VersionRef VersionSet::Apply(
+    const Version& base, const std::vector<const VersionEdit*>& edits) const {
   auto next = std::make_shared<Version>(options_.num_levels);
-  // Start from current files minus deletions.
-  for (int level = 0; level < options_.num_levels; level++) {
-    for (const auto& f : current_->levels_[level]) {
-      bool deleted = false;
-      for (const auto& [dl, dn] : edit.deleted_files) {
-        if (dl == level && dn == f->number) {
-          deleted = true;
-          break;
-        }
-      }
-      if (!deleted) {
-        next->levels_[level].push_back(f);
-      }
+  next->levels_ = base.levels_;
+  for (const VersionEdit* edit : edits) {
+    // An edit's deletions see the files before its own additions, so an
+    // edit may replace a file under the same number.
+    for (const auto& [level, number] : edit->deleted_files) {
+      std::vector<FileMetaRef>& files = next->levels_[level];
+      files.erase(std::remove_if(files.begin(), files.end(),
+                                 [number = number](const FileMetaRef& f) {
+                                   return f->number == number;
+                                 }),
+                  files.end());
     }
-  }
-  for (const auto& [level, meta] : edit.new_files) {
-    next->levels_[level].push_back(std::make_shared<FileMetaData>(meta));
+    for (const auto& [level, meta] : edit->new_files) {
+      next->levels_[level].push_back(std::make_shared<FileMetaData>(meta));
+    }
   }
   // Keep levels >= 1 sorted by smallest key; L0 sorted by file number
   // (newest last) so newer tables shadow older ones deterministically.
@@ -175,47 +174,78 @@ VersionRef VersionSet::ApplyLocked(const VersionEdit& edit) {
   return next;
 }
 
-Status VersionSet::LogAndApply(VersionEdit* edit) {
+void VersionSet::Install(VersionRef v,
+                         const std::vector<const VersionEdit*>& edits) {
   std::lock_guard<std::mutex> l(mu_);
-  edit->last_sequence = last_sequence_.load();
-  edit->next_file_number = next_file_number_.load();
-  if (!edit->drange_state.empty()) {
-    drange_state_ = edit->drange_state;
-  }
-  if (manifest_append_) {
-    std::string record;
-    edit->EncodeTo(&record);
-    Status s = manifest_append_(record);
-    if (!s.ok()) {
-      return s;
+  current_ = std::move(v);
+  for (const VersionEdit* edit : edits) {
+    if (!edit->drange_state.empty()) {
+      drange_state_ = edit->drange_state;
     }
   }
-  current_ = ApplyLocked(*edit);
-  manifest_version_.fetch_add(1);
-  return Status::OK();
+}
+
+Status VersionSet::LogAndApply(VersionEdit* edit) {
+  Writer w(edit);
+  std::unique_lock<std::mutex> l(writers_mu_);
+  writers_.push_back(&w);
+  writers_cv_.wait(l, [&] { return w.done || writers_.front() == &w; });
+  if (w.done) {
+    return w.status;  // a leader committed this edit in its batch
+  }
+  // Leader: commit every edit queued so far. Callers that arrive during
+  // the append queue behind this batch and commit in the next one.
+  std::vector<Writer*> batch(writers_.begin(), writers_.end());
+  l.unlock();
+
+  std::vector<const VersionEdit*> edits;
+  std::vector<std::string> records(batch.size());
+  for (size_t i = 0; i < batch.size(); i++) {
+    VersionEdit* e = batch[i]->edit;
+    e->last_sequence = last_sequence_.load();
+    e->next_file_number = next_file_number_.load();
+    e->EncodeTo(&records[i]);
+    edits.push_back(e);
+  }
+  Status s;
+  if (manifest_append_) {
+    s = manifest_append_(records);
+  }
+  if (s.ok()) {
+    Install(Apply(*current(), edits), edits);
+    manifest_version_.fetch_add(edits.size());
+  }
+
+  l.lock();
+  for (Writer* committed : batch) {
+    writers_.pop_front();
+    committed->status = s;
+    committed->done = true;
+  }
+  writers_cv_.notify_all();
+  return s;
 }
 
 Status VersionSet::Recover(const std::vector<std::string>& records) {
-  std::lock_guard<std::mutex> l(mu_);
-  current_ = std::make_shared<Version>(options_.num_levels);
-  for (const std::string& record : records) {
-    VersionEdit edit;
-    Status s = edit.DecodeFrom(record);
+  std::vector<VersionEdit> edits(records.size());
+  std::vector<const VersionEdit*> order;
+  for (size_t i = 0; i < records.size(); i++) {
+    Status s = edits[i].DecodeFrom(records[i]);
     if (!s.ok()) {
       return s;
     }
-    current_ = ApplyLocked(edit);
+    order.push_back(&edits[i]);
+  }
+  for (const VersionEdit& edit : edits) {
     if (edit.last_sequence > last_sequence_.load()) {
       last_sequence_.store(edit.last_sequence);
     }
     if (edit.next_file_number > next_file_number_.load()) {
       next_file_number_.store(edit.next_file_number);
     }
-    if (!edit.drange_state.empty()) {
-      drange_state_ = edit.drange_state;
-    }
-    manifest_version_.fetch_add(1);
   }
+  Install(Apply(Version(options_.num_levels), order), order);
+  manifest_version_.fetch_add(records.size());
   return Status::OK();
 }
 

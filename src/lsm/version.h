@@ -3,11 +3,15 @@
 // overlapping SSTables (disjoint *across* Dranges by construction), higher
 // levels are sorted and disjoint. VersionEdits are appended to a per-range
 // MANIFEST (replicated at StoCs with a version number so a restarting
-// StoC's stale replicas can be detected and discarded).
+// StoC's stale replicas can be detected and discarded). Concurrent edits
+// are group-committed: one caller appends every queued edit in one
+// MANIFEST write, outside the lock that guards the current Version.
 #ifndef NOVA_LSM_VERSION_H_
 #define NOVA_LSM_VERSION_H_
 
 #include <atomic>
+#include <condition_variable>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -71,21 +75,32 @@ struct VersionEdit {
   Status DecodeFrom(Slice input);
 };
 
+/// Persists encoded edit records, in order, in one MANIFEST append. Each
+/// record must read back as its own record: Recover takes one per edit.
+using ManifestSink =
+    std::function<Status(const std::vector<std::string>& records)>;
+
 /// Owns the current Version; applies edits and writes them to a MANIFEST
-/// sink. Thread-safe; readers snapshot with current().
+/// sink. Thread-safe; readers snapshot with current(), which never waits
+/// on MANIFEST I/O.
 class VersionSet {
  public:
-  /// manifest_append persists one encoded edit record (may be null for
-  /// tests / baselines that do their own recovery).
-  VersionSet(const LsmOptions& options,
-             std::function<Status(const Slice&)> manifest_append);
+  /// manifest_append persists a batch of encoded edit records (may be
+  /// null for tests / baselines that do their own recovery).
+  VersionSet(const LsmOptions& options, ManifestSink manifest_append);
 
   VersionRef current() const;
 
-  /// Apply the edit, persist it to the manifest, publish a new version.
+  /// Persist the edit to the manifest, then publish a version with it
+  /// applied. Concurrent calls are group-committed: they queue, and the
+  /// caller at the head of the queue stamps every queued edit with the
+  /// current last sequence and next file number, hands them to the sink
+  /// in one call, applies them in queue order and publishes one version.
+  /// A sink failure fails every edit of its batch and publishes none.
   Status LogAndApply(VersionEdit* edit);
 
-  /// Rebuild state from manifest records (replayed in order).
+  /// Rebuild state from manifest records (replayed in order). A record
+  /// that does not decode fails the recovery and changes nothing.
   Status Recover(const std::vector<std::string>& records);
 
   uint64_t NewFileNumber() { return next_file_number_.fetch_add(1); }
@@ -95,7 +110,14 @@ class VersionSet {
     return next_file_number_.fetch_add(count);
   }
   uint64_t last_sequence() const { return last_sequence_.load(); }
-  void SetLastSequence(uint64_t s) { last_sequence_.store(s); }
+  /// Raise the last sequence to s. Never lowers it: concurrent flushes
+  /// report their sequences in any order, and an edit stamped lower than
+  /// a flushed key would let recovery reuse that key's sequence.
+  void SetLastSequence(uint64_t s) {
+    uint64_t cur = last_sequence_.load();
+    while (cur < s && !last_sequence_.compare_exchange_weak(cur, s)) {
+    }
+  }
   /// Number of edits applied — the manifest version number used for
   /// stale-replica detection.
   uint64_t manifest_version() const { return manifest_version_.load(); }
@@ -108,16 +130,35 @@ class VersionSet {
   std::string drange_state() const;
 
  private:
-  VersionRef ApplyLocked(const VersionEdit& edit);
+  /// One LogAndApply call waiting in writers_.
+  struct Writer {
+    explicit Writer(VersionEdit* e) : edit(e) {}
+    VersionEdit* edit;
+    Status status;
+    bool done = false;
+  };
+
+  /// base with the edits applied in order.
+  VersionRef Apply(const Version& base,
+                   const std::vector<const VersionEdit*>& edits) const;
+  /// Publish v and the newest Drange state among edits.
+  void Install(VersionRef v, const std::vector<const VersionEdit*>& edits);
 
   LsmOptions options_;
-  std::function<Status(const Slice&)> manifest_append_;
+  ManifestSink manifest_append_;
+  /// Guards current_ and drange_state_; held only to read or swap them.
   mutable std::mutex mu_;
   VersionRef current_;
+  std::string drange_state_;
+  /// LogAndApply callers in arrival order; the head commits for all of
+  /// them. Only the head builds a new version, so versions are built
+  /// one at a time without holding mu_.
+  std::mutex writers_mu_;
+  std::condition_variable writers_cv_;
+  std::deque<Writer*> writers_;
   std::atomic<uint64_t> next_file_number_{1};
   std::atomic<uint64_t> last_sequence_{0};
   std::atomic<uint64_t> manifest_version_{0};
-  std::string drange_state_;
 };
 
 }  // namespace lsm

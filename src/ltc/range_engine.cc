@@ -47,8 +47,8 @@ RangeEngine::RangeEngine(const RangeEngineOptions& options,
   drange_ = std::make_unique<DrangeManager>(options_.lower, options_.upper,
                                             options_.drange);
   versions_ = std::make_unique<lsm::VersionSet>(
-      options_.lsm, [this](const Slice& record) {
-        return ManifestAppend(record);
+      options_.lsm, [this](const std::vector<std::string>& records) {
+        return ManifestAppend(records);
       });
   table_cache_ = std::make_unique<lsm::TableCache>(
       client_, block_cache_, options_.range_id,
@@ -1170,10 +1170,14 @@ std::vector<rdma::NodeId> RangeEngine::ManifestStocs() const {
   return std::vector<rdma::NodeId>(stocs_.begin(), stocs_.begin() + replicas);
 }
 
-Status RangeEngine::ManifestAppend(const Slice& record) {
+Status RangeEngine::ManifestAppend(const std::vector<std::string>& records) {
+  // Each record keeps its own length frame, so a batch reads back as
+  // records.size() records.
   std::string framed;
-  PutFixed32(&framed, static_cast<uint32_t>(record.size()));
-  framed.append(record.data(), record.size());
+  for (const std::string& record : records) {
+    PutFixed32(&framed, static_cast<uint32_t>(record.size()));
+    framed.append(record);
+  }
   int ok_count = 0;
   std::vector<rdma::NodeId> stocs = ManifestStocs();
   for (size_t r = 0; r < stocs.size(); r++) {

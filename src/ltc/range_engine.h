@@ -315,7 +315,9 @@ class RangeEngine {
   void ApplyCompactionResult(const lsm::CompactionJob& job,
                              const lsm::CompactionResult& result);
   void DeleteFileBlocks(const lsm::FileMetaData& meta);
-  Status ManifestAppend(const Slice& record);
+  /// One append per MANIFEST replica carrying every record of a
+  /// group-committed batch (lsm::ManifestSink).
+  Status ManifestAppend(const std::vector<std::string>& records);
   Status ReadManifestRecords(std::vector<std::string>* records);
   lsm::FileMetaRef FindL0File(uint64_t number);
   static lsm::FileMetaRef FindL0FileIn(const lsm::VersionRef& version,

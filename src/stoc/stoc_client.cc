@@ -685,14 +685,14 @@ Status StocClient::GetStats(rdma::NodeId stoc, StocStats* stats,
   if (!s.ok()) {
     return s;
   }
-  uint32_t depth, comp_inflight;
-  uint64_t stored, util, comp_done;
-  if (!GetVarint32(&body, &depth) || !GetVarint64(&body, &stored) ||
+  uint32_t comp_inflight;
+  uint64_t load, stored, util, comp_done;
+  if (!GetVarint64(&body, &load) || !GetVarint64(&body, &stored) ||
       !GetVarint64(&body, &util) || !GetVarint32(&body, &comp_inflight) ||
       !GetVarint64(&body, &comp_done)) {
     return Status::IOError("bad stats response");
   }
-  stats->queue_depth = static_cast<int>(depth);
+  stats->disk_load_us = load;
   stats->stored_bytes = stored;
   stats->cpu_utilization = static_cast<double>(util) / 1e6;
   stats->compactions_inflight = static_cast<int>(comp_inflight);

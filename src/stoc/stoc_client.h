@@ -22,7 +22,15 @@ namespace nova {
 namespace stoc {
 
 struct StocStats {
-  int queue_depth = 0;
+  /// Disk load in us of device service time: the estimated service time
+  /// (seek + bytes/bandwidth) of every read and append the StoC accepted
+  /// and has not finished, whether it waits for a storage thread or sits
+  /// at the device, plus the device's busy time over about the last
+  /// 250 ms (decayed). Power-of-d placement ranks StoCs by it: unlike a
+  /// count of requests at the device, it grows with queued bytes, sees
+  /// past the storage threads, and remembers a StoC that just drained a
+  /// burst.
+  uint64_t disk_load_us = 0;
   uint64_t stored_bytes = 0;
   double cpu_utilization = 0;
   /// Offloaded compactions executing on / completed by the StoC.

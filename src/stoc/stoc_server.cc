@@ -243,6 +243,16 @@ std::string StocServer::DoAllocBlock(rdma::NodeId src, Slice payload) {
   return OkResponse(resp);
 }
 
+uint64_t StocServer::AcceptDiskWork(uint64_t bytes) {
+  uint64_t us = static_cast<uint64_t>(device_->ServiceUs(bytes));
+  queued_work_us_.fetch_add(us, std::memory_order_relaxed);
+  return us;
+}
+
+void StocServer::FinishDiskWork(uint64_t us) {
+  queued_work_us_.fetch_sub(us, std::memory_order_relaxed);
+}
+
 void StocServer::HandleWriteImm(rdma::NodeId src, uint32_t imm) {
   (void)src;
   PendingBlock pending;
@@ -259,9 +269,11 @@ void StocServer::HandleWriteImm(rdma::NodeId src, uint32_t imm) {
   }
   // Flush the written buffer to disk on a storage thread (Figure 10,
   // step 3), then complete the client's token (step 4).
-  storage_pool_->Submit([this, pending, imm] {
+  uint64_t work = AcceptDiskWork(pending.size);
+  storage_pool_->Submit([this, pending, imm, work] {
     device_->BlockingIo(SimulatedDevice::IoKind::kWrite, pending.size,
                         pending.file_id);
+    FinishDiskWork(work);
     uint64_t offset =
         store_->Append(pending.file_id, Slice(pending.buf, pending.size));
     StocBlockHandle handle;
@@ -289,11 +301,14 @@ void StocServer::DoReadBlock(rdma::NodeId src, uint64_t req_id,
                      ErrorResponse(Status::InvalidArgument("bad read")));
     return;
   }
-  storage_pool_->Submit([this, src, req_id, file_id, offset, size] {
+  uint64_t work =
+      AcceptDiskWork(size != 0 ? size : store_->FileSize(file_id));
+  storage_pool_->Submit([this, src, req_id, file_id, offset, size, work] {
     uint64_t n = size;
     if (n == 0) {
       n = store_->FileSize(file_id);
       if (n == 0) {
+        FinishDiskWork(work);
         endpoint_->Reply(
             src, req_id,
             ErrorResponse(Status::NotFound("no such stoc file")));
@@ -319,6 +334,7 @@ void StocServer::DoReadBlock(rdma::NodeId src, uint64_t req_id,
       cache_misses_.fetch_add(1);
       device_->BlockingIo(SimulatedDevice::IoKind::kRead, n, file_id);
     }
+    FinishDiskWork(work);
     if (device_->failed()) {
       endpoint_->Reply(src, req_id,
                        ErrorResponse(Status::IOError("device failed")));
@@ -367,7 +383,8 @@ std::string StocServer::DoNicAppend(Slice payload) {
 
 std::string StocServer::DoStats() {
   std::string resp;
-  PutVarint32(&resp, static_cast<uint32_t>(device_->QueueDepth()));
+  PutVarint64(&resp, queued_work_us_.load(std::memory_order_relaxed) +
+                         device_->RecentBusyUs());
   PutVarint64(&resp, store_->TotalBytes());
   PutVarint64(&resp,
               static_cast<uint64_t>(throttle_->Utilization() * 1e6));
@@ -422,14 +439,17 @@ void StocServer::DoCopyFileTo(rdma::NodeId src, uint64_t req_id,
                      ErrorResponse(Status::InvalidArgument("bad copy")));
     return;
   }
-  storage_pool_->Submit([this, src, req_id, file_id, dst] {
+  uint64_t work = AcceptDiskWork(store_->FileSize(file_id));
+  storage_pool_->Submit([this, src, req_id, file_id, dst, work] {
     uint64_t n = store_->FileSize(file_id);
     if (n == 0) {
+      FinishDiskWork(work);
       endpoint_->Reply(src, req_id,
                        ErrorResponse(Status::NotFound("no such file")));
       return;
     }
     device_->BlockingIo(SimulatedDevice::IoKind::kRead, n, file_id);
+    FinishDiskWork(work);
     std::string data;
     Status s = store_->Read(file_id, 0, n, &data);
     if (!s.ok()) {

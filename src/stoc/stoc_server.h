@@ -124,6 +124,12 @@ class StocServer {
   std::string DoListFiles();
   void DoCopyFileTo(rdma::NodeId src, uint64_t req_id, Slice payload);
 
+  /// Disk work: a read or append accepted for a storage thread counts its
+  /// estimated device service time in queued_work_us_ until the device
+  /// finishes it. AcceptDiskWork returns the amount to hand back.
+  uint64_t AcceptDiskWork(uint64_t bytes);
+  void FinishDiskWork(uint64_t us);
+
   /// Allocate + register one region; returns nullopt-style failure via ok.
   bool AllocRegion(uint64_t size, Region* region);
   void FreeRegion(const Region& region);
@@ -155,6 +161,10 @@ class StocServer {
   /// through DoStats so LTC schedulers can see StoC compaction load.
   std::atomic<uint32_t> compactions_inflight_{0};
   std::atomic<uint64_t> compactions_done_{0};
+  /// Estimated service time of the disk work accepted and not finished,
+  /// including requests still waiting for a storage thread; with the
+  /// device's recent busy time it makes up the disk load DoStats reports.
+  std::atomic<uint64_t> queued_work_us_{0};
   std::atomic<bool> started_{false};
 };
 

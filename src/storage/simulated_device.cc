@@ -1,6 +1,7 @@
 #include "storage/simulated_device.h"
 
 #include <chrono>
+#include <cmath>
 
 namespace nova {
 
@@ -45,6 +46,33 @@ void SimulatedDevice::BlockingIo(IoKind kind, uint64_t bytes,
   done_cv.wait(l, [&] { return done; });
 }
 
+double SimulatedDevice::ServiceUs(uint64_t bytes, bool sequential) const {
+  double us = ((sequential ? 0.0 : config_.seek_latency_us) +
+               static_cast<double>(bytes) * 1e6 /
+                   config_.bandwidth_bytes_per_sec) *
+              config_.time_scale;
+  // Injected straggler delay bypasses time_scale: tests run at
+  // time_scale 0 but still need one slow replica.
+  return us + static_cast<double>(
+                  injected_latency_us_.load(std::memory_order_relaxed));
+}
+
+namespace {
+double Decayed(double busy_us, std::chrono::steady_clock::time_point at,
+               std::chrono::steady_clock::time_point now) {
+  double age_us = std::chrono::duration<double, std::micro>(now - at).count();
+  return busy_us *
+         std::exp(-age_us / SimulatedDevice::kRecentBusyWindowUs);
+}
+}  // namespace
+
+uint64_t SimulatedDevice::RecentBusyUs() const {
+  std::lock_guard<std::mutex> l(mu_);
+  return static_cast<uint64_t>(
+      Decayed(recent_busy_us_, recent_busy_at_,
+              std::chrono::steady_clock::now()));
+}
+
 double SimulatedDevice::WindowUtilization() {
   auto now = std::chrono::steady_clock::now();
   double elapsed_us =
@@ -79,14 +107,7 @@ void SimulatedDevice::DeviceLoop() {
                         req.stream_id == last_stream_id_ &&
                         req.kind == IoKind::kWrite;
       last_stream_id_ = req.stream_id;
-      service_us = (sequential ? 0.0 : config_.seek_latency_us) +
-                   static_cast<double>(req.bytes) * 1e6 /
-                       config_.bandwidth_bytes_per_sec;
-      service_us *= config_.time_scale;
-      // Injected straggler delay bypasses time_scale: tests run at
-      // time_scale 0 but still need one slow replica.
-      service_us +=
-          static_cast<double>(injected_latency_us_.load(std::memory_order_relaxed));
+      service_us = ServiceUs(req.bytes, sequential);
       if (service_us > 0) {
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::micro>(service_us));
@@ -95,6 +116,13 @@ void SimulatedDevice::DeviceLoop() {
 
     busy_us_.fetch_add(static_cast<uint64_t>(service_us),
                        std::memory_order_relaxed);
+    if (service_us > 0) {
+      auto now = std::chrono::steady_clock::now();
+      std::lock_guard<std::mutex> l(mu_);
+      recent_busy_us_ =
+          Decayed(recent_busy_us_, recent_busy_at_, now) + service_us;
+      recent_busy_at_ = now;
+    }
     window_busy_us_.fetch_add(static_cast<uint64_t>(service_us),
                               std::memory_order_relaxed);
     if (req.kind == IoKind::kRead) {

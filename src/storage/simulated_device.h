@@ -5,7 +5,7 @@
 // The paper's experiments run on one 1 TB hard disk per node; every
 // phenomenon it reports — write stalls when flushes outrun the disk,
 // queuing delays when SSTable writes collide on one StoC (Challenge 3),
-// power-of-d peeking at disk queue lengths, seek amplification when a
+// power-of-d peeking at each StoC's disk work, seek amplification when a
 // SSTable is scattered too widely (Section 8.2.5) — emerges from exactly
 // this queue+seek+bandwidth mechanism. Defaults are scaled 1/64 together
 // with all data sizes (DESIGN.md Section 2): 2 MB/s ≙ 128 MB/s effective
@@ -14,6 +14,7 @@
 #define NOVA_STORAGE_SIMULATED_DEVICE_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -53,8 +54,23 @@ class SimulatedDevice {
   /// Blocking convenience wrappers.
   void BlockingIo(IoKind kind, uint64_t bytes, uint64_t stream_id);
 
-  /// Number of requests queued or in service — what power-of-d peeks at.
+  /// Number of requests queued or in service.
   int QueueDepth() const { return queue_depth_.load(std::memory_order_relaxed); }
+
+  /// Service time of one request of `bytes`, in wall-clock us: seek (none
+  /// for a sequential append) + bytes/bandwidth, scaled by time_scale,
+  /// plus the injected straggler delay. A caller estimating work ahead of
+  /// time passes sequential = false: the discount depends on the request
+  /// the device serves just before.
+  double ServiceUs(uint64_t bytes, bool sequential = false) const;
+
+  /// Time constant of RecentBusyUs.
+  static constexpr double kRecentBusyWindowUs = 250000;
+  /// Busy time over the recent past: the service time of every finished
+  /// request, decayed exponentially with kRecentBusyWindowUs. A device
+  /// busy all the time reads about kRecentBusyWindowUs; an idle one
+  /// decays toward 0.
+  uint64_t RecentBusyUs() const;
 
   /// Fault injection: a failed device rejects service by completing
   /// requests immediately with failed() observable by the caller layer.
@@ -112,6 +128,9 @@ class SimulatedDevice {
   std::atomic<uint64_t> num_writes_{0};
   std::atomic<uint64_t> busy_us_{0};
   uint64_t last_stream_id_ = ~0ull;
+  /// RecentBusyUs as of recent_busy_at_; guarded by mu_.
+  double recent_busy_us_ = 0;
+  std::chrono::steady_clock::time_point recent_busy_at_;
   std::atomic<uint64_t> window_busy_us_{0};
   std::chrono::steady_clock::time_point window_start_;
   std::thread worker_;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -799,6 +800,76 @@ TEST_F(IntegrationTest, LeasesExpireAndRenew) {
   coordinator->ExpireLease(coord::Cluster::LtcNode(0));
   EXPECT_FALSE(coordinator->IsLeaseValid(coord::Cluster::LtcNode(0)));
   EXPECT_FALSE(coordinator->Heartbeat(coord::Cluster::LtcNode(0)));
+}
+
+TEST_F(IntegrationTest, FlushCommitDoesNotBlockGetsOrRouting) {
+  // One LTC, two ranges. Both MANIFESTs live on StoC 0 and range 0's
+  // SSTable pieces on StoCs 1-2, so a slow StoC 0 disk slows only range
+  // 0's MANIFEST appends.
+  ClusterOptions opt = FastOptions(1, 3);
+  opt.split_points = bench::EvenSplitPoints(1000, 2);
+  opt.range.manifest_replicas = 1;
+  opt.range.enable_memtable_merge = false;
+  StartCluster(opt);
+  ltc::LtcServer* ltc = cluster_->ltc(0);
+  ltc::RangeEngine* flushing = ltc->GetRange(0);
+  ltc::RangeEngine* other = ltc->GetRange(1);
+  ASSERT_EQ(flushing->ManifestStocs(),
+            std::vector<rdma::NodeId>{Cluster::StocNode(0)});
+  flushing->placer()->UpdateStocs(
+      {Cluster::StocNode(1), Cluster::StocNode(2)});
+  for (int i = 0; i < 100; i++) {
+    ASSERT_TRUE(cluster_->Put(Key(i), "v" + std::to_string(i)).ok());
+  }
+  flushing->FlushAllMemtables();
+  flushing->WaitForQuiescence();
+  size_t l0_before = flushing->versions()->current()->files(0).size();
+  ASSERT_GT(l0_before, 0u);
+
+  constexpr int kManifestLatencyMs = 1500;
+  cluster_->device(0)->InjectLatency(kManifestLatencyMs * 1000);
+  for (int i = 100; i < 200; i++) {
+    ASSERT_TRUE(cluster_->Put(Key(i), "v" + std::to_string(i)).ok());
+  }
+  flushing->FlushAllMemtables();
+  // The flush writes its SSTable to StoCs 1-2, then commits its edit with
+  // a MANIFEST append that StoC 0's disk holds for kManifestLatencyMs.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (cluster_->device(0)->QueueDepth() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(cluster_->device(0)->QueueDepth(), 0)
+      << "the flush never reached its MANIFEST append";
+
+  auto timed = [](auto call) {
+    return std::async(std::launch::async, [call] {
+      auto start = std::chrono::steady_clock::now();
+      call();
+      return std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - start)
+          .count();
+    });
+  };
+  std::string value;
+  Status get_status;
+  ltc::RangeEngine* routed = nullptr;
+  auto get = timed([&] { get_status = flushing->Get(Key(7), &value); });
+  auto route = timed([&] { routed = ltc->RouteKey(Key(900)); });
+  double get_ms = get.get();
+  double route_ms = route.get();
+  size_t l0_after = flushing->versions()->current()->files(0).size();
+  cluster_->device(0)->InjectLatency(0);
+
+  EXPECT_EQ(l0_after, l0_before)
+      << "the flush committed before the Get and RouteKey returned";
+  EXPECT_LT(get_ms, kManifestLatencyMs / 2);
+  EXPECT_LT(route_ms, kManifestLatencyMs / 2);
+  ASSERT_TRUE(get_status.ok()) << get_status.ToString();
+  EXPECT_EQ(value, "v7");
+  EXPECT_EQ(routed, other);
+  flushing->WaitForQuiescence();
+  EXPECT_GT(flushing->versions()->current()->files(0).size(), l0_before);
 }
 
 TEST_F(IntegrationTest, SharedNothingPlacementRestrictsStocs) {

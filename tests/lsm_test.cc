@@ -1,11 +1,21 @@
 // Unit & property tests for the LSM metadata layer: file metadata and
-// version-edit serialization, version queries, compaction picking
-// (disjointness invariants under parameter sweeps), and placement.
+// version-edit serialization, version queries, MANIFEST group commit
+// (batching, recovery, failed batches, readers never waiting on the
+// append), compaction picking (disjointness invariants under parameter
+// sweeps), and placement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "lsm/compaction.h"
 #include "lsm/file_meta.h"
@@ -83,8 +93,8 @@ TEST(VersionEditTest, RoundTripWithDrangeState) {
 TEST(VersionSetTest, ApplyAndRecover) {
   LsmOptions opt;
   std::vector<std::string> manifest;
-  VersionSet vs(opt, [&manifest](const Slice& rec) {
-    manifest.emplace_back(rec.data(), rec.size());
+  VersionSet vs(opt, [&manifest](const std::vector<std::string>& records) {
+    manifest.insert(manifest.end(), records.begin(), records.end());
     return Status::OK();
   });
 
@@ -111,6 +121,226 @@ TEST(VersionSetTest, ApplyAndRecover) {
   EXPECT_EQ(v2->files(0)[0]->number, 2u);
   EXPECT_EQ(v2->files(1).size(), 1u);
   EXPECT_EQ(vs2.manifest_version(), 2u);
+}
+
+/// MANIFEST sink for the group-commit tests: calls wait at a gate while it
+/// is closed, calls from fail_from on fail, and every batch is recorded.
+class GatedSink {
+ public:
+  ManifestSink AsSink() {
+    return [this](const std::vector<std::string>& records) {
+      return Append(records);
+    };
+  }
+
+  void Close() {
+    std::lock_guard<std::mutex> l(mu_);
+    open_ = false;
+  }
+  void Open() {
+    std::lock_guard<std::mutex> l(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  /// Calls numbered fail_from and later return an I/O error.
+  void FailFrom(int fail_from) {
+    std::lock_guard<std::mutex> l(mu_);
+    fail_from_ = fail_from;
+  }
+  /// Block until `n` calls have entered the sink.
+  void WaitForCalls(int n) {
+    std::unique_lock<std::mutex> l(mu_);
+    cv_.wait(l, [&] { return calls_ >= n; });
+  }
+
+  int calls() {
+    std::lock_guard<std::mutex> l(mu_);
+    return calls_;
+  }
+  /// Records of the successful calls, in append order.
+  std::vector<std::string> records() {
+    std::lock_guard<std::mutex> l(mu_);
+    return records_;
+  }
+  /// Batch size of each failed call.
+  std::vector<size_t> failed_batches() {
+    std::lock_guard<std::mutex> l(mu_);
+    return failed_batches_;
+  }
+
+ private:
+  Status Append(const std::vector<std::string>& records) {
+    std::unique_lock<std::mutex> l(mu_);
+    int call = ++calls_;
+    cv_.notify_all();
+    cv_.wait(l, [&] { return open_; });
+    if (fail_from_ > 0 && call >= fail_from_) {
+      failed_batches_.push_back(records.size());
+      return Status::IOError("manifest sink failed");
+    }
+    records_.insert(records_.end(), records.begin(), records.end());
+    return Status::OK();
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = true;
+  int fail_from_ = 0;
+  int calls_ = 0;
+  std::vector<std::string> records_;
+  std::vector<size_t> failed_batches_;
+};
+
+/// File numbers per level, in the version's order.
+std::vector<std::vector<uint64_t>> Layout(const Version& v) {
+  std::vector<std::vector<uint64_t>> layout(v.num_levels());
+  for (int level = 0; level < v.num_levels(); level++) {
+    for (const auto& f : v.files(level)) {
+      layout[level].push_back(f->number);
+    }
+  }
+  return layout;
+}
+
+TEST(VersionSetGroupCommitTest, CurrentReturnsWhileAppendIsBlocked) {
+  LsmOptions opt;
+  GatedSink sink;
+  sink.Close();
+  VersionSet vs(opt, sink.AsSink());
+  VersionEdit edit;
+  edit.new_files.emplace_back(0, MakeFile(1, 0, 99));
+  std::thread writer([&] { EXPECT_TRUE(vs.LogAndApply(&edit).ok()); });
+  sink.WaitForCalls(1);
+
+  auto reader = std::async(std::launch::async, [&] { return vs.current(); });
+  bool returned =
+      reader.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  sink.Open();
+  writer.join();
+  ASSERT_TRUE(returned) << "current() waited on the MANIFEST append";
+  // The edit is published only after its append succeeded.
+  EXPECT_EQ(reader.get()->NumFiles(), 0);
+  EXPECT_EQ(vs.current()->NumFiles(), 1);
+}
+
+TEST(VersionSetGroupCommitTest, ConcurrentEditsShareAppendsAndRecover) {
+  constexpr int kThreads = 8;
+  constexpr int kEditsPerThread = 25;
+  LsmOptions opt;
+  GatedSink sink;
+  sink.Close();
+  VersionSet vs(opt, sink.AsSink());
+  std::atomic<uint64_t> sequence{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      uint64_t previous = 0;
+      for (int i = 0; i < kEditsPerThread; i++) {
+        vs.SetLastSequence(sequence.fetch_add(1) + 1);
+        uint64_t number = vs.NewFileNumber();
+        VersionEdit edit;
+        edit.new_files.emplace_back(
+            0, MakeFile(number, t * 1000 + i, t * 1000 + i + 1));
+        if (i % 2 == 1) {
+          // Retire the thread's previous file as a compaction would.
+          edit.deleted_files.emplace_back(0, previous);
+          edit.new_files.emplace_back(
+              1, MakeFile(vs.NewFileNumber(), t * 1000 + i, t * 1000 + i));
+        }
+        previous = number;
+        if (!vs.LogAndApply(&edit).ok()) {
+          failures++;
+        }
+      }
+    });
+  }
+  // Hold the first append so the other writers queue behind it.
+  sink.WaitForCalls(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  sink.Open();
+  for (auto& t : threads) {
+    t.join();
+  }
+  ASSERT_EQ(failures.load(), 0);
+  const int edits = kThreads * kEditsPerThread;
+  EXPECT_LT(sink.calls(), edits);
+  EXPECT_EQ(vs.manifest_version(), static_cast<uint64_t>(edits));
+  std::vector<std::string> records = sink.records();
+  ASSERT_EQ(records.size(), static_cast<size_t>(edits));
+  // Every edit adds an L0 file; every second one retires the one before
+  // it and adds an L1 file.
+  VersionRef v = vs.current();
+  const int retired = kEditsPerThread / 2;
+  EXPECT_EQ(v->files(0).size(),
+            static_cast<size_t>(kThreads * (kEditsPerThread - retired)));
+  EXPECT_EQ(v->files(1).size(), static_cast<size_t>(kThreads * retired));
+
+  VersionSet recovered(opt, nullptr);
+  ASSERT_TRUE(recovered.Recover(records).ok());
+  EXPECT_EQ(Layout(*recovered.current()), Layout(*v));
+  EXPECT_EQ(recovered.last_sequence(), vs.last_sequence());
+  EXPECT_EQ(recovered.last_sequence(), static_cast<uint64_t>(edits));
+  EXPECT_EQ(recovered.NewFileNumber(), vs.NewFileNumber());
+  EXPECT_EQ(recovered.manifest_version(), static_cast<uint64_t>(edits));
+}
+
+TEST(VersionSetGroupCommitTest, FailedAppendFailsItsWholeBatch) {
+  constexpr int kFollowers = 6;
+  LsmOptions opt;
+  GatedSink sink;
+  sink.Close();
+  sink.FailFrom(2);
+  VersionSet vs(opt, sink.AsSink());
+
+  VersionEdit first;
+  first.new_files.emplace_back(0, MakeFile(1, 0, 99));
+  first.drange_state = "committed";
+  std::thread leader([&] { EXPECT_TRUE(vs.LogAndApply(&first).ok()); });
+  sink.WaitForCalls(1);
+
+  std::atomic<int> started{0};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> followers;
+  for (int i = 0; i < kFollowers; i++) {
+    followers.emplace_back([&, i] {
+      VersionEdit edit;
+      edit.new_files.emplace_back(
+          0, MakeFile(10 + i, 100 * (i + 1), 100 * (i + 1) + 50));
+      edit.drange_state = "lost";
+      started++;
+      if (!vs.LogAndApply(&edit).ok()) {
+        failed++;
+      }
+    });
+  }
+  while (started.load() < kFollowers) {
+    std::this_thread::yield();
+  }
+  // Let the followers queue behind the held append, then release it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  sink.Open();
+  leader.join();
+  for (auto& t : followers) {
+    t.join();
+  }
+
+  EXPECT_EQ(failed.load(), kFollowers);
+  size_t failed_edits = 0;
+  size_t largest_batch = 0;
+  for (size_t n : sink.failed_batches()) {
+    failed_edits += n;
+    largest_batch = std::max(largest_batch, n);
+  }
+  EXPECT_EQ(failed_edits, static_cast<size_t>(kFollowers));
+  EXPECT_GT(largest_batch, 1u) << "the queued edits were not batched";
+  // Nothing of a failed batch is published.
+  VersionRef v = vs.current();
+  ASSERT_EQ(v->NumFiles(), 1);
+  EXPECT_EQ(v->files(0)[0]->number, 1u);
+  EXPECT_EQ(vs.manifest_version(), 1u);
+  EXPECT_EQ(vs.drange_state(), "committed");
+  EXPECT_EQ(sink.records().size(), 1u);
 }
 
 TEST(VersionTest, FileForKeyBinarySearch) {

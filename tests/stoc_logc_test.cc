@@ -1,13 +1,17 @@
-// Unit tests for the Storage Component server/client pair and the
-// Logging Component, over the RDMA fabric emulation.
+// Unit tests for the Storage Component server/client pair (including the
+// disk load that power-of-d placement ranks StoCs by) and the Logging
+// Component, over the RDMA fabric emulation.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "logc/log_client.h"
 #include "logc/log_record.h"
+#include "lsm/table_io.h"
 #include "rdma/rpc.h"
 #include "stoc/stoc_client.h"
 #include "stoc/stoc_server.h"
@@ -108,7 +112,70 @@ TEST_F(StocTest, StatsReportQueueAndBytes) {
   stoc::StocStats stats;
   ASSERT_TRUE(client_->GetStats(kStoc0, &stats).ok());
   EXPECT_EQ(stats.stored_bytes, 1000u);
-  EXPECT_GE(stats.queue_depth, 0);
+  // The append finished on a device that takes no time: no load is left.
+  EXPECT_EQ(stats.disk_load_us, 0u);
+}
+
+TEST_F(StocTest, DiskLoadCountsAppendsWaitingForStorageThreads) {
+  // Six appends on a slowed StoC with two storage threads: the device
+  // sees at most two at a time, the StoC's disk load all six.
+  constexpr int kAppends = 6;
+  constexpr uint64_t kLatencyUs = 200 * 1000;
+  devices_[0]->InjectLatency(kLatencyUs);
+  std::string block(4096, 'x');
+  std::vector<stoc::PendingAppend> appends;
+  for (int i = 0; i < kAppends; i++) {
+    appends.push_back(client_->AsyncAppendBlock(
+        kStoc0, stoc::MakeFileId(1, 20 + i, stoc::FileKind::kData, 0),
+        block));
+  }
+  for (stoc::PendingAppend& a : appends) {
+    ASSERT_TRUE(a.Arm().ok());
+  }
+  // The StoC accepts an append when its data lands, just after Arm.
+  const uint64_t all_queued = kAppends * kLatencyUs;
+  stoc::StocStats stats;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  do {
+    ASSERT_TRUE(client_->GetStats(kStoc0, &stats).ok());
+  } while (stats.disk_load_us < all_queued &&
+           std::chrono::steady_clock::now() < deadline);
+  EXPECT_GE(stats.disk_load_us, all_queued);
+  EXPECT_LE(devices_[0]->QueueDepth(), 2);
+  for (stoc::PendingAppend& a : appends) {
+    stoc::StocBlockHandle handle;
+    EXPECT_TRUE(a.Wait(&handle).ok());
+  }
+  devices_[0]->InjectLatency(0);
+}
+
+TEST_F(StocTest, PowerOfDPicksIdleStocOverOneThatJustDrained) {
+  // StoC 0 serves a burst of appends and drains it; StoC 1 stays idle.
+  // With nothing left at either device, the recent busy time still tells
+  // them apart.
+  devices_[0]->InjectLatency(50 * 1000);
+  std::string block(4096, 'x');
+  for (int i = 0; i < 3; i++) {
+    stoc::StocBlockHandle handle;
+    ASSERT_TRUE(client_
+                    ->AppendBlock(kStoc0,
+                                  stoc::MakeFileId(1, 40 + i,
+                                                   stoc::FileKind::kData, 0),
+                                  block, &handle)
+                    .ok());
+  }
+  devices_[0]->InjectLatency(0);
+  ASSERT_EQ(devices_[0]->QueueDepth(), 0);
+
+  lsm::PlacementOptions popt;
+  popt.stocs = {kStoc0, kStoc1};
+  popt.power_of_d = true;
+  lsm::SSTablePlacer placer(client_.get(), popt);
+  for (int i = 0; i < 50; i++) {
+    std::vector<rdma::NodeId> picked = placer.PickStocs(1);
+    ASSERT_EQ(picked.size(), 1u);
+    EXPECT_EQ(picked[0], kStoc1) << "pick " << i;
+  }
 }
 
 TEST_F(StocTest, InMemFileOneSidedWriteAndRead) {
