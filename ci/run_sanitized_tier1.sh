@@ -14,7 +14,9 @@
 # kill/restart under failpoint-injected RPC errors, 10 seeds), the
 # tests that move SSTable pieces off a StoC (RepairTest, and every
 # GracefulRemove test: the drain and the repair scan share one per-file
-# path under one mutex) and the MANIFEST group-commit tests
+# path under one mutex), the placement tests (PlacementTest: new
+# SSTables take their StoCs by the same rule repair uses) and the
+# MANIFEST group-commit tests
 # (VersionSetGroupCommitTest: one caller appends and publishes for a
 # queue of writers; FlushCommitDoesNotBlockGetsOrRouting: readers and
 # routing run while a commit waits on the disk) under TSan. `all` runs
@@ -58,16 +60,17 @@ run_one() {
 }
 
 # Chaos stage: the 10-seed kill/restart + failpoint suite plus the repair,
-# graceful-removal and MANIFEST group-commit tests, serialized (-j 1)
-# because each test churns a whole cluster and the timing assumptions
-# (death verdicts, probe intervals) degrade when oversubscribed.
+# graceful-removal, placement and MANIFEST group-commit tests, serialized
+# (-j 1) because each test churns a whole cluster and the timing
+# assumptions (death verdicts, probe intervals) degrade when
+# oversubscribed.
 run_chaos() {
   local build_dir="${repo_root}/build-threadsan"
   echo "==> [chaos] configure + build (${build_dir})"
   cmake -S "${repo_root}" -B "${build_dir}" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSANITIZE=thread >/dev/null
   cmake --build "${build_dir}" -j "$(nproc)" >/dev/null
-  local tests="ChaosTest|RepairTest|GracefulRemove|VersionSetGroupCommitTest|FlushCommitDoesNotBlockGetsOrRouting"
+  local tests="ChaosTest|RepairTest|GracefulRemove|PlacementTest|VersionSetGroupCommitTest|FlushCommitDoesNotBlockGetsOrRouting"
   echo "==> [chaos] ctest -R ${tests} (TSan)"
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     ctest --test-dir "${build_dir}" -R "${tests}" -j 1 \

@@ -100,9 +100,10 @@ Status LogClient::AppendInMemory(LogFileState* state, const Slice& encoded) {
         return s;
       }
     }
-    Status s = options_.use_nic_path
-                   ? NicAppend(replica, write_offset, encoded)
-                   : stoc_client_->WriteInMem(replica, write_offset, encoded);
+    Status s =
+        options_.use_nic_path
+            ? stoc_client_->NicAppend(replica, write_offset, encoded)
+            : stoc_client_->WriteInMem(replica, write_offset, encoded);
     if (!s.ok()) {
       return s;
     }
@@ -151,12 +152,8 @@ Status LogClient::Append(uint64_t memtable_id, const LogRecord& rec) {
   std::string encoded;
   EncodeLogRecord(&encoded, rec);
   if (!state->replicas.empty()) {
-    Status s = AppendInMemory(state.get(), encoded);
-    if (!s.ok()) {
-      return s;
-    }
+    return AppendInMemory(state.get(), encoded);
   }
-  records_appended_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -185,11 +182,6 @@ Status LogClient::DeleteLogFile(uint64_t memtable_id) {
     stoc_client_->DeleteFile(replica.stoc_id, replica.file_id, true);
   }
   return Status::OK();
-}
-
-Status LogClient::NicAppend(const stoc::InMemFileHandle& handle,
-                            uint64_t global_offset, const Slice& data) {
-  return stoc_client_->NicAppend(handle, global_offset, data);
 }
 
 void LogClient::Adopt(uint64_t memtable_id,

@@ -58,9 +58,6 @@ class LogClient {
 
   bool HasLogFile(uint64_t memtable_id);
 
-  /// Total records appended (all files); for tests.
-  uint64_t records_appended() const { return records_appended_; }
-
   /// Recovery: gather all log records for range_id from the given StoCs,
   /// reading each log file from its first reachable replica with one-sided
   /// RDMA READs, grouped by memtable id. Static: runs without a LogClient
@@ -90,8 +87,6 @@ class LogClient {
   };
 
   Status AppendInMemory(LogFileState* state, const Slice& encoded);
-  Status NicAppend(const stoc::InMemFileHandle& handle, uint64_t global_offset,
-                   const Slice& data);
 
   stoc::StocClient* stoc_client_;
   uint32_t range_id_;
@@ -103,7 +98,6 @@ class LogClient {
   /// losing append targets already-deleted StoC files, which fail or are
   /// ignored, and the record is re-logged on the put retry.
   std::map<uint64_t, std::shared_ptr<LogFileState>> files_;
-  std::atomic<uint64_t> records_appended_{0};
 };
 
 }  // namespace logc

@@ -1,5 +1,7 @@
 #include "lsm/file_meta.h"
 
+#include <algorithm>
+
 #include "util/coding.h"
 
 namespace nova {
@@ -95,6 +97,40 @@ Status FileMetaData::DecodeFrom(Slice* input) {
     return Status::Corruption("bad parity location");
   }
   return Status::OK();
+}
+
+int32_t PickPieceStoc(const FileMetaData& meta, PieceKind kind, int fragment,
+                      const std::vector<int32_t>& order) {
+  // held[i]: pieces of the SSTable on order[i]; copy[i]: one of them is a
+  // copy of the piece's bytes.
+  std::vector<int> held(order.size(), 0);
+  std::vector<bool> copy(order.size(), false);
+  ForEachPiece(meta, [&](PieceKind k, int f, const BlockLocation& loc) {
+    auto it = std::find(order.begin(), order.end(), loc.stoc_id);
+    if (it == order.end()) {
+      return;
+    }
+    size_t i = it - order.begin();
+    held[i]++;
+    if ((k == kind && f == fragment) ||
+        (kind == PieceKind::kParity && k == PieceKind::kFragment)) {
+      copy[i] = true;
+    }
+  });
+  auto fewest = [&](auto&& allowed) {
+    int best = -1;
+    for (int i = 0; i < static_cast<int>(order.size()); i++) {
+      if (allowed(i) && (best < 0 || held[i] < held[best])) {
+        best = i;
+      }
+    }
+    return best;
+  };
+  int best = fewest([&](int i) { return !copy[i]; });
+  if (best < 0 && kind == PieceKind::kParity) {
+    best = fewest([&](int i) { return order[i] != meta.parity.stoc_id; });
+  }
+  return best < 0 ? -1 : order[best];
 }
 
 }  // namespace lsm

@@ -70,6 +70,19 @@ void ForEachPiece(Meta& meta, Fn&& fn) {
   if (meta.parity.valid()) fn(PieceKind::kParity, -1, meta.parity);
 }
 
+/// The one placement rule, shared by SSTable writes and repair: the StoC
+/// of `order` for a piece of `meta` (kind and fragment as ForEachPiece
+/// passes them). It must hold no copy of the piece's bytes: a replica of
+/// the same fragment or metadata block or, for parity, the parity block
+/// or any fragment it covers. Of those, the one holding the fewest pieces
+/// of the SSTable wins (so one holding none, when there is one), the
+/// earliest in `order` on a tie. When every StoC holds a fragment, parity
+/// may share one, though never its own. The piece's current location
+/// counts as a copy, so a re-homed piece always moves. Returns -1 when no
+/// StoC of `order` qualifies.
+int32_t PickPieceStoc(const FileMetaData& meta, PieceKind kind, int fragment,
+                      const std::vector<int32_t>& order);
+
 }  // namespace lsm
 }  // namespace nova
 

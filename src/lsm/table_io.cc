@@ -266,7 +266,7 @@ void SSTablePlacer::set_options(const PlacementOptions& options) {
   options_ = options;
 }
 
-std::vector<rdma::NodeId> SSTablePlacer::PickStocs(int count) {
+std::vector<rdma::NodeId> SSTablePlacer::PickStocs(int count, int d) {
   PlacementOptions opt = options();
   std::vector<rdma::NodeId> candidates = opt.stocs;
   // Membership exclusion (ISSUE 9): never place new blocks on
@@ -283,73 +283,61 @@ std::vector<rdma::NodeId> SSTablePlacer::PickStocs(int count) {
   if (!healthy.empty()) {
     candidates = std::move(healthy);
   }
-  if (count >= static_cast<int>(candidates.size())) {
-    return candidates;
+  int n = static_cast<int>(candidates.size());
+  count = std::min(count, n);
+  // Power-of-d asks d random StoCs for their disk load and takes the
+  // `count` least loaded (paper Section 4.4). Asked for every candidate,
+  // or placing at random, it probes none.
+  bool probe = opt.power_of_d && count < n;
+  if (d <= 0) {
+    d = 2 * count;
   }
-  std::vector<rdma::NodeId> picked;
-  if (!opt.power_of_d) {
-    // Random: choose `count` distinct StoCs.
-    std::lock_guard<std::mutex> l(mu_);
-    for (int i = 0; i < count; i++) {
-      size_t j = i + rng_.Uniform(candidates.size() - i);
-      std::swap(candidates[i], candidates[j]);
-      picked.push_back(candidates[i]);
-    }
-    return picked;
-  }
-  // Power-of-d: ask d = 2*count random StoCs for their disk load and take
-  // the `count` least loaded (paper Section 4.4).
-  int d = std::min<int>(2 * count, static_cast<int>(candidates.size()));
+  d = probe ? std::min(std::max(count, d), n) : count;
   {
     // mu_ guards the RNG only. Never hold it across the probe RPCs:
     // UpdateStocs (the KillStoc path) must not block behind a probe
     // waiting on a StoC that just died.
     std::lock_guard<std::mutex> l(mu_);
     for (int i = 0; i < d; i++) {
-      size_t j = i + rng_.Uniform(candidates.size() - i);
-      std::swap(candidates[i], candidates[j]);
+      std::swap(candidates[i], candidates[i + rng_.Uniform(n - i)]);
     }
   }
-  std::vector<std::pair<uint64_t, rdma::NodeId>> loads;
-  for (int i = 0; i < d; i++) {
-    stoc::StocStats stats;
-    // Unreachable StoCs sort last.
-    uint64_t load = std::numeric_limits<uint64_t>::max();
-    if (client_->GetStats(candidates[i], &stats, /*timeout_ms=*/100).ok()) {
-      load = stats.disk_load_us;
+  candidates.resize(d);
+  if (probe) {
+    std::vector<std::pair<uint64_t, rdma::NodeId>> loads;
+    for (rdma::NodeId c : candidates) {
+      stoc::StocStats stats;
+      // Unreachable StoCs sort last.
+      uint64_t load = std::numeric_limits<uint64_t>::max();
+      if (client_->GetStats(c, &stats, /*timeout_ms=*/100).ok()) {
+        load = stats.disk_load_us;
+      }
+      loads.emplace_back(load, c);
     }
-    loads.emplace_back(load, candidates[i]);
+    // Stable sort on load alone: ties keep the shuffled order. A plain
+    // pair-sort would tie-break on NodeId and collapse power-of-d to
+    // "always the lowest-numbered StoCs" whenever the cluster is idle.
+    std::stable_sort(loads.begin(), loads.end(),
+                     [](const std::pair<uint64_t, rdma::NodeId>& a,
+                        const std::pair<uint64_t, rdma::NodeId>& b) {
+                       return a.first < b.first;
+                     });
+    for (int i = 0; i < d; i++) {
+      candidates[i] = loads[i].second;
+    }
   }
-  // Stable sort on load alone: ties keep the shuffled order. A plain
-  // pair-sort would tie-break on NodeId and collapse power-of-d to
-  // "always the lowest-numbered StoCs" whenever the cluster is idle.
-  std::stable_sort(loads.begin(), loads.end(),
-                   [](const std::pair<uint64_t, rdma::NodeId>& a,
-                      const std::pair<uint64_t, rdma::NodeId>& b) {
-                     return a.first < b.first;
-                   });
-  for (int i = 0; i < count; i++) {
-    picked.push_back(loads[i].second);
-  }
-  return picked;
+  candidates.resize(count);
+  return candidates;
 }
 
 /// Everything an in-flight SSTable write owns until its flush acks drain:
-/// the built data (append slices point into it), the planned tasks, and
-/// the armed appends. The FileMetaData is complete except for the block
-/// locations, which Wait fills as acknowledgments arrive.
+/// the built data, parity and metadata (append slices point into them),
+/// the armed appends in ForEachPiece order, and the FileMetaData with
+/// every location filled in.
 struct PendingSSTable::State {
-  struct WriteTask {
-    int fragment;  // >= 0 data, -1 parity, -2 metadata
-    int replica;
-    rdma::NodeId stoc;
-    uint64_t file_id;
-    Slice data;
-  };
   std::string data;
   std::string parity;
   std::string meta_encoded;
-  std::vector<WriteTask> tasks;
   std::vector<stoc::PendingAppend> appends;
   FileMetaData meta;
 };
@@ -367,28 +355,20 @@ Status PendingSSTable::Wait(FileMetaData* out) {
   std::unique_ptr<State> st = std::move(state_);
   Status first_error;
   // One deadline spans the whole ack drain: a wedged StoC costs the batch
-  // a single budget, not 30 s per outstanding task.
+  // a single budget, not 30 s per outstanding append.
   util::Deadline deadline = util::Deadline::After(30000);
-  for (size_t i = 0; i < st->tasks.size(); i++) {
-    const State::WriteTask& t = st->tasks[i];
+  size_t i = 0;
+  ForEachPiece(st->meta, [&](PieceKind, int, BlockLocation& loc) {
     stoc::StocBlockHandle handle;
-    Status s = st->appends[i].Wait(
+    Status s = st->appends[i++].Wait(
         &handle, static_cast<int>(deadline.remaining_ms(30000)));
     if (!s.ok()) {
       if (first_error.ok()) {
         first_error = s;
       }
-      continue;  // keep draining so no acknowledgment is orphaned
+      loc = BlockLocation{};  // keep draining so no ack is orphaned
     }
-    if (t.fragment >= 0) {
-      st->meta.fragments[t.fragment][t.replica] =
-          BlockLocation{t.stoc, t.file_id};
-    } else if (t.fragment == -1) {
-      st->meta.parity = BlockLocation{t.stoc, t.file_id};
-    } else {
-      st->meta.meta_replicas[t.replica] = BlockLocation{t.stoc, t.file_id};
-    }
-  }
+  });
   *out = std::move(st->meta);
   return first_error;
 }
@@ -418,7 +398,7 @@ Status SSTablePlacer::StartWrite(SSTableBuilder::Result&& built,
   }
 
   auto state = std::make_unique<PendingSSTable::State>();
-  state->data = std::move(built.data);  // the task slices point into this
+  state->data = std::move(built.data);  // the append slices point into this
   FileMetaData* out = &state->meta;
 
   // The builder already split the data at block boundaries into the
@@ -433,116 +413,82 @@ Status SSTablePlacer::StartWrite(SSTableBuilder::Result&& built,
   out->drange_id = drange_id;
   out->generation = generation;
   out->fragment_sizes = tmeta.fragment_sizes;
-  out->fragments.assign(nfrags, {});
 
+  // One StoC order for every piece: R replicas of each fragment, the
+  // metadata replicas and the parity block, on distinct StoCs when there
+  // are enough (with as many pieces as StoCs the order is random).
+  // Power-of-d probes two candidates per fragment replica and metadata
+  // replica; the parity block takes the next least loaded.
   int replicas = std::max(1, opt.num_data_replicas);
-  // One StoC per (fragment, replica), all distinct when possible.
-  std::vector<rdma::NodeId> targets = PickStocs(nfrags * replicas);
-  if (targets.empty()) {
+  int meta_replicas = std::max(1, opt.num_meta_replicas);
+  bool parity = opt.use_parity && nfrags >= 1;
+  int probed = nfrags * replicas + meta_replicas;
+  std::vector<rdma::NodeId> order =
+      PickStocs(probed + (parity ? 1 : 0), /*d=*/2 * probed);
+  if (order.empty()) {
     return Status::Unavailable("no stocs reachable");
   }
-
-  using WriteTask = PendingSSTable::State::WriteTask;
-  std::vector<WriteTask>& tasks = state->tasks;
-  uint64_t frag_offset = 0;
-  uint64_t max_frag = 0;
+  auto place = [&](PieceKind kind, int fragment, stoc::FileKind file_kind,
+                   int index, BlockLocation* loc) {
+    int32_t stoc = PickPieceStoc(*out, kind, fragment, order);
+    // No StoC free of the piece's other copies (more replicas than
+    // StoCs): share one so the flush still lands.
+    loc->stoc_id = stoc >= 0 ? stoc : order.front();
+    loc->file_id = stoc::MakeFileId(
+        opt.range_id, static_cast<uint32_t>(tmeta.file_number), file_kind,
+        static_cast<uint8_t>(index));
+  };
+  out->fragments.assign(nfrags, std::vector<BlockLocation>(replicas));
   for (int f = 0; f < nfrags; f++) {
-    max_frag = std::max(max_frag, tmeta.fragment_sizes[f]);
     for (int r = 0; r < replicas; r++) {
-      WriteTask t;
-      t.fragment = f;
-      t.replica = r;
-      t.stoc = targets[(f * replicas + r) % targets.size()];
-      t.file_id = stoc::MakeFileId(
-          opt.range_id, static_cast<uint32_t>(tmeta.file_number),
-          stoc::FileKind::kData, static_cast<uint8_t>(f * 8 + r));
-      t.data = Slice(state->data.data() + frag_offset,
-                     tmeta.fragment_sizes[f]);
-      tasks.push_back(t);
+      place(PieceKind::kFragment, f, stoc::FileKind::kData, f * 8 + r,
+            &out->fragments[f][r]);
     }
-    frag_offset += tmeta.fragment_sizes[f];
+  }
+  out->meta_replicas.resize(std::min<size_t>(meta_replicas, order.size()));
+  for (size_t r = 0; r < out->meta_replicas.size(); r++) {
+    place(PieceKind::kMeta, -1, stoc::FileKind::kMeta, static_cast<int>(r),
+          &out->meta_replicas[r]);
+  }
+  if (parity) {
+    place(PieceKind::kParity, -1, stoc::FileKind::kParity, 0, &out->parity);
   }
 
+  std::vector<Slice> fragment_data;
+  uint64_t offset = 0;
+  uint64_t longest = 0;
+  for (uint64_t size : tmeta.fragment_sizes) {
+    fragment_data.emplace_back(state->data.data() + offset, size);
+    offset += size;
+    longest = std::max(longest, size);
+  }
   // Parity block over the fragments (Hybrid availability): XOR of all
-  // fragments zero-padded to the longest. Computed up front so its append
-  // can join the fragment batch below.
-  std::string& parity = state->parity;
-  if (opt.use_parity && nfrags >= 1) {
-    parity.assign(max_frag, '\0');
-    uint64_t off = 0;
-    for (int f = 0; f < nfrags; f++) {
-      XorInto(&parity, Slice(state->data.data() + off,
-                             tmeta.fragment_sizes[f]));
-      off += tmeta.fragment_sizes[f];
+  // fragments zero-padded to the longest.
+  if (parity) {
+    state->parity.assign(longest, '\0');
+    for (const Slice& fragment : fragment_data) {
+      XorInto(&state->parity, fragment);
     }
-    // Prefer a StoC not already hosting a fragment.
-    std::set<rdma::NodeId> used;
-    for (const auto& t : tasks) {
-      used.insert(t.stoc);
-    }
-    rdma::NodeId parity_stoc = -1;
-    for (rdma::NodeId n : opt.stocs) {
-      if (!used.count(n) && client_->IsRoutable(n)) {
-        parity_stoc = n;
-        break;
-      }
-    }
-    for (rdma::NodeId n : opt.stocs) {
-      if (parity_stoc >= 0) {
-        break;
-      }
-      if (!used.count(n)) {
-        parity_stoc = n;
-      }
-    }
-    if (parity_stoc < 0) {
-      parity_stoc = opt.stocs[0];
-    }
-    WriteTask t;
-    t.fragment = -1;  // parity
-    t.replica = 0;
-    t.stoc = parity_stoc;
-    t.file_id = stoc::MakeFileId(
-        opt.range_id, static_cast<uint32_t>(tmeta.file_number),
-        stoc::FileKind::kParity, 0);
-    t.data = Slice(parity);
-    tasks.push_back(t);
   }
-
-  // Metadata block replicas (index + bloom); small, so replication is
-  // cheap and lets reads use any replica (Section 3.1).
-  std::string& meta_encoded = state->meta_encoded;
-  tmeta.EncodeTo(&meta_encoded);
-  int meta_replicas =
-      std::min<int>(std::max(1, opt.num_meta_replicas),
-                    static_cast<int>(opt.stocs.size()));
-  std::vector<rdma::NodeId> meta_targets = PickStocs(meta_replicas);
-  out->meta_replicas.assign(meta_targets.size(), BlockLocation{});
-  for (int r = 0; r < static_cast<int>(meta_targets.size()); r++) {
-    WriteTask t;
-    t.fragment = -2;  // metadata
-    t.replica = r;
-    t.stoc = meta_targets[r];
-    t.file_id = stoc::MakeFileId(
-        opt.range_id, static_cast<uint32_t>(tmeta.file_number),
-        stoc::FileKind::kMeta, static_cast<uint8_t>(r));
-    t.data = Slice(meta_encoded);
-    tasks.push_back(t);
-  }
+  // Metadata block (index + bloom); small, so replication is cheap and
+  // lets reads use any replica (Section 3.1).
+  tmeta.EncodeTo(&state->meta_encoded);
 
   // One async batch for the whole SSTable (the point of scattering: the
-  // write uses the disk bandwidth of ρ StoCs at once). Phase 1 queued the
-  // buffer-grant RPCs above; Arm() collects each grant and issues the
+  // write uses the disk bandwidth of ρ StoCs at once). AsyncAppendBlock
+  // queues each buffer-grant RPC; Arm() collects each grant and starts the
   // one-sided data write (both cheap). The slow part — every StoC
   // flushing its blocks — stays in flight until PendingSSTable::Wait
   // collects the acknowledgments, so a pipelined caller can keep merging
   // (or building the next output) meanwhile.
-  out->fragments.assign(nfrags, std::vector<BlockLocation>(replicas));
-  state->appends.reserve(tasks.size());
-  for (const WriteTask& t : tasks) {
+  ForEachPiece(*out, [&](PieceKind kind, int fragment,
+                         const BlockLocation& loc) {
+    Slice data = kind == PieceKind::kFragment ? fragment_data[fragment]
+                 : kind == PieceKind::kMeta   ? Slice(state->meta_encoded)
+                                              : Slice(state->parity);
     state->appends.push_back(
-        client_->AsyncAppendBlock(t.stoc, t.file_id, t.data));
-  }
+        client_->AsyncAppendBlock(loc.stoc_id, loc.file_id, data));
+  });
   for (stoc::PendingAppend& a : state->appends) {
     a.Arm();  // failures surface again in Wait()
   }

@@ -10,12 +10,15 @@
 //    blocks — so concurrent gets on different files do not serialize on
 //    one mutex and open readers are evicted under memory pressure instead
 //    of accumulating forever.
-//  * SSTablePlacer — picks StoCs at random or by power-of-d on each
-//    StoC's disk load (stoc::StocStats::disk_load_us: estimated service
-//    time of its accepted and unfinished disk work plus its recent busy
-//    time), writes the ρ fragments in parallel with R replicas each, an
-//    optional parity block, and replicated metadata blocks (Section 4.4,
-//    Figure 9/10).
+//  * SSTablePlacer — writes the ρ fragments in parallel with R replicas
+//    each, replicated metadata blocks and an optional parity block
+//    (Section 4.4, Figure 9/10). One PickStocs call per SSTable orders
+//    the StoCs, at random or by power-of-d on each StoC's disk load
+//    (stoc::StocStats::disk_load_us: estimated service time of its
+//    accepted and unfinished disk work plus its recent busy time), and
+//    every piece takes its StoC from that order by the one placement rule
+//    (lsm::PickPieceStoc, which repair uses too): first a StoC that holds
+//    no piece of the SSTable.
 #ifndef NOVA_LSM_TABLE_IO_H_
 #define NOVA_LSM_TABLE_IO_H_
 
@@ -132,13 +135,14 @@ struct PlacementOptions {
 
 class SSTablePlacer;
 
-/// An SSTable whose scatter writes are in flight. StartWrite ran phases
-/// 1-2 of the Figure-10 flow for every fragment/parity/metadata block
-/// (buffer-grant RPC + one-sided data write); Wait drains the flush
-/// acknowledgments and fills in the block locations. The compaction
-/// executor keeps a small bound of these armed so the merge loop never
-/// blocks on a StoC flush. Dropping an unwaited one abandons its appends
-/// safely (each PendingAppend reaps its completion token).
+/// An SSTable whose scatter writes are in flight. StartWrite placed every
+/// piece, filled in its location, and ran phases 1-2 of the Figure-10 flow
+/// for it (buffer-grant RPC + one-sided data write); Wait drains the flush
+/// acknowledgments and clears the location of every piece whose append
+/// failed. The compaction executor keeps a small bound of these armed so
+/// the merge loop never blocks on a StoC flush. Dropping an unwaited one
+/// abandons its appends safely (each PendingAppend reaps its completion
+/// token).
 class PendingSSTable {
  public:
   PendingSSTable();
@@ -181,10 +185,12 @@ class SSTablePlacer {
   PlacementOptions options() const;
   void set_options(const PlacementOptions& options);
 
-  /// Pick `count` distinct StoCs using the configured policy: at random,
-  /// or the `count` least loaded of d = 2*count random candidates
-  /// (exposed for tests and Table 5).
-  std::vector<rdma::NodeId> PickStocs(int count);
+  /// Pick min(count, candidates) distinct StoCs, routable ones only
+  /// unless none is, using the configured policy: at random, or the least
+  /// loaded first of d random candidates (d = 2*count when 0, at least
+  /// count). Asked for every candidate, it returns them all in random
+  /// order without a probe (repair orders its targets so).
+  std::vector<rdma::NodeId> PickStocs(int count, int d = 0);
 
  private:
   stoc::StocClient* client_;

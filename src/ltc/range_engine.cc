@@ -1150,7 +1150,7 @@ void RangeEngine::ApplyCompactionResult(const lsm::CompactionJob& job,
   for (const auto* files : {&job.inputs, &job.inputs_next}) {
     for (const auto& f : *files) {
       dead.push_back(f->number);
-      DeleteFileBlocks(*f);
+      placer_->Delete(*f);
     }
   }
   table_cache_->EvictBatch(dead);
@@ -1158,10 +1158,6 @@ void RangeEngine::ApplyCompactionResult(const lsm::CompactionJob& job,
     std::lock_guard<std::mutex> l(stats_mu_);
     stats_.compactions++;
   }
-}
-
-void RangeEngine::DeleteFileBlocks(const lsm::FileMetaData& meta) {
-  placer_->Delete(meta);
 }
 
 std::vector<rdma::NodeId> RangeEngine::ManifestStocs() const {

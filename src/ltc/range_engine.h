@@ -314,7 +314,6 @@ class RangeEngine {
   void RunCompaction(lsm::CompactionJob job, uint64_t queue_us);
   void ApplyCompactionResult(const lsm::CompactionJob& job,
                              const lsm::CompactionResult& result);
-  void DeleteFileBlocks(const lsm::FileMetaData& meta);
   /// One append per MANIFEST replica carrying every record of a
   /// group-committed batch (lsm::ManifestSink).
   Status ManifestAppend(const std::vector<std::string>& records);

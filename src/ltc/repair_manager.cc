@@ -1,6 +1,7 @@
 #include "ltc/repair_manager.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "lsm/table_io.h"
 #include "util/logging.h"
@@ -51,34 +52,6 @@ void ForEachLiveFile(const std::vector<RangeEngine*>& engines, Fn&& fn) {
       }
     }
   }
-}
-
-/// The StoCs a re-homed piece must avoid: every StoC holding a copy of
-/// the same bytes. For parity that is the parity block itself plus every
-/// fragment it covers (a preference the caller may relax).
-std::vector<rdma::NodeId> CopyStocs(const lsm::FileMetaData& meta,
-                                    lsm::PieceKind kind, int fragment) {
-  std::vector<rdma::NodeId> stocs;
-  auto add = [&stocs](const std::vector<lsm::BlockLocation>& copies) {
-    for (const lsm::BlockLocation& loc : copies) {
-      stocs.push_back(loc.stoc_id);
-    }
-  };
-  switch (kind) {
-    case lsm::PieceKind::kFragment:
-      add(meta.fragments[fragment]);
-      break;
-    case lsm::PieceKind::kMeta:
-      add(meta.meta_replicas);
-      break;
-    case lsm::PieceKind::kParity:
-      stocs.push_back(meta.parity.stoc_id);
-      for (const auto& replicas : meta.fragments) {
-        add(replicas);
-      }
-      break;
-  }
-  return stocs;
 }
 
 }  // namespace
@@ -252,24 +225,6 @@ Status RepairManager::RebuildPiece(const lsm::FileMetaRef& file,
   return Status::InvalidArgument("unknown piece kind");
 }
 
-rdma::NodeId RepairManager::PickTarget(
-    const std::vector<rdma::NodeId>& candidates,
-    const std::vector<rdma::NodeId>& exclude) {
-  if (candidates.empty()) {
-    return -1;
-  }
-  // Rotate the starting point so re-homed pieces spread across the
-  // healthy StoCs instead of piling onto the first one.
-  size_t start = rr_seed_++ % candidates.size();
-  for (size_t i = 0; i < candidates.size(); i++) {
-    rdma::NodeId n = candidates[(start + i) % candidates.size()];
-    if (client_->IsRoutable(n) && !Contains(exclude, n)) {
-      return n;
-    }
-  }
-  return -1;
-}
-
 RepairManager::FileOutcome RepairManager::RepairFile(
     RangeEngine* engine, const lsm::FileMetaRef& file,
     const std::vector<rdma::NodeId>& from) {
@@ -278,8 +233,10 @@ RepairManager::FileOutcome RepairManager::RepairFile(
     return outcome;
   }
   lsm::FileMetaData updated = *file;
-  const std::vector<rdma::NodeId> candidates =
-      engine->placer()->options().stocs;
+  // Every routable placement StoC (every one when none is), in random
+  // order and without a load probe.
+  const std::vector<rdma::NodeId> order =
+      engine->placer()->PickStocs(std::numeric_limits<int>::max());
   // Copies written so far, deleted again if the swap fails so a retry
   // never appends a second copy into the same StoC file.
   std::vector<lsm::BlockLocation> written;
@@ -290,13 +247,8 @@ RepairManager::FileOutcome RepairManager::RepairFile(
       return;
     }
     outcome.found++;
-    rdma::NodeId target =
-        PickTarget(candidates, CopyStocs(updated, kind, fragment));
-    if (target < 0 && kind == lsm::PieceKind::kParity) {
-      // Co-locating parity with a fragment beats leaving it behind.
-      target = PickTarget(candidates, {loc.stoc_id});
-    }
-    if (target < 0) {
+    rdma::NodeId target = lsm::PickPieceStoc(updated, kind, fragment, order);
+    if (target < 0 || !client_->IsRoutable(target)) {
       outcome.no_target = true;
       return;
     }

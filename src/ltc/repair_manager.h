@@ -1,11 +1,14 @@
 // RepairManager: moves SSTable pieces off a StoC (paper Sections 4.4, 9).
 //
 // One per-file path re-homes every fragment replica, metadata replica and
-// parity block a file stores on a given set of StoCs. Each piece goes to a
-// routable StoC that holds no other copy of the same bytes (parity may
-// share a StoC with a fragment when nothing else is left), and the file's
-// new placement is swapped in atomically through RangeEngine::SwapFileMeta,
-// so reads take the normal (non-parity) path again.
+// parity block a file stores on a given set of StoCs. Each piece's target
+// comes from the rule that placed it (lsm::PickPieceStoc over the range's
+// routable placement StoCs in random order): a StoC that holds no other
+// copy of the same bytes, preferring one that holds no piece of the file
+// (parity may share a StoC with a fragment when nothing else is left).
+// The file's new placement is swapped in atomically through
+// RangeEngine::SwapFileMeta, so reads take the normal (non-parity) path
+// again.
 //
 // Only the source of a piece's bytes varies. A piece whose StoC still
 // answers is copied StoC-to-StoC (StocClient::CopyFileTo, Section 9); a
@@ -101,9 +104,6 @@ class RepairManager {
   /// Rebuild one piece's bytes from the surviving copies of `file`.
   Status RebuildPiece(const lsm::FileMetaRef& file, lsm::PieceKind kind,
                       int fragment, std::string* out);
-  /// Pick a routable target StoC not in `exclude`; -1 if none.
-  rdma::NodeId PickTarget(const std::vector<rdma::NodeId>& candidates,
-                          const std::vector<rdma::NodeId>& exclude);
   /// Publish the degraded-pieces gauge. Publishing zero first closes an
   /// open repair window, so a poller that sees the gauge at zero also
   /// sees the window's time in repair_us.
@@ -122,7 +122,6 @@ class RepairManager {
   // pieces, closed by the first scan that sees none.
   bool window_open_ = false;
   std::chrono::steady_clock::time_point window_start_{};
-  uint64_t rr_seed_ = 0x5eedbeef;
 
   std::atomic<uint64_t> degraded_fragments_{0};
   std::atomic<uint64_t> repaired_fragments_{0};

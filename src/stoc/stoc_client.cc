@@ -41,20 +41,12 @@ void StocClient::ReportRpc(rdma::NodeId stoc, const Status& s) {
   }
 }
 
-void StocClient::CountWire(rdma::NodeId stoc, uint64_t sent,
-                           uint64_t received) {
+void StocClient::CountWire(uint64_t sent, uint64_t received) {
   if (sent > 0) {
     bytes_sent_.fetch_add(sent, std::memory_order_relaxed);
   }
   if (received > 0) {
     bytes_received_.fetch_add(received, std::memory_order_relaxed);
-  }
-  std::shared_ptr<StocLoad> l = load(stoc);
-  if (sent > 0) {
-    l->bytes_sent.fetch_add(sent, std::memory_order_relaxed);
-  }
-  if (received > 0) {
-    l->bytes_received.fetch_add(received, std::memory_order_relaxed);
   }
 }
 
@@ -68,7 +60,7 @@ Status StocClient::SimpleCall(rdma::NodeId stoc, const std::string& req,
   }
   if (s.ok()) {
     s = endpoint_->Call(stoc, req, storage, timeout_ms);
-    CountWire(stoc, req.size(), s.ok() ? storage->size() : 0);
+    CountWire(req.size(), s.ok() ? storage->size() : 0);
   }
   ReportRpc(stoc, s);
   if (!s.ok()) {
@@ -132,7 +124,7 @@ Status PendingRead::Wait(std::string* out, int timeout_ms) {
   if (client_ != nullptr) {
     client_->ReportRpc(stoc_, s);
     if (s.ok()) {
-      client_->CountWire(stoc_, 0, storage.size());
+      client_->CountWire(0, storage.size());
     }
   }
   if (!s.ok()) {
@@ -188,7 +180,7 @@ Status PendingAppend::Arm() {
   armed_status_ = alloc_.Wait(&storage);
   Slice body;
   if (armed_status_.ok()) {
-    client_->CountWire(stoc_, 0, storage.size());
+    client_->CountWire(0, storage.size());
     armed_status_ = ParseResponse(storage, &body);
   }
   uint32_t mr_id = 0;
@@ -202,7 +194,7 @@ Status PendingAppend::Arm() {
                                         rdma::RemoteAddr{stoc_, mr_id, 0},
                                         true, mr_id);
     if (armed_status_.ok()) {
-      client_->CountWire(stoc_, data_.size(), 0);
+      client_->CountWire(data_.size(), 0);
     }
   }
   if (!armed_status_.ok()) {
@@ -231,7 +223,7 @@ Status PendingAppend::Wait(StocBlockHandle* handle, int timeout_ms) {
   settled_ = true;  // waited (or timed out, which withdrew the slot)
   client_->ReportRpc(stoc_, s);
   if (s.ok()) {
-    client_->CountWire(stoc_, 0, payload.size());
+    client_->CountWire(0, payload.size());
   }
   if (!s.ok()) {
     return s;
@@ -272,7 +264,7 @@ PendingAppend StocClient::AsyncAppendBlock(rdma::NodeId stoc,
   PutVarint64(&req, data.size());
   PutVarint64(&req, token);
   pending.alloc_ = endpoint_->AsyncCall(stoc, req);
-  CountWire(stoc, req.size(), 0);
+  CountWire(req.size(), 0);
   return pending;
 }
 
@@ -379,7 +371,7 @@ PendingRead StocClient::AsyncReadBlock(rdma::NodeId stoc, uint64_t file_id,
   pending.load_->issued.fetch_add(1, std::memory_order_relaxed);
   pending.start_us_ = NowUs();
   pending.future_ = endpoint_->AsyncCall(stoc, req);
-  CountWire(stoc, req.size(), 0);
+  CountWire(req.size(), 0);
   return pending;
 }
 
@@ -638,7 +630,7 @@ Status StocClient::WriteInMem(const InMemFileHandle& handle,
           rdma::RemoteAddr{handle.stoc_id, region.mr_id, local},
           /*notify=*/false, 0);
       if (ws.ok()) {
-        CountWire(handle.stoc_id, data.size(), 0);
+        CountWire(data.size(), 0);
       }
       return ws;
     }
@@ -658,7 +650,7 @@ Status StocClient::ReadInMemRegion(const InMemFileHandle& handle,
       endpoint_->node(), rdma::RemoteAddr{handle.stoc_id, region.mr_id, 0},
       out->data(), region.size);
   if (rs.ok()) {
-    CountWire(handle.stoc_id, 0, region.size);
+    CountWire(0, region.size);
   }
   return rs;
 }
@@ -685,18 +677,10 @@ Status StocClient::GetStats(rdma::NodeId stoc, StocStats* stats,
   if (!s.ok()) {
     return s;
   }
-  uint32_t comp_inflight;
-  uint64_t load, stored, util, comp_done;
-  if (!GetVarint64(&body, &load) || !GetVarint64(&body, &stored) ||
-      !GetVarint64(&body, &util) || !GetVarint32(&body, &comp_inflight) ||
-      !GetVarint64(&body, &comp_done)) {
+  if (!GetVarint64(&body, &stats->disk_load_us) ||
+      !GetVarint64(&body, &stats->stored_bytes)) {
     return Status::IOError("bad stats response");
   }
-  stats->disk_load_us = load;
-  stats->stored_bytes = stored;
-  stats->cpu_utilization = static_cast<double>(util) / 1e6;
-  stats->compactions_inflight = static_cast<int>(comp_inflight);
-  stats->compactions_done = comp_done;
   return Status::OK();
 }
 

@@ -32,10 +32,6 @@ struct StocStats {
   /// burst.
   uint64_t disk_load_us = 0;
   uint64_t stored_bytes = 0;
-  double cpu_utilization = 0;
-  /// Offloaded compactions executing on / completed by the StoC.
-  int compactions_inflight = 0;
-  uint64_t compactions_done = 0;
 };
 
 /// Read-path replica selection and hedging (the paper's power-of-d
@@ -64,10 +60,6 @@ struct StocLoad {
   std::atomic<uint64_t> ewma_us{0};
   /// Lifetime reads issued to this StoC (tests pin replica selection).
   std::atomic<uint64_t> issued{0};
-  /// Wire traffic to/from this StoC: request + one-sided write bytes out,
-  /// response-body bytes in (benchmarks report bytes_over_wire with it).
-  std::atomic<uint64_t> bytes_sent{0};
-  std::atomic<uint64_t> bytes_received{0};
   /// Test hook: bias added to outstanding when ranking replicas, so load
   /// can be injected deterministically without real in-flight reads.
   std::atomic<int> rank_bias{0};
@@ -259,8 +251,8 @@ class StocClient {
     return hedged_won_.load(std::memory_order_relaxed);
   }
   /// Lifetime wire traffic through this client, all StoCs: request and
-  /// one-sided-write payload bytes out, response-body bytes in. Per-StoC
-  /// numbers live in load(stoc)->bytes_sent/bytes_received.
+  /// one-sided-write payload bytes out, response-body bytes in
+  /// (LtcServer::TotalStats reports their sum as bytes_over_wire).
   uint64_t bytes_sent() const {
     return bytes_sent_.load(std::memory_order_relaxed);
   }
@@ -311,8 +303,8 @@ class StocClient {
   friend class PendingRead;
   friend class PendingAppend;
 
-  /// Account wire traffic for one RPC leg (rollup + per-StoC).
-  void CountWire(rdma::NodeId stoc, uint64_t sent, uint64_t received);
+  /// Account wire traffic for one RPC leg.
+  void CountWire(uint64_t sent, uint64_t received);
 
   Status SimpleCall(rdma::NodeId stoc, const std::string& req, Slice* body,
                     std::string* storage, int timeout_ms = 30000);

@@ -130,18 +130,14 @@ void StocServer::HandleRequest(rdma::NodeId src, uint64_t req_id,
       break;
     case kOpCompaction: {
       std::string body_copy = body.ToString();
-      compactions_inflight_++;
       compaction_pool_->Submit([this, src, req_id, body_copy] {
         if (!compaction_handler_) {
-          compactions_inflight_--;
           endpoint_->Reply(src, req_id,
                            ErrorResponse(Status::NotSupported(
                                "no compaction handler installed")));
           return;
         }
         std::string result = compaction_handler_(src, body_copy);
-        compactions_inflight_--;
-        compactions_done_++;
         endpoint_->Reply(src, req_id, OkResponse(result));
       });
       break;
@@ -386,10 +382,6 @@ std::string StocServer::DoStats() {
   PutVarint64(&resp, queued_work_us_.load(std::memory_order_relaxed) +
                          device_->RecentBusyUs());
   PutVarint64(&resp, store_->TotalBytes());
-  PutVarint64(&resp,
-              static_cast<uint64_t>(throttle_->Utilization() * 1e6));
-  PutVarint32(&resp, compactions_inflight_.load());
-  PutVarint64(&resp, compactions_done_.load());
   return OkResponse(resp);
 }
 

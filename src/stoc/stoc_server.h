@@ -157,10 +157,6 @@ class StocServer {
   Random rng_{0x5706c};
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_misses_{0};
-  /// Offloaded compaction jobs currently executing / completed, reported
-  /// through DoStats so LTC schedulers can see StoC compaction load.
-  std::atomic<uint32_t> compactions_inflight_{0};
-  std::atomic<uint64_t> compactions_done_{0};
   /// Estimated service time of the disk work accepted and not finished,
   /// including requests still waiting for a storage thread; with the
   /// device's recent busy time it makes up the disk load DoStats reports.
