@@ -15,12 +15,17 @@
 # tests that move SSTable pieces off a StoC (RepairTest, and every
 # GracefulRemove test: the drain and the repair scan share one per-file
 # path under one mutex), the placement tests (PlacementTest: new
-# SSTables take their StoCs by the same rule repair uses) and the
+# SSTables take their StoCs by the same rule repair uses), the
 # MANIFEST group-commit tests
 # (VersionSetGroupCommitTest: one caller appends and publishes for a
 # queue of writers; FlushCommitDoesNotBlockGetsOrRouting: readers and
-# routing run while a commit waits on the disk) under TSan. `all` runs
-# it after the two full tier-1 passes.
+# routing run while a commit waits on the disk), the flush-pipeline
+# tests (FlushPipelineKeepsTwoWritesPerStoc: flush threads arm SSTables
+# and acknowledgment callbacks on the xchg threads start the commits;
+# FailedFlushLeavesNoPiecesBehind, RecoveryDropsUncommittedTables and
+# GcKeepsTablesAwaitingCommit: what happens to SSTables written but not
+# committed) and the LTC crash-recovery seeds (RecoveryRepro) under TSan.
+# `all` runs it after the two full tier-1 passes.
 #
 # `compression` runs only the block-compression / cache-tier suites
 # (Compressor, stored-block corruption, two-queue admission, compressed
@@ -60,7 +65,8 @@ run_one() {
 }
 
 # Chaos stage: the 10-seed kill/restart + failpoint suite plus the repair,
-# graceful-removal, placement and MANIFEST group-commit tests, serialized
+# graceful-removal, placement, MANIFEST group-commit, flush-pipeline and
+# LTC-recovery tests, serialized
 # (-j 1) because each test churns a whole cluster and the timing
 # assumptions (death verdicts, probe intervals) degrade when
 # oversubscribed.
@@ -70,7 +76,7 @@ run_chaos() {
   cmake -S "${repo_root}" -B "${build_dir}" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSANITIZE=thread >/dev/null
   cmake --build "${build_dir}" -j "$(nproc)" >/dev/null
-  local tests="ChaosTest|RepairTest|GracefulRemove|PlacementTest|VersionSetGroupCommitTest|FlushCommitDoesNotBlockGetsOrRouting"
+  local tests="ChaosTest|RepairTest|GracefulRemove|PlacementTest|VersionSetGroupCommitTest|FlushCommitDoesNotBlockGetsOrRouting|FlushPipelineKeepsTwoWritesPerStoc|FailedFlushLeavesNoPiecesBehind|RecoveryDropsUncommittedTables|GcKeepsTablesAwaitingCommit|RecoveryRepro"
   echo "==> [chaos] ctest -R ${tests} (TSan)"
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     ctest --test-dir "${build_dir}" -R "${tests}" -j 1 \

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <set>
 
 #include "stoc/stoc_common.h"
@@ -266,7 +267,8 @@ void SSTablePlacer::set_options(const PlacementOptions& options) {
   options_ = options;
 }
 
-std::vector<rdma::NodeId> SSTablePlacer::PickStocs(int count, int d) {
+std::vector<rdma::NodeId> SSTablePlacer::PickStocs(int count, int d,
+                                                   int max_writes_per_stoc) {
   PlacementOptions opt = options();
   std::vector<rdma::NodeId> candidates = opt.stocs;
   // Membership exclusion (ISSUE 9): never place new blocks on
@@ -293,42 +295,95 @@ std::vector<rdma::NodeId> SSTablePlacer::PickStocs(int count, int d) {
     d = 2 * count;
   }
   d = probe ? std::min(std::max(count, d), n) : count;
+  // StoCs without a free write slot go last: the draw below takes the
+  // first `roomy` candidates before any other.
+  int roomy = n;
+  if (max_writes_per_stoc > 0) {
+    roomy = static_cast<int>(
+        std::stable_partition(candidates.begin(), candidates.end(),
+                              [&](rdma::NodeId c) {
+                                return client_->writes_in_flight(c) <
+                                       max_writes_per_stoc;
+                              }) -
+        candidates.begin());
+  }
   {
     // mu_ guards the RNG only. Never hold it across the probe RPCs:
     // UpdateStocs (the KillStoc path) must not block behind a probe
     // waiting on a StoC that just died.
     std::lock_guard<std::mutex> l(mu_);
     for (int i = 0; i < d; i++) {
-      std::swap(candidates[i], candidates[i + rng_.Uniform(n - i)]);
+      int end = i < roomy ? roomy : n;
+      std::swap(candidates[i], candidates[i + rng_.Uniform(end - i)]);
     }
   }
   candidates.resize(d);
   if (probe) {
-    std::vector<std::pair<uint64_t, rdma::NodeId>> loads;
-    for (rdma::NodeId c : candidates) {
+    struct Load {
+      bool full;
+      uint64_t us;
+      rdma::NodeId stoc;
+    };
+    std::vector<Load> loads;
+    for (int i = 0; i < d; i++) {
       stoc::StocStats stats;
       // Unreachable StoCs sort last.
       uint64_t load = std::numeric_limits<uint64_t>::max();
-      if (client_->GetStats(c, &stats, /*timeout_ms=*/100).ok()) {
+      if (client_->GetStats(candidates[i], &stats, /*timeout_ms=*/100).ok()) {
         load = stats.disk_load_us;
       }
-      loads.emplace_back(load, c);
+      loads.push_back({i >= roomy, load, candidates[i]});
     }
-    // Stable sort on load alone: ties keep the shuffled order. A plain
-    // pair-sort would tie-break on NodeId and collapse power-of-d to
+    // Stable sort on (full, load) alone: ties keep the shuffled order. A
+    // plain sort would tie-break on NodeId and collapse power-of-d to
     // "always the lowest-numbered StoCs" whenever the cluster is idle.
     std::stable_sort(loads.begin(), loads.end(),
-                     [](const std::pair<uint64_t, rdma::NodeId>& a,
-                        const std::pair<uint64_t, rdma::NodeId>& b) {
-                       return a.first < b.first;
+                     [](const Load& a, const Load& b) {
+                       return a.full != b.full ? b.full : a.us < b.us;
                      });
     for (int i = 0; i < d; i++) {
-      candidates[i] = loads[i].second;
+      candidates[i] = loads[i].stoc;
     }
   }
   candidates.resize(count);
   return candidates;
 }
+
+/// The acknowledgments an in-flight SSTable still waits for, counted by
+/// the appends' completion callbacks (which may outlive the
+/// PendingSSTable, hence shared). It frees a StoC's write slot once that
+/// StoC acknowledged every data piece it holds, and runs the OnReady
+/// callback after the last acknowledgment.
+struct PendingSSTable::Acks {
+  stoc::StocClient* client = nullptr;
+  std::mutex mu;
+  size_t unacked = 0;
+  /// Reserved StoC -> its data pieces not yet acknowledged.
+  std::map<rdma::NodeId, int> slot_pieces;
+  std::function<void()> on_ready;
+
+  void Acked(rdma::NodeId stoc, bool data_piece) {
+    bool release = false;
+    std::function<void()> fn;
+    {
+      std::lock_guard<std::mutex> l(mu);
+      auto it = slot_pieces.find(stoc);
+      if (data_piece && it != slot_pieces.end() && --it->second == 0) {
+        slot_pieces.erase(it);
+        release = true;
+      }
+      if (--unacked == 0) {
+        fn = std::move(on_ready);
+      }
+    }
+    if (release) {
+      client->ReleaseWrite(stoc);
+    }
+    if (fn) {
+      fn();
+    }
+  }
+};
 
 /// Everything an in-flight SSTable write owns until its flush acks drain:
 /// the built data, parity and metadata (append slices point into them),
@@ -340,6 +395,7 @@ struct PendingSSTable::State {
   std::string meta_encoded;
   std::vector<stoc::PendingAppend> appends;
   FileMetaData meta;
+  std::shared_ptr<Acks> acks = std::make_shared<Acks>();
 };
 
 PendingSSTable::PendingSSTable() = default;
@@ -348,7 +404,24 @@ PendingSSTable::PendingSSTable(PendingSSTable&&) noexcept = default;
 PendingSSTable& PendingSSTable::operator=(PendingSSTable&&) noexcept =
     default;
 
-Status PendingSSTable::Wait(FileMetaData* out) {
+bool PendingSSTable::ready() const {
+  return state_ != nullptr &&
+         std::all_of(state_->appends.begin(), state_->appends.end(),
+                     [](const stoc::PendingAppend& a) { return a.ready(); });
+}
+
+void PendingSSTable::OnReady(std::function<void()> fn) {
+  {
+    std::lock_guard<std::mutex> l(state_->acks->mu);
+    if (state_->acks->unacked > 0) {
+      state_->acks->on_ready = std::move(fn);
+      return;
+    }
+  }
+  fn();
+}
+
+Status PendingSSTable::Wait(FileMetaData* out, int timeout_ms) {
   if (state_ == nullptr) {
     return Status::InvalidArgument("no write in flight");
   }
@@ -356,12 +429,12 @@ Status PendingSSTable::Wait(FileMetaData* out) {
   Status first_error;
   // One deadline spans the whole ack drain: a wedged StoC costs the batch
   // a single budget, not 30 s per outstanding append.
-  util::Deadline deadline = util::Deadline::After(30000);
+  util::Deadline deadline = util::Deadline::After(timeout_ms);
   size_t i = 0;
   ForEachPiece(st->meta, [&](PieceKind, int, BlockLocation& loc) {
     stoc::StocBlockHandle handle;
     Status s = st->appends[i++].Wait(
-        &handle, static_cast<int>(deadline.remaining_ms(30000)));
+        &handle, static_cast<int>(deadline.remaining_ms()));
     if (!s.ok()) {
       if (first_error.ok()) {
         first_error = s;
@@ -391,7 +464,8 @@ Status SSTablePlacer::Write(SSTableBuilder::Result&& built, int drange_id,
 
 Status SSTablePlacer::StartWrite(SSTableBuilder::Result&& built,
                                  int drange_id, uint32_t generation,
-                                 PendingSSTable* pending) {
+                                 PendingSSTable* pending,
+                                 int max_writes_per_stoc) {
   PlacementOptions opt = options();
   if (opt.stocs.empty()) {
     return Status::InvalidArgument("no stocs configured");
@@ -423,11 +497,7 @@ Status SSTablePlacer::StartWrite(SSTableBuilder::Result&& built,
   int meta_replicas = std::max(1, opt.num_meta_replicas);
   bool parity = opt.use_parity && nfrags >= 1;
   int probed = nfrags * replicas + meta_replicas;
-  std::vector<rdma::NodeId> order =
-      PickStocs(probed + (parity ? 1 : 0), /*d=*/2 * probed);
-  if (order.empty()) {
-    return Status::Unavailable("no stocs reachable");
-  }
+  std::vector<rdma::NodeId> order;
   auto place = [&](PieceKind kind, int fragment, stoc::FileKind file_kind,
                    int index, BlockLocation* loc) {
     int32_t stoc = PickPieceStoc(*out, kind, fragment, order);
@@ -438,21 +508,58 @@ Status SSTablePlacer::StartWrite(SSTableBuilder::Result&& built,
         opt.range_id, static_cast<uint32_t>(tmeta.file_number), file_kind,
         static_cast<uint8_t>(index));
   };
-  out->fragments.assign(nfrags, std::vector<BlockLocation>(replicas));
-  for (int f = 0; f < nfrags; f++) {
-    for (int r = 0; r < replicas; r++) {
-      place(PieceKind::kFragment, f, stoc::FileKind::kData, f * 8 + r,
-            &out->fragments[f][r]);
+  // A bounded write places again after each release until every StoC of
+  // its data pieces has a free slot.
+  util::Deadline deadline =
+      util::Deadline::After(PendingSSTable::kAckTimeoutMs);
+  std::vector<rdma::NodeId> data_stocs;
+  for (;;) {
+    uint64_t releases = client_->write_releases();
+    order = PickStocs(probed + (parity ? 1 : 0), /*d=*/2 * probed,
+                      max_writes_per_stoc);
+    if (order.empty()) {
+      return Status::Unavailable("no stocs reachable");
     }
+    out->fragments.assign(nfrags, std::vector<BlockLocation>(replicas));
+    out->meta_replicas.assign(std::min<size_t>(meta_replicas, order.size()),
+                              BlockLocation{});
+    out->parity = BlockLocation{};
+    for (int f = 0; f < nfrags; f++) {
+      for (int r = 0; r < replicas; r++) {
+        place(PieceKind::kFragment, f, stoc::FileKind::kData, f * 8 + r,
+              &out->fragments[f][r]);
+      }
+    }
+    for (size_t r = 0; r < out->meta_replicas.size(); r++) {
+      place(PieceKind::kMeta, -1, stoc::FileKind::kMeta, static_cast<int>(r),
+            &out->meta_replicas[r]);
+    }
+    if (parity) {
+      place(PieceKind::kParity, -1, stoc::FileKind::kParity, 0,
+            &out->parity);
+    }
+    if (max_writes_per_stoc <= 0) {
+      break;
+    }
+    data_stocs.clear();
+    ForEachPiece(*out, [&](PieceKind kind, int, const BlockLocation& loc) {
+      if (kind != PieceKind::kMeta) {
+        data_stocs.push_back(loc.stoc_id);
+      }
+    });
+    if (client_->TryReserveWrites(data_stocs, max_writes_per_stoc)) {
+      break;
+    }
+    if (deadline.expired()) {
+      return Status::Busy("no StoC has a free SSTable write slot");
+    }
+    client_->WaitForWriteRelease(releases,
+                                 static_cast<int>(deadline.remaining_ms()));
   }
-  out->meta_replicas.resize(std::min<size_t>(meta_replicas, order.size()));
-  for (size_t r = 0; r < out->meta_replicas.size(); r++) {
-    place(PieceKind::kMeta, -1, stoc::FileKind::kMeta, static_cast<int>(r),
-          &out->meta_replicas[r]);
+  for (rdma::NodeId stoc : data_stocs) {
+    state->acks->slot_pieces[stoc]++;
   }
-  if (parity) {
-    place(PieceKind::kParity, -1, stoc::FileKind::kParity, 0, &out->parity);
-  }
+  state->acks->client = client_;
 
   std::vector<Slice> fragment_data;
   uint64_t offset = 0;
@@ -481,6 +588,7 @@ Status SSTablePlacer::StartWrite(SSTableBuilder::Result&& built,
   // flushing its blocks — stays in flight until PendingSSTable::Wait
   // collects the acknowledgments, so a pipelined caller can keep merging
   // (or building the next output) meanwhile.
+  std::vector<PieceKind> kinds;
   ForEachPiece(*out, [&](PieceKind kind, int fragment,
                          const BlockLocation& loc) {
     Slice data = kind == PieceKind::kFragment ? fragment_data[fragment]
@@ -488,9 +596,19 @@ Status SSTablePlacer::StartWrite(SSTableBuilder::Result&& built,
                                               : Slice(state->parity);
     state->appends.push_back(
         client_->AsyncAppendBlock(loc.stoc_id, loc.file_id, data));
+    kinds.push_back(kind);
   });
   for (stoc::PendingAppend& a : state->appends) {
     a.Arm();  // failures surface again in Wait()
+  }
+  std::shared_ptr<PendingSSTable::Acks> acks = state->acks;
+  acks->unacked = state->appends.size();
+  for (size_t i = 0; i < state->appends.size(); i++) {
+    state->appends[i].OnReady(
+        [acks, stoc = state->appends[i].stoc(),
+         data_piece = kinds[i] != PieceKind::kMeta] {
+          acks->Acked(stoc, data_piece);
+        });
   }
   pending->state_ = std::move(state);
   return Status::OK();

@@ -23,6 +23,7 @@
 #define NOVA_LSM_TABLE_IO_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -140,23 +141,36 @@ class SSTablePlacer;
 /// for it (buffer-grant RPC + one-sided data write); Wait drains the flush
 /// acknowledgments and clears the location of every piece whose append
 /// failed. The compaction executor keeps a small bound of these armed so
-/// the merge loop never blocks on a StoC flush. Dropping an unwaited one
-/// abandons its appends safely (each PendingAppend reaps its completion
-/// token).
+/// the merge loop never blocks on a StoC flush; a flush arms one and
+/// commits it from OnReady. Dropping an unwaited one abandons its appends
+/// safely (each PendingAppend reaps its completion token).
 class PendingSSTable {
  public:
+  /// How long Wait waits for the acknowledgments by default; a flush that
+  /// commits from OnReady gives up on an SSTable after this long too.
+  static constexpr int kAckTimeoutMs = 30000;
+
   PendingSSTable();
   ~PendingSSTable();
   PendingSSTable(PendingSSTable&&) noexcept;
   PendingSSTable& operator=(PendingSSTable&&) noexcept;
 
   bool valid() const { return state_ != nullptr; }
-  /// Collect every flush acknowledgment and fill *out. Call at most once;
-  /// the pending state is consumed.
-  Status Wait(FileMetaData* out);
+  /// True once every append's acknowledgment (or failure) landed, so Wait
+  /// returns without blocking; never blocks.
+  bool ready() const;
+  /// Run fn once ready() holds: at once if it does, otherwise on the
+  /// thread that delivers the last acknowledgment (see
+  /// stoc::PendingAppend::OnReady; fn must not block). At most one fn.
+  void OnReady(std::function<void()> fn);
+  /// Collect every flush acknowledgment and fill *out, waiting at most
+  /// timeout_ms for the whole batch. Call at most once; the pending state
+  /// is consumed.
+  Status Wait(FileMetaData* out, int timeout_ms = kAckTimeoutMs);
 
  private:
   friend class SSTablePlacer;
+  struct Acks;
   struct State;
   std::unique_ptr<State> state_;
 };
@@ -173,8 +187,17 @@ class SSTablePlacer {
   /// Async half of Write: pick placements, issue and arm every append,
   /// and hand back the in-flight SSTable without waiting for flush acks.
   /// StartWrite + PendingSSTable::Wait == Write.
+  ///
+  /// max_writes_per_stoc > 0 bounds the writes in flight per StoC through
+  /// the client's write slots: placement puts the data pieces (fragment
+  /// replicas and parity) on StoCs with a free slot when there are such,
+  /// reserves one slot on each of their StoCs, and the pending SSTable
+  /// frees a StoC's slot once that StoC acknowledged its data pieces. With
+  /// no room, it waits for a release and places again, for at most
+  /// PendingSSTable::kAckTimeoutMs (then Busy).
   Status StartWrite(SSTableBuilder::Result&& built, int drange_id,
-                    uint32_t generation, PendingSSTable* pending);
+                    uint32_t generation, PendingSSTable* pending,
+                    int max_writes_per_stoc = 0);
 
   /// Delete every StoC file of an SSTable: its fragment replicas, metadata
   /// replicas and parity block. Best effort; locations a failed write
@@ -189,8 +212,11 @@ class SSTablePlacer {
   /// unless none is, using the configured policy: at random, or the least
   /// loaded first of d random candidates (d = 2*count when 0, at least
   /// count). Asked for every candidate, it returns them all in random
-  /// order without a probe (repair orders its targets so).
-  std::vector<rdma::NodeId> PickStocs(int count, int d = 0);
+  /// order without a probe (repair orders its targets so). With
+  /// max_writes_per_stoc > 0, StoCs holding that many write slots come
+  /// after every StoC with a free one.
+  std::vector<rdma::NodeId> PickStocs(int count, int d = 0,
+                                      int max_writes_per_stoc = 0);
 
  private:
   stoc::StocClient* client_;

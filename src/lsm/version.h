@@ -109,6 +109,14 @@ class VersionSet {
   uint64_t ReserveFileNumbers(uint64_t count) {
     return next_file_number_.fetch_add(count);
   }
+  /// Never hand out `number` or a lower one again (recovery saw StoC files
+  /// under it that no edit names).
+  void MarkFileNumberUsed(uint64_t number) {
+    uint64_t cur = next_file_number_.load();
+    while (cur <= number &&
+           !next_file_number_.compare_exchange_weak(cur, number + 1)) {
+    }
+  }
   uint64_t last_sequence() const { return last_sequence_.load(); }
   /// Raise the last sequence to s. Never lowers it: concurrent flushes
   /// report their sequences in any order, and an edit stamped lower than

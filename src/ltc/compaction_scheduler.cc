@@ -6,12 +6,6 @@
 
 namespace nova {
 namespace ltc {
-namespace {
-
-/// In-flight jobs per StoC before the scheduler stops offloading there.
-constexpr int kMaxJobsPerStoc = 2;
-
-}  // namespace
 
 CompactionScheduler::CompactionScheduler(stoc::StocClient* client,
                                          std::vector<rdma::NodeId> stocs,

@@ -20,6 +20,15 @@
 namespace nova {
 namespace ltc {
 
+/// The LTC's bounds on work it keeps queued at one StoC.
+/// In-flight compaction jobs per StoC before the scheduler stops
+/// offloading there.
+constexpr int kMaxJobsPerStoc = 2;
+/// SSTable flush writes in flight per StoC, over all of the LTC's ranges
+/// (StocClient write slots): each disk has its next write queued, and a
+/// MANIFEST append queues behind at most this many fragment writes.
+constexpr int kMaxFlushWritesPerStoc = 2;
+
 class CompactionScheduler {
  public:
   struct Stats {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <thread>
 
 #include "sim/cost_model.h"
@@ -67,7 +68,38 @@ RangeEngine::RangeEngine(const RangeEngineOptions& options,
       std::make_unique<RangeIndex>(options_.lower, options_.upper);
 }
 
-RangeEngine::~RangeEngine() { stopping_.store(true); }
+/// An SSTable a flush built from memtables, between its arm and its
+/// commit.
+struct RangeEngine::FlushOutput {
+  std::vector<MemTableRef> mems;
+  lsm::PendingSSTable pending;
+  lsm::FileMetaData meta;  // filled by the commit
+  Clock::time_point armed_at;
+  uint64_t number = 0;
+  uint64_t data_size = 0;
+  uint64_t raw_size = 0;
+
+  /// A StoC that died mid-write never acknowledges it.
+  bool Overdue(Clock::time_point now) const {
+    return now - armed_at >
+           std::chrono::milliseconds(lsm::PendingSSTable::kAckTimeoutMs);
+  }
+  /// Acknowledged, or overdue and to be given up on.
+  bool Committable(Clock::time_point now) const {
+    return pending.ready() || Overdue(now);
+  }
+};
+
+RangeEngine::~RangeEngine() {
+  stopping_.store(true);
+  // Abandoning an armed write may run its acknowledgment callback, which
+  // takes flush_mu_: drop the outputs while the members still exist.
+  std::vector<std::unique_ptr<FlushOutput>> outputs;
+  {
+    std::lock_guard<std::mutex> l(flush_mu_);
+    outputs.swap(flush_outputs_);
+  }
+}
 
 MemTableRef RangeEngine::NewMemTableLocked(int drange_id) {
   // Idempotent per Drange: two writers that both stalled on a full δ
@@ -682,8 +714,7 @@ void RangeEngine::MaintenanceTick() {
   // SSTables and frees budget.
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (flush_queue_.empty() && flushes_inflight_ == 0 &&
-        !MemtableBudgetFree()) {
+    if (!MemtableBudgetFree() && FlushesIdleLocked()) {
       for (auto& [did, mids] : small_immutables_) {
         for (uint64_t mid : mids) {
           auto it = all_memtables_.find(mid);
@@ -701,8 +732,26 @@ void RangeEngine::MaintenanceTick() {
       flush_pool_->Submit([this, mem] { FlushTask(mem); });
     }
   }
-  // 3. Compactions.
+  // 3. An armed flush SSTable overdue for its acknowledgments commits as
+  // failed: its memtables go back to the flush queue.
+  bool overdue = false;
+  {
+    std::lock_guard<std::mutex> l(flush_mu_);
+    overdue = !flush_outputs_.empty() &&
+              flush_outputs_.front()->Overdue(Clock::now());
+  }
+  if (overdue) {
+    OnFlushAcked();
+  }
+  // 4. Compactions.
   ScheduleCompactions();
+}
+
+bool RangeEngine::FlushesIdleLocked() {
+  std::lock_guard<std::mutex> l(flush_mu_);
+  return flush_queue_.empty() && flushes_inflight_ == 0 &&
+         flush_outputs_.empty() && !commit_running_ &&
+         unpublished_commits_ == 0;
 }
 
 void RangeEngine::HandleReorg() {
@@ -749,6 +798,7 @@ void RangeEngine::FlushTask(MemTableRef mem) {
                      options_.max_memtables;
   }
   Status s;
+  std::vector<MemTableRef> mems = {mem};
   // Without the lookup index small memtables flush like any other (see
   // RangeEngineOptions::enable_memtable_merge).
   if (options_.enable_memtable_merge && options_.enable_lookup_index &&
@@ -756,7 +806,6 @@ void RangeEngine::FlushTask(MemTableRef mem) {
       unique < static_cast<uint64_t>(options_.unique_key_threshold)) {
     // Small memtable: merge with the Drange's other small immutables
     // instead of writing an SSTable (Section 4.2).
-    std::vector<MemTableRef> mems = {mem};
     {
       std::lock_guard<std::mutex> lk(mu_);
       for (uint64_t mid : small_immutables_[did]) {
@@ -776,20 +825,18 @@ void RangeEngine::FlushTask(MemTableRef mem) {
     mid_table_.Erase(mem->id());
     range_index_->RemoveMemtable(mem->id());
     logc_->DeleteLogFile(mem->id());
+    stall_cv_.notify_all();
   } else {
-    s = FlushToSSTable({mem}, did, mem->generation());
+    // Armed: the commit retires the memtable and wakes stalled writers.
+    s = FlushToSSTable(mems, did, mem->generation());
   }
+  std::lock_guard<std::mutex> lk(mu_);
   if (!s.ok()) {
     NOVA_WARN("flush failed: %s", s.ToString().c_str());
-    // Requeue so data is not lost.
-    std::lock_guard<std::mutex> lk(mu_);
-    flush_queue_.push_back(mem);
+    // Requeue so data is not lost (the merge's gathered tables too).
+    flush_queue_.insert(flush_queue_.end(), mems.begin(), mems.end());
   }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    flushes_inflight_--;
-  }
-  stall_cv_.notify_all();
+  flushes_inflight_--;
 }
 
 Status RangeEngine::MergeSmallMemtables(const std::vector<MemTableRef>& mems,
@@ -845,8 +892,8 @@ Status RangeEngine::MergeSmallMemtables(const std::vector<MemTableRef>& mems,
 
   if (unique >= static_cast<uint64_t>(options_.unique_key_threshold) ||
       new_mem->ApproximateMemoryUsage() >= options_.memtable_size) {
-    // Merged result grew past the threshold: flush it for real. Old
-    // memtables are released below either way.
+    // Merged result grew past the threshold: flush the inputs for real,
+    // through the same pipeline; their SSTable's commit retires them.
     Status fs = FlushToSSTable(mems, drange_id, mems[0]->generation());
     logc_->DeleteLogFile(new_mid);
     return fs;
@@ -936,62 +983,190 @@ Status RangeEngine::FlushToSSTable(const std::vector<MemTableRef>& mems,
     return Status::OK();
   }
 
-  uint64_t number = versions_->NewFileNumber();
+  auto output = std::make_unique<FlushOutput>();
+  output->mems = mems;
+  output->number = versions_->NewFileNumber();
+  // From here until its commit or cleanup, the number's pieces may be on
+  // the StoCs while no version lists them.
+  HoldNumbers(output->number, 1);
   lsm::PlacementOptions popt = placer_->options();
-  auto built = builder.Finish(number, popt.rho);
-  uint64_t data_size = built.data.size();
-  uint64_t raw_size = built.raw_bytes;
-  lsm::FileMetaData meta;
-  Status s = placer_->Write(std::move(built), drange_id, generation, &meta);
+  auto built = builder.Finish(output->number, popt.rho);
+  output->data_size = built.data.size();
+  output->raw_size = built.raw_bytes;
+  Status s = placer_->StartWrite(std::move(built), drange_id, generation,
+                                 &output->pending, kMaxFlushWritesPerStoc);
   if (!s.ok()) {
+    ReleaseNumbers(output->number);
     return s;
   }
-
-  lsm::VersionEdit edit;
-  edit.new_files.emplace_back(0, meta);
-  if (options_.enable_dranges) {
-    edit.drange_state = drange_->Serialize();
-  }
-  versions_->SetLastSequence(last_sequence_.load());
-  s = versions_->LogAndApply(&edit);
-  if (!s.ok()) {
-    return s;
-  }
-  l0_bytes_.store(versions_->current()->LevelBytes(0));
-
-  // Atomically redirect the mids to the new L0 file, publish it in the
-  // range index, then retire the memtables.
-  for (const auto& m : mems) {
-    mid_table_.SetFile(m->id(), number);
-  }
+  output->armed_at = Clock::now();
+  // The callback may run before the output is listed; the commit it starts
+  // then misses this output, so a listing that finds it acknowledged
+  // starts one itself.
+  output->pending.OnReady([this] { OnFlushAcked(); });
+  bool ready = false;
   {
-    std::lock_guard<std::mutex> cl(compaction_mu_);
-    for (const auto& m : mems) {
-      file_to_mids_[number].push_back(m->id());
+    std::lock_guard<std::mutex> l(flush_mu_);
+    ready = output->pending.ready();
+    flush_outputs_.push_back(std::move(output));
+  }
+  if (ready) {
+    OnFlushAcked();
+  }
+  return Status::OK();
+}
+
+void RangeEngine::OnFlushAcked() {
+  {
+    std::lock_guard<std::mutex> l(flush_mu_);
+    if (commit_running_) {
+      return;  // it starts the next batch after its MANIFEST append
+    }
+    commit_running_ = true;
+  }
+  // Ahead of queued builds: a commit frees memtables, a build only queues
+  // another write.
+  if (!flush_pool_->Submit([this] { CommitFlushes(); }, /*first=*/true)) {
+    std::lock_guard<std::mutex> l(flush_mu_);
+    commit_running_ = false;  // the LTC is stopping
+  }
+}
+
+void RangeEngine::CommitFlushes() {
+  std::vector<std::unique_ptr<FlushOutput>> batch;
+  {
+    std::lock_guard<std::mutex> l(flush_mu_);
+    Clock::time_point now = Clock::now();
+    for (auto it = flush_outputs_.begin(); it != flush_outputs_.end();) {
+      if ((*it)->Committable(now)) {
+        batch.push_back(std::move(*it));
+        it = flush_outputs_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    if (batch.empty()) {
+      commit_running_ = false;
+      return;
+    }
+    unpublished_commits_++;
+  }
+  CommitBatch(std::move(batch));
+}
+
+void RangeEngine::CommitBatch(
+    std::vector<std::unique_ptr<FlushOutput>> batch) {
+  lsm::VersionEdit edit;
+  std::vector<FlushOutput*> written;
+  std::vector<FlushOutput*> failed;
+  for (auto& out : batch) {
+    // Acknowledged, or overdue and given up on: nothing waits here.
+    Status s = out->pending.Wait(&out->meta, /*timeout_ms=*/0);
+    if (s.ok()) {
+      edit.new_files.emplace_back(0, out->meta);
+      written.push_back(out.get());
+    } else {
+      NOVA_WARN("flush write failed: %s", s.ToString().c_str());
+      failed.push_back(out.get());
     }
   }
-  range_index_->AddL0File(number, meta.smallest.user_key().ToString(),
-                          meta.largest.user_key().ToString());
+  if (!written.empty()) {
+    if (options_.enable_dranges) {
+      edit.drange_state = drange_->Serialize();
+    }
+    versions_->SetLastSequence(last_sequence_.load());
+    Status s = versions_->LogAndApply(&edit);
+    if (s.ok()) {
+      l0_bytes_.store(versions_->current()->LevelBytes(0));
+    } else {
+      NOVA_WARN("flush commit failed: %s", s.ToString().c_str());
+      failed.insert(failed.end(), written.begin(), written.end());
+      written.clear();
+    }
+  }
+  // The MANIFEST append is done: SSTables acknowledged meanwhile commit
+  // in the next batch, on another pool thread, while this one publishes.
+  bool more = false;
+  {
+    std::lock_guard<std::mutex> l(flush_mu_);
+    commit_running_ = false;
+    Clock::time_point now = Clock::now();
+    for (const auto& out : flush_outputs_) {
+      more = more || out->Committable(now);
+    }
+  }
+  if (more) {
+    OnFlushAcked();
+  }
+  // A failed flush leaves nothing behind, like a failed compaction: the
+  // pieces that landed are deleted and the memtables flush again under a
+  // new number.
+  for (FlushOutput* out : failed) {
+    placer_->Delete(out->meta);
+  }
+
+  // Redirect each SSTable's mids to it and publish it in the range index,
+  // then retire the memtables.
+  for (FlushOutput* out : written) {
+    for (const auto& m : out->mems) {
+      mid_table_.SetFile(m->id(), out->number);
+    }
+    {
+      std::lock_guard<std::mutex> cl(compaction_mu_);
+      for (const auto& m : out->mems) {
+        file_to_mids_[out->number].push_back(m->id());
+      }
+    }
+    range_index_->AddL0File(out->number,
+                            out->meta.smallest.user_key().ToString(),
+                            out->meta.largest.user_key().ToString());
+  }
   {
     std::lock_guard<std::mutex> lk(mu_);
-    for (const auto& m : mems) {
-      all_memtables_.erase(m->id());
-      mem_spans_.erase(m->id());
-      range_index_->RemoveMemtable(m->id());
+    for (FlushOutput* out : written) {
+      for (const auto& m : out->mems) {
+        all_memtables_.erase(m->id());
+        mem_spans_.erase(m->id());
+        range_index_->RemoveMemtable(m->id());
+      }
+    }
+    for (FlushOutput* out : failed) {
+      flush_queue_.insert(flush_queue_.end(), out->mems.begin(),
+                          out->mems.end());
     }
   }
-  for (const auto& m : mems) {
-    logc_->DeleteLogFile(m->id());
+  for (FlushOutput* out : written) {
+    for (const auto& m : out->mems) {
+      logc_->DeleteLogFile(m->id());
+    }
   }
   {
     std::lock_guard<std::mutex> l(stats_mu_);
-    stats_.flushes++;
-    stats_.bytes_flushed += data_size;
-    stats_.sstable_stored_bytes += data_size;
-    stats_.sstable_raw_bytes += raw_size;
+    for (FlushOutput* out : written) {
+      stats_.flushes++;
+      stats_.bytes_flushed += out->data_size;
+      stats_.sstable_stored_bytes += out->data_size;
+      stats_.sstable_raw_bytes += out->raw_size;
+    }
+  }
+  for (auto& out : batch) {
+    ReleaseNumbers(out->number);
+  }
+  {
+    std::lock_guard<std::mutex> l(flush_mu_);
+    unpublished_commits_--;
   }
   stall_cv_.notify_all();
-  return Status::OK();
+}
+
+void RangeEngine::HoldNumbers(uint64_t first, uint64_t count) {
+  std::lock_guard<std::mutex> l(numbers_mu_);
+  unpublished_numbers_[first] = count;
+}
+
+void RangeEngine::ReleaseNumbers(uint64_t first) {
+  std::lock_guard<std::mutex> l(numbers_mu_);
+  unpublished_numbers_.erase(first);
 }
 
 void RangeEngine::ScheduleCompactions() {
@@ -1042,6 +1217,7 @@ void RangeEngine::ScheduleCompactions() {
         job.total_input_bytes() / std::max<uint64_t>(1, job.max_output_bytes) +
         job.boundaries.size() + 4;
     job.first_output_number = versions_->ReserveFileNumbers(estimate);
+    HoldNumbers(job.first_output_number, estimate);
     for (const auto& f : job.inputs) {
       compacting_files_.insert(f->number);
     }
@@ -1077,6 +1253,8 @@ void RangeEngine::RunCompaction(lsm::CompactionJob job, uint64_t queue_us) {
   } else {
     NOVA_WARN("compaction failed: %s", s.ToString().c_str());
   }
+  // The outputs are in the version now, or were deleted.
+  ReleaseNumbers(job.first_output_number);
   {
     std::lock_guard<std::mutex> sl(stats_mu_);
     stats_.compaction_queue_us += queue_us;
@@ -1236,7 +1414,34 @@ Status RangeEngine::RecoverFromManifest(int recovery_threads) {
       return s;
     }
   }
+  DropUncommittedTables();
   return InstallRecoveredState(recovery_threads);
+}
+
+void RangeEngine::DropUncommittedTables() {
+  uint32_t highest = 0;
+  for (rdma::NodeId stoc : placer_->options().stocs) {
+    std::vector<uint64_t> files;
+    if (!client_->ListFiles(stoc, &files).ok()) {
+      continue;  // a StoC down now reconciles through GcStocFiles later
+    }
+    for (uint64_t file_id : files) {
+      stoc::FileKind kind = stoc::FileIdKind(file_id);
+      if (stoc::FileIdRange(file_id) != options_.range_id ||
+          (kind != stoc::FileKind::kData && kind != stoc::FileKind::kMeta &&
+           kind != stoc::FileKind::kParity)) {
+        continue;
+      }
+      // A new SSTable under this number would append behind these pieces
+      // (BlockStore::Append extends an existing file) and read as garbage.
+      uint32_t number = stoc::FileIdNumber(file_id);
+      highest = std::max(highest, number);
+      if (!IsFileNumberLive(number)) {
+        client_->DeleteFile(stoc, file_id, /*in_memory=*/false);
+      }
+    }
+  }
+  versions_->MarkFileNumberUsed(highest);
 }
 
 Status RangeEngine::InstallRecoveredState(int recovery_threads) {
@@ -1429,7 +1634,7 @@ void RangeEngine::WaitForQuiescence(bool flush_all) {
     bool idle;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      idle = flush_queue_.empty() && flushes_inflight_ == 0;
+      idle = FlushesIdleLocked();
     }
     if (idle && stopping_.load()) {
       // Decommission (migration/removal): writers that entered
@@ -1461,6 +1666,12 @@ std::string RangeEngine::DebugMaintenanceState() {
              "flush_queue=%zu inflight_flushes=%d memtables=%zu",
              flush_queue_.size(), flushes_inflight_, all_memtables_.size());
     out += buf;
+    {
+      std::lock_guard<std::mutex> l(flush_mu_);
+      snprintf(buf, sizeof(buf), " armed_flushes=%zu committing=%d/%d",
+               flush_outputs_.size(), commit_running_, unpublished_commits_);
+      out += buf;
+    }
     out += " actives=[";
     for (const auto& [did, dm] : actives_) {
       snprintf(buf, sizeof(buf), "%d:%s ", did,
@@ -1512,6 +1723,16 @@ RangeStats RangeEngine::stats() const {
 }
 
 bool RangeEngine::IsFileNumberLive(uint64_t number) {
+  // Held numbers first: a commit publishes a number before it releases it,
+  // so a number released between the two lookups is in the version.
+  {
+    std::lock_guard<std::mutex> l(numbers_mu_);
+    auto it = unpublished_numbers_.upper_bound(number);
+    if (it != unpublished_numbers_.begin() &&
+        number - std::prev(it)->first < std::prev(it)->second) {
+      return true;
+    }
+  }
   lsm::VersionRef v = versions_->current();
   for (int level = 0; level < v->num_levels(); level++) {
     for (const auto& f : v->files(level)) {

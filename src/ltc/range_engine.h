@@ -253,7 +253,10 @@ class RangeEngine {
   lsm::VersionSet* versions() { return versions_.get(); }
   lsm::TableCache* table_cache() { return table_cache_.get(); }
   Cache* block_cache() { return block_cache_; }
-  /// True if the current version references this SSTable number.
+  /// True if this SSTable number may have live pieces on the StoCs: the
+  /// current version references it, a flush holds it from its build to
+  /// its commit or cleanup, or it lies in the number block of a compaction
+  /// that has not been applied or dropped yet.
   bool IsFileNumberLive(uint64_t number);
   /// Atomically replace the placement metadata of a live SSTable (same
   /// file number, same key range — only BlockLocations change). Used by
@@ -303,9 +306,37 @@ class RangeEngine {
   bool MemtableBudgetFree() const {
     return static_cast<int>(all_memtables_.size()) < options_.max_memtables;
   }
+  /// The flush pipeline (paper Section 4.4: an LTC flushes into the disk
+  /// bandwidth of many StoCs at once). A flush thread builds a memtable's
+  /// SSTable, arms its writes and returns; the SSTable commits once its
+  /// last append is acknowledged, through this range's one commit in
+  /// flight, which takes every acknowledged SSTable into one LogAndApply.
+  struct FlushOutput;
   void FlushTask(MemTableRef mem);
+  /// Build the memtables' SSTable and arm its writes (at most
+  /// kMaxFlushWritesPerStoc in flight per StoC across the LTC). Once
+  /// armed, the SSTable owns the memtables: its commit retires them, a
+  /// failure deletes its pieces and requeues them.
   Status FlushToSSTable(const std::vector<MemTableRef>& mems, int drange_id,
                         uint32_t generation);
+  /// An armed SSTable was acknowledged (or overdue): start the range's
+  /// commit unless one is forming or appending its batch. Any thread,
+  /// never blocks.
+  void OnFlushAcked();
+  /// The commit: one LogAndApply batch of every acknowledged or overdue
+  /// SSTable. Once its MANIFEST append is done, the next batch may start
+  /// on another pool thread while this one publishes.
+  void CommitFlushes();
+  void CommitBatch(std::vector<std::unique_ptr<FlushOutput>> batch);
+  /// No flush queued, running, armed or committing. Requires mu_.
+  bool FlushesIdleLocked();
+  /// File numbers handed out whose SSTables are not in the version.
+  void HoldNumbers(uint64_t first, uint64_t count);
+  void ReleaseNumbers(uint64_t first);
+  /// Recovery: delete this range's SSTable pieces on the placement StoCs
+  /// that the recovered version does not hold (written by a dead LTC but
+  /// never committed), and never hand out their numbers again.
+  void DropUncommittedTables();
   /// Merge small memtables into a fresh one (re-logging its records).
   Status MergeSmallMemtables(const std::vector<MemTableRef>& mems,
                              int drange_id);
@@ -379,7 +410,21 @@ class RangeEngine {
   std::map<uint64_t, MemTableRef> all_memtables_;  // by mid
   std::vector<MemTableRef> flush_queue_;
   std::map<int, std::vector<uint64_t>> small_immutables_;  // drange -> mids
+  /// FlushTasks dispatched and not finished.
   int flushes_inflight_ = 0;
+
+  /// Armed flush SSTables in arm order; whether a commit is forming or
+  /// appending its batch (one MANIFEST append per range at a time); and
+  /// batches taken but not yet published. Acknowledgment callbacks take
+  /// flush_mu_ on xchg threads, so it is never held across an RPC, nor
+  /// while an output is destroyed, and never taken before mu_.
+  std::mutex flush_mu_;
+  std::vector<std::unique_ptr<FlushOutput>> flush_outputs_;
+  bool commit_running_ = false;
+  int unpublished_commits_ = 0;
+  /// First number -> count, for the numbers IsFileNumberLive must count.
+  std::mutex numbers_mu_;
+  std::map<uint64_t, uint64_t> unpublished_numbers_;
 
   // Compaction bookkeeping.
   std::mutex compaction_mu_;

@@ -32,14 +32,32 @@ std::string Frame(MsgKind kind, uint64_t id, const Slice& payload) {
 
 void RpcEndpoint::Fulfill(const std::shared_ptr<Future::State>& state,
                           Status status, std::string payload) {
-  std::lock_guard<std::mutex> l(state->mu);
-  if (state->done) {
-    return;
+  std::vector<std::function<void()>> on_ready;
+  {
+    std::lock_guard<std::mutex> l(state->mu);
+    if (state->done) {
+      return;
+    }
+    state->done = true;
+    state->status = std::move(status);
+    state->payload = std::move(payload);
+    state->cv.notify_all();
+    on_ready.swap(state->on_ready);
   }
-  state->done = true;
-  state->status = std::move(status);
-  state->payload = std::move(payload);
-  state->cv.notify_all();
+  for (auto& fn : on_ready) {
+    fn();
+  }
+}
+
+void Future::OnReady(std::function<void()> fn) {
+  if (state_ != nullptr) {
+    std::lock_guard<std::mutex> l(state_->mu);
+    if (!state_->done) {
+      state_->on_ready.push_back(std::move(fn));
+      return;
+    }
+  }
+  fn();  // done already (or invalid, which never completes otherwise)
 }
 
 bool Future::ready() const {

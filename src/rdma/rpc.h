@@ -68,6 +68,14 @@ class Future {
   /// the duplicate-completion case, which is safe either way.
   bool Cancel();
 
+  /// Run fn once the result is available: right away on the calling
+  /// thread if it already is, otherwise on the thread that completes the
+  /// future (an xchg thread, a timed-out or cancelling waiter, or Stop).
+  /// fn runs after every Wait can observe the result, holds no lock of
+  /// the future, and must not block: a blocked xchg thread delivers no
+  /// other completion.
+  void OnReady(std::function<void()> fn);
+
   /// An already-completed future carrying s (send-time failures complete
   /// immediately so call sites handle exactly one error path).
   static Future Failed(Status s);
@@ -80,6 +88,7 @@ class Future {
     bool done = false;
     Status status;
     std::string payload;
+    std::vector<std::function<void()>> on_ready;
     /// Set for endpoint-registered futures so a timed-out Wait can
     /// withdraw the waiter slot; null for Failed() futures.
     RpcEndpoint* endpoint = nullptr;

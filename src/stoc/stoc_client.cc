@@ -205,6 +205,18 @@ Status PendingAppend::Arm() {
   return armed_status_;
 }
 
+bool PendingAppend::ready() const {
+  return armed_ && (!armed_status_.ok() || flush_ack_.ready());
+}
+
+void PendingAppend::OnReady(std::function<void()> fn) {
+  if (armed_ && armed_status_.ok()) {
+    flush_ack_.OnReady(std::move(fn));
+  } else {
+    fn();  // failed before any flush was requested: Wait returns at once
+  }
+}
+
 Status PendingAppend::Wait(StocBlockHandle* handle, int timeout_ms) {
   if (!valid()) {
     return Status::InvalidArgument("invalid pending append");
@@ -271,6 +283,56 @@ PendingAppend StocClient::AsyncAppendBlock(rdma::NodeId stoc,
 Status StocClient::AppendBlock(rdma::NodeId stoc, uint64_t file_id,
                                const Slice& data, StocBlockHandle* handle) {
   return AsyncAppendBlock(stoc, file_id, data).Wait(handle);
+}
+
+bool StocClient::TryReserveWrites(const std::vector<rdma::NodeId>& stocs,
+                                  int limit) {
+  std::vector<rdma::NodeId> distinct = stocs;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  std::lock_guard<std::mutex> l(writes_mu_);
+  for (rdma::NodeId stoc : distinct) {
+    if (writes_in_flight_[stoc] >= limit) {
+      return false;
+    }
+  }
+  for (rdma::NodeId stoc : distinct) {
+    peak_writes_in_flight_ =
+        std::max(peak_writes_in_flight_, ++writes_in_flight_[stoc]);
+  }
+  return true;
+}
+
+void StocClient::ReleaseWrite(rdma::NodeId stoc) {
+  {
+    std::lock_guard<std::mutex> l(writes_mu_);
+    writes_in_flight_[stoc]--;
+    write_releases_++;
+  }
+  writes_cv_.notify_all();
+}
+
+int StocClient::writes_in_flight(rdma::NodeId stoc) {
+  std::lock_guard<std::mutex> l(writes_mu_);
+  auto it = writes_in_flight_.find(stoc);
+  return it == writes_in_flight_.end() ? 0 : it->second;
+}
+
+int StocClient::peak_writes_in_flight() {
+  std::lock_guard<std::mutex> l(writes_mu_);
+  return peak_writes_in_flight_;
+}
+
+uint64_t StocClient::write_releases() {
+  std::lock_guard<std::mutex> l(writes_mu_);
+  return write_releases_;
+}
+
+void StocClient::WaitForWriteRelease(uint64_t seen, int timeout_ms) {
+  std::unique_lock<std::mutex> l(writes_mu_);
+  writes_cv_.wait_for(l, std::chrono::milliseconds(timeout_ms),
+                      [&] { return write_releases_ != seen; });
 }
 
 std::shared_ptr<StocLoad> StocClient::load(rdma::NodeId stoc) {

@@ -6,6 +6,8 @@
 #define NOVA_STOC_STOC_CLIENT_H_
 
 #include <atomic>
+#include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -117,9 +119,17 @@ class PendingAppend {
   PendingAppend& operator=(const PendingAppend&) = delete;
 
   bool valid() const { return client_ != nullptr; }
+  rdma::NodeId stoc() const { return stoc_; }
   /// Step 2: collect the buffer grant and issue the one-sided RDMA WRITE
   /// of the data (immediate data = buffer id). Call exactly once.
   Status Arm();
+  /// True once an armed append's flush acknowledgment (or a failure)
+  /// landed, so Wait returns without blocking; never blocks.
+  bool ready() const;
+  /// Run fn once ready() holds (see rdma::Future::OnReady: fn may run at
+  /// once, or later on the completing thread, and must not block). Call
+  /// after Arm.
+  void OnReady(std::function<void()> fn);
   /// Step 3: wait for the flush acknowledgment; decodes *handle. Reaps
   /// the completion token on failure, so no cleanup call is needed.
   Status Wait(StocBlockHandle* handle, int timeout_ms = 30000);
@@ -260,6 +270,26 @@ class StocClient {
     return bytes_received_.load(std::memory_order_relaxed);
   }
 
+  /// --- SSTable write slots ---
+  ///
+  /// An LTC bounds the SSTable writes it keeps in flight at each StoC, so
+  /// every disk has its next write queued and nothing queues behind a
+  /// long run of them. Every range of an LTC shares this client, so the
+  /// count spans them all. A write holds one slot per StoC it stores
+  /// data on, from its placement until that StoC acknowledged its pieces.
+
+  /// Take one slot on each StoC of stocs (a repeated StoC counts once) if
+  /// every one of them holds fewer than limit; all or nothing.
+  bool TryReserveWrites(const std::vector<rdma::NodeId>& stocs, int limit);
+  void ReleaseWrite(rdma::NodeId stoc);
+  int writes_in_flight(rdma::NodeId stoc);
+  /// The most slots any one StoC has held at once (tests).
+  int peak_writes_in_flight();
+  /// Releases so far; pass the count read before a failed reservation to
+  /// WaitForWriteRelease to sleep until the next one (or timeout_ms).
+  uint64_t write_releases();
+  void WaitForWriteRelease(uint64_t seen, int timeout_ms);
+
   Status DeleteFile(rdma::NodeId stoc, uint64_t file_id, bool in_memory);
 
   /// --- In-memory files (Section 6.1) ---
@@ -338,6 +368,14 @@ class StocClient {
   std::map<rdma::NodeId, std::shared_ptr<StocLoad>> load_;
   /// Observed read latencies feeding the p99-based hedge delay.
   Histogram read_latency_us_;
+
+  /// SSTable write slots. Never held across an RPC: releases run on xchg
+  /// threads.
+  std::mutex writes_mu_;
+  std::condition_variable writes_cv_;
+  std::map<rdma::NodeId, int> writes_in_flight_;
+  int peak_writes_in_flight_ = 0;
+  uint64_t write_releases_ = 0;
 };
 
 }  // namespace stoc

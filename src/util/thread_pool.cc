@@ -12,13 +12,17 @@ ThreadPool::ThreadPool(std::string name, int num_threads)
 
 ThreadPool::~ThreadPool() { Shutdown(); }
 
-bool ThreadPool::Submit(std::function<void()> task) {
+bool ThreadPool::Submit(std::function<void()> task, bool first) {
   {
     std::lock_guard<std::mutex> l(mu_);
     if (shutdown_) {
       return false;
     }
-    queue_.push_back(std::move(task));
+    if (first) {
+      queue_.push_front(std::move(task));
+    } else {
+      queue_.push_back(std::move(task));
+    }
   }
   work_cv_.notify_one();
   return true;

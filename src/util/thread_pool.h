@@ -23,8 +23,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue work; returns false if the pool is shutting down.
-  bool Submit(std::function<void()> task);
+  /// Enqueue work; returns false if the pool is shutting down. first =
+  /// true runs it before every task already queued.
+  bool Submit(std::function<void()> task, bool first = false);
 
   /// Block until all queued work at the time of the call has drained.
   void Drain();

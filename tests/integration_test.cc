@@ -896,5 +896,210 @@ TEST_F(IntegrationTest, SharedNothingPlacementRestrictsStocs) {
   }
 }
 
+
+/// Polls cond until it holds or timeout_ms pass; returns whether it held.
+template <typename Cond>
+bool WaitUntil(Cond cond, int timeout_ms = 10000) {
+  auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  while (!cond()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// SSTable pieces (data, metadata, parity) of the engine's range on the
+/// cluster's StoCs under a number the engine does not count as live.
+int UnreferencedPieces(Cluster* cluster, ltc::RangeEngine* engine) {
+  stoc::StocClient* client = cluster->ltc(0)->stoc_client();
+  int n = 0;
+  for (int i = 0; i < cluster->num_stocs(); i++) {
+    std::vector<uint64_t> files;
+    EXPECT_TRUE(client->ListFiles(Cluster::StocNode(i), &files).ok());
+    for (uint64_t file_id : files) {
+      stoc::FileKind kind = stoc::FileIdKind(file_id);
+      if (stoc::FileIdRange(file_id) == engine->options().range_id &&
+          kind != stoc::FileKind::kLog && kind != stoc::FileKind::kManifest &&
+          !engine->IsFileNumberLive(stoc::FileIdNumber(file_id))) {
+        n++;
+      }
+    }
+  }
+  return n;
+}
+
+TEST_F(IntegrationTest, FlushPipelineKeepsTwoWritesPerStoc) {
+  // Flush threads arm SSTables and return, so more SSTables are in flight
+  // than there are flush threads (4), at most kMaxFlushWritesPerStoc on
+  // each StoC, before the first one commits. Memtables are large and
+  // Dranges off (no reorganization), so only FlushAllMemtables rotates the
+  // 8 actives.
+  ClusterOptions opt = FastOptions(1, 3);
+  opt.range.enable_dranges = false;
+  opt.range.num_active_memtables = 8;
+  opt.range.enable_memtable_merge = false;
+  opt.range.memtable_size = 1 << 20;
+  opt.range.max_memtables = 32;
+  StartCluster(opt);
+  ltc::RangeEngine* engine = cluster_->ltc(0)->ranges()[0];
+  stoc::StocClient* client = cluster_->ltc(0)->stoc_client();
+  std::string value(100, 'v');
+  for (int i = 0; i < 800; i++) {
+    ASSERT_TRUE(cluster_->Put(Key(i), value + std::to_string(i)).ok());
+  }
+  ASSERT_EQ(engine->num_memtables(), 8);
+  uint64_t flushes_before = engine->stats().flushes;
+  // Slow disks hold every write in flight while the test looks.
+  for (int i = 0; i < cluster_->num_stocs(); i++) {
+    cluster_->device(i)->InjectLatency(300 * 1000);
+  }
+  engine->FlushAllMemtables();
+  auto in_flight = [&] {
+    int total = 0;
+    for (int i = 0; i < cluster_->num_stocs(); i++) {
+      total += client->writes_in_flight(Cluster::StocNode(i));
+    }
+    return total;
+  };
+  const int kFull = ltc::kMaxFlushWritesPerStoc * cluster_->num_stocs();
+  ASSERT_TRUE(WaitUntil([&] { return in_flight() == kFull; }))
+      << "in flight: " << in_flight() << " " << engine->DebugMaintenanceState();
+  EXPECT_EQ(engine->stats().flushes, flushes_before)
+      << "an SSTable committed before " << kFull << " were in flight";
+
+  for (int i = 0; i < cluster_->num_stocs(); i++) {
+    cluster_->device(i)->InjectLatency(0);
+  }
+  engine->WaitForQuiescence();
+  EXPECT_EQ(client->peak_writes_in_flight(), ltc::kMaxFlushWritesPerStoc);
+  EXPECT_EQ(in_flight(), 0);
+  EXPECT_GE(engine->stats().flushes - flushes_before, 8u);
+  for (int i = 0; i < 800; i++) {
+    std::string got;
+    Status s = cluster_->Get(Key(i), &got);
+    ASSERT_TRUE(s.ok()) << Key(i) << " " << s.ToString();
+    EXPECT_EQ(got, value + std::to_string(i));
+  }
+}
+
+TEST_F(IntegrationTest, FailedFlushLeavesNoPiecesBehind) {
+  ClusterOptions opt = FastOptions(1, 3);
+  opt.range.enable_memtable_merge = false;
+  StartCluster(opt);
+  ltc::RangeEngine* engine = cluster_->ltc(0)->ranges()[0];
+  for (int i = 0; i < 300; i++) {
+    ASSERT_TRUE(cluster_->Put(Key(i), "v" + std::to_string(i)).ok());
+  }
+  engine->WaitForQuiescence();
+  // Every second append fails: an SSTable's data piece or its metadata
+  // piece lands and the other does not. An application error, so the
+  // StoCs stay routable.
+  util::FailPoint::EnableError("stoc.append", Status::IOError("injected"),
+                               util::FailPoint::Trigger::EveryNth(2));
+  for (int i = 300; i < 600; i++) {
+    ASSERT_TRUE(cluster_->Put(Key(i), "v" + std::to_string(i)).ok());
+  }
+  engine->FlushAllMemtables();
+  ASSERT_TRUE(WaitUntil(
+      [] { return util::FailPoint::FireCount("stoc.append") >= 6; }));
+  util::FailPoint::Disable("stoc.append");
+  engine->WaitForQuiescence(/*flush_all=*/true);
+
+  EXPECT_EQ(UnreferencedPieces(cluster_.get(), engine), 0);
+  for (int i = 0; i < 600; i++) {
+    std::string got;
+    Status s = cluster_->Get(Key(i), &got);
+    ASSERT_TRUE(s.ok()) << Key(i) << " " << s.ToString();
+    EXPECT_EQ(got, "v" + std::to_string(i));
+  }
+}
+
+TEST_F(IntegrationTest, RecoveryDropsUncommittedTables) {
+  ClusterOptions opt = FastOptions(2, 3);
+  opt.split_points = bench::EvenSplitPoints(1000, 2);
+  StartCluster(opt);
+  for (int i = 0; i < 200; i++) {
+    ASSERT_TRUE(cluster_->Put(Key(i), "old" + std::to_string(i)).ok());
+  }
+  ltc::RangeEngine* dying = cluster_->ltc(0)->GetRange(0);
+  dying->FlushAllMemtables();
+  dying->WaitForQuiescence(/*flush_all=*/true);
+  // SSTables the LTC wrote but never committed: pieces on every StoC
+  // under the numbers it would have handed out next.
+  uint64_t next = dying->versions()->NewFileNumber();
+  stoc::StocClient* client = cluster_->ltc(1)->stoc_client();
+  std::string orphan(4096, 'x');
+  for (uint64_t number = next; number < next + 8; number++) {
+    for (int i = 0; i < cluster_->num_stocs(); i++) {
+      for (stoc::FileKind kind : {stoc::FileKind::kData, stoc::FileKind::kMeta}) {
+        stoc::StocBlockHandle handle;
+        ASSERT_TRUE(client
+                        ->AppendBlock(Cluster::StocNode(i),
+                                      stoc::MakeFileId(
+                                          0, static_cast<uint32_t>(number),
+                                          kind, 0),
+                                      orphan, &handle)
+                        .ok());
+      }
+    }
+  }
+  cluster_->KillLtc(0);
+  ASSERT_TRUE(cluster_->RecoverLtcRanges(0, 1, 2).ok());
+  for (int i = 0; i < 200; i++) {
+    ASSERT_TRUE(cluster_->Put(Key(i), "new" + std::to_string(i)).ok());
+  }
+  ltc::RangeEngine* recovered = cluster_->ltc(1)->GetRange(0);
+  recovered->FlushAllMemtables();
+  recovered->WaitForQuiescence(/*flush_all=*/true);
+  for (int i = 0; i < 200; i++) {
+    std::string got;
+    Status s = cluster_->Get(Key(i), &got);
+    ASSERT_TRUE(s.ok()) << Key(i) << " " << s.ToString();
+    EXPECT_EQ(got, "new" + std::to_string(i))
+        << Key(i) << " newest=" << recovered->DebugFindNewest(Key(i));
+  }
+}
+
+TEST_F(IntegrationTest, GcKeepsTablesAwaitingCommit) {
+  // As in FlushCommitDoesNotBlockGetsOrRouting: range 0's MANIFEST lives
+  // on StoC 0 and its SSTable pieces on StoCs 1-2, so a slow StoC 0 disk
+  // holds a written SSTable's commit.
+  ClusterOptions opt = FastOptions(1, 3);
+  opt.split_points = bench::EvenSplitPoints(1000, 2);
+  opt.range.manifest_replicas = 1;
+  opt.range.enable_memtable_merge = false;
+  StartCluster(opt);
+  ltc::RangeEngine* flushing = cluster_->ltc(0)->GetRange(0);
+  flushing->placer()->UpdateStocs(
+      {Cluster::StocNode(1), Cluster::StocNode(2)});
+  for (int i = 0; i < 100; i++) {
+    ASSERT_TRUE(cluster_->Put(Key(i), "v" + std::to_string(i)).ok());
+  }
+  flushing->FlushAllMemtables();
+  flushing->WaitForQuiescence();
+
+  cluster_->device(0)->InjectLatency(1500 * 1000);
+  for (int i = 100; i < 200; i++) {
+    ASSERT_TRUE(cluster_->Put(Key(i), "v" + std::to_string(i)).ok());
+  }
+  flushing->FlushAllMemtables();
+  ASSERT_TRUE(WaitUntil([&] { return cluster_->device(0)->QueueDepth() > 0; }))
+      << "the flush never reached its MANIFEST append";
+  // The pieces are written and no version lists them yet.
+  ASSERT_TRUE(cluster_->GcStocFiles(1).ok());
+  ASSERT_TRUE(cluster_->GcStocFiles(2).ok());
+  cluster_->device(0)->InjectLatency(0);
+  flushing->WaitForQuiescence();
+  for (int i = 0; i < 200; i++) {
+    std::string got;
+    Status s = cluster_->Get(Key(i), &got);
+    ASSERT_TRUE(s.ok()) << Key(i) << " " << s.ToString();
+    EXPECT_EQ(got, "v" + std::to_string(i));
+  }
+}
+
 }  // namespace
 }  // namespace nova
