@@ -224,7 +224,7 @@ struct ScanEnv {
 /// row of the table = one fetch per fragment, as whole-table sweeps do).
 void BM_SSTableFullScan(benchmark::State& state) {
   ScanEnv* env = ScanEnv::Get();
-  lsm::StocBlockFetcher fetcher(env->client.get(), env->meta);
+  lsm::StocBlockFetcher fetcher(env->client.get(), *env->meta);
   SSTableReader reader(env->table_meta, &fetcher);
   IteratorOptions iter_options;
   iter_options.rows = static_cast<int>(state.range(0));
@@ -260,7 +260,7 @@ void BM_SSTableShortScan(benchmark::State& state) {
   constexpr size_t kRows = 10;
   constexpr uint64_t kScans = 16;
   ScanEnv* env = ScanEnv::Get();
-  lsm::StocBlockFetcher fetcher(env->client.get(), env->meta);
+  lsm::StocBlockFetcher fetcher(env->client.get(), *env->meta);
   SSTableReader reader(env->table_meta, &fetcher);
   IteratorOptions iter_options;
   iter_options.rows = static_cast<int>(state.range(0));

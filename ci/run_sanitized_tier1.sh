@@ -24,8 +24,21 @@
 # and acknowledgment callbacks on the xchg threads start the commits;
 # FailedFlushLeavesNoPiecesBehind, RecoveryDropsUncommittedTables and
 # GcKeepsTablesAwaitingCommit: what happens to SSTables written but not
-# committed) and the LTC crash-recovery seeds (RecoveryRepro) under TSan.
-# `all` runs it after the two full tier-1 passes.
+# committed), the tests of the rule for deleting SSTable pieces
+# (HeldVersionKeepsCompactedTablesReadable: compaction inputs outlive
+# their readers; CompactionRetriedAfterFailedApplyDeletesItsInputs: a
+# compaction whose MANIFEST append failed retires its inputs once on
+# retry; MigratedRangeDeletesHeldTablesAfterRelease: a range's old LTC
+# deletes its retired tables after their last reader;
+# GcBetweenLtcCrashAndRecoveryLosesNoKey: GC leaves a range no alive LTC
+# hosts alone), the read tests that an error is an answer
+# (StocDeathGetTest, and GetsDuringCompactionsTest: readers race flushes
+# and compactions with the lookup index on and off), the tests that a
+# removed StoC fails its RPCs at once
+# (AsyncRpcTest.RemovedPeerFailsItsWaitersAtOnce,
+# KilledStocFailsArmedFlushAtOnce) and the LTC crash-recovery seeds
+# (RecoveryRepro) under TSan. `all` runs it after the two full tier-1
+# passes.
 #
 # `compression` runs only the block-compression / cache-tier suites
 # (Compressor, stored-block corruption, two-queue admission, compressed
@@ -65,8 +78,9 @@ run_one() {
 }
 
 # Chaos stage: the 10-seed kill/restart + failpoint suite plus the repair,
-# graceful-removal, placement, MANIFEST group-commit, flush-pipeline and
-# LTC-recovery tests, serialized
+# graceful-removal, placement, MANIFEST group-commit, flush-pipeline,
+# piece-deletion, read-error, StoC-removal and LTC-recovery tests,
+# serialized
 # (-j 1) because each test churns a whole cluster and the timing
 # assumptions (death verdicts, probe intervals) degrade when
 # oversubscribed.
@@ -76,7 +90,7 @@ run_chaos() {
   cmake -S "${repo_root}" -B "${build_dir}" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSANITIZE=thread >/dev/null
   cmake --build "${build_dir}" -j "$(nproc)" >/dev/null
-  local tests="ChaosTest|RepairTest|GracefulRemove|PlacementTest|VersionSetGroupCommitTest|FlushCommitDoesNotBlockGetsOrRouting|FlushPipelineKeepsTwoWritesPerStoc|FailedFlushLeavesNoPiecesBehind|RecoveryDropsUncommittedTables|GcKeepsTablesAwaitingCommit|RecoveryRepro"
+  local tests="ChaosTest|RepairTest|GracefulRemove|PlacementTest|VersionSetGroupCommitTest|FlushCommitDoesNotBlockGetsOrRouting|FlushPipelineKeepsTwoWritesPerStoc|FailedFlushLeavesNoPiecesBehind|RecoveryDropsUncommittedTables|GcKeepsTablesAwaitingCommit|HeldVersionKeepsCompactedTablesReadable|CompactionRetriedAfterFailedApplyDeletesItsInputs|MigratedRangeDeletesHeldTablesAfterRelease|GcBetweenLtcCrashAndRecoveryLosesNoKey|StocDeathGetTest|GetsDuringCompactionsTest|RemovedPeerFailsItsWaitersAtOnce|KilledStocFailsArmedFlushAtOnce|RecoveryRepro"
   echo "==> [chaos] ctest -R ${tests} (TSan)"
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     ctest --test-dir "${build_dir}" -R "${tests}" -j 1 \

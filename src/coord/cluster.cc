@@ -249,11 +249,14 @@ Status Cluster::Scan(
 }
 
 void Cluster::KillStoc(int index) {
+  // The crash: the StoC leaves the fabric before its server winds down, so
+  // the disk work it had queued acknowledges nothing and every LTC fails
+  // its RPCs to it at once.
   stoc_alive_[index] = false;
-  stocs_[index]->Stop();
   fabric_.RemoveNode(StocNode(index));
   coordinator_.ExpireLease(StocNode(index));
   RefreshPlacements();
+  stocs_[index]->Stop();
 }
 
 void Cluster::RestartStoc(int index) {
@@ -466,47 +469,29 @@ Status Cluster::RemoveStocGraceful(int index) {
 }
 
 Status Cluster::GcStocFiles(int index) {
-  // A re-added StoC enumerates its files and asks the owning LTC whether
-  // each is still referenced; unreferenced files are deleted (Section 9).
-  std::vector<uint64_t> files;
-  rdma::NodeId node = StocNode(index);
-  // Use any alive LTC's client to query.
-  stoc::StocClient* client = nullptr;
-  for (size_t l = 0; l < ltcs_.size(); l++) {
-    if (ltc_alive_[l]) {
-      client = ltcs_[l]->stoc_client();
-      break;
-    }
-  }
-  if (client == nullptr) {
-    return Status::Unavailable("no alive ltc");
-  }
-  Status s = client->ListFiles(node, &files);
-  if (!s.ok()) {
-    return s;
-  }
+  // Each range's owning LTC judges the StoC's pieces of that range
+  // (Section 9). Only a range the configuration assigns to an alive LTC
+  // that hosts it is asked: a crashed, recovering or migrating range keeps
+  // every piece until its new owner sweeps.
   Configuration cfg = coordinator_.config();
-  for (uint64_t file_id : files) {
-    stoc::FileKind kind = stoc::FileIdKind(file_id);
-    if (kind == stoc::FileKind::kManifest || kind == stoc::FileKind::kLog) {
-      continue;  // always kept
+  std::vector<uint64_t> files;
+  bool listed = false;
+  for (const auto& r : cfg.ranges) {
+    ltc::RangeEngine* engine =
+        ltc_alive_[r.ltc_index] ? ltcs_[r.ltc_index]->GetRange(r.range_id)
+                                : nullptr;
+    if (engine == nullptr) {
+      continue;
     }
-    uint32_t range_id = stoc::FileIdRange(file_id);
-    uint32_t number = stoc::FileIdNumber(file_id);
-    bool referenced = false;
-    for (const auto& r : cfg.ranges) {
-      if (r.range_id == range_id && ltc_alive_[r.ltc_index]) {
-        ltc::RangeEngine* engine =
-            ltcs_[r.ltc_index]->GetRange(range_id);
-        if (engine != nullptr && engine->IsFileNumberLive(number)) {
-          referenced = true;
-        }
-        break;
+    if (!listed) {
+      Status s = ltcs_[r.ltc_index]->stoc_client()->ListFiles(
+          StocNode(index), &files);
+      if (!s.ok()) {
+        return s;
       }
+      listed = true;
     }
-    if (!referenced) {
-      client->DeleteFile(node, file_id, false);
-    }
+    engine->SweepStocFiles(StocNode(index), files);
   }
   return Status::OK();
 }

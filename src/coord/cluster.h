@@ -78,7 +78,10 @@ class Cluster {
   /// moved, when the StoC holds a MANIFEST replica of any range (those are
   /// positional); a failed drain leaves the StoC in service.
   Status RemoveStocGraceful(int index);
-  /// Delete files on a (re-added) StoC that no range references anymore.
+  /// Delete the SSTable pieces on a (re-added) StoC whose range's owner
+  /// no longer needs them (RangeEngine::SweepStocFiles). Only ranges the
+  /// configuration assigns to an alive LTC that hosts them are swept;
+  /// every other piece, and every log and MANIFEST file, stays.
   Status GcStocFiles(int index);
 
   // --- Accessors ---

@@ -25,8 +25,8 @@ Status StocBlockFetcher::ReadFragment(int fragment, uint64_t offset,
   // goes to the least-loaded replicas, stragglers are hedged, and the
   // remaining candidates serve as failover.
   std::vector<stoc::GatherRead::Target> targets;
-  targets.reserve(meta_->fragments[fragment].size());
-  for (const BlockLocation& loc : meta_->fragments[fragment]) {
+  targets.reserve(meta_.fragments[fragment].size());
+  for (const BlockLocation& loc : meta_.fragments[fragment]) {
     targets.push_back({loc.stoc_id, loc.file_id});
   }
   return client_->ReadReplicated(targets, offset, size, out);
@@ -34,7 +34,7 @@ Status StocBlockFetcher::ReadFragment(int fragment, uint64_t offset,
 
 Status StocBlockFetcher::ReconstructFromParity(int fragment,
                                                std::string* full_fragment) {
-  if (!meta_->parity.valid()) {
+  if (!meta_.parity.valid()) {
     return Status::Unavailable("fragment lost and no parity block");
   }
   // Parity is the XOR of all fragments zero-padded to the longest one.
@@ -44,14 +44,14 @@ Status StocBlockFetcher::ReconstructFromParity(int fragment,
   std::vector<stoc::GatherRead> reads;
   reads.emplace_back();
   reads.back().replicas.push_back(
-      {meta_->parity.stoc_id, meta_->parity.file_id});
-  for (int f = 0; f < static_cast<int>(meta_->fragments.size()); f++) {
+      {meta_.parity.stoc_id, meta_.parity.file_id});
+  for (int f = 0; f < static_cast<int>(meta_.fragments.size()); f++) {
     if (f == fragment) {
       continue;
     }
     reads.emplace_back();
-    reads.back().size = meta_->fragment_sizes[f];
-    for (const BlockLocation& loc : meta_->fragments[f]) {
+    reads.back().size = meta_.fragment_sizes[f];
+    for (const BlockLocation& loc : meta_.fragments[f]) {
       reads.back().replicas.push_back({loc.stoc_id, loc.file_id});
     }
   }
@@ -66,7 +66,7 @@ Status StocBlockFetcher::ReconstructFromParity(int fragment,
   for (size_t i = 1; i < reads.size(); i++) {
     XorInto(&acc, reads[i].data);
   }
-  acc.resize(meta_->fragment_sizes[fragment]);
+  acc.resize(meta_.fragment_sizes[fragment]);
   *full_fragment = std::move(acc);
   degraded_reads_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
@@ -74,7 +74,7 @@ Status StocBlockFetcher::ReconstructFromParity(int fragment,
 
 Status StocBlockFetcher::Fetch(int fragment, uint64_t offset, uint64_t size,
                                std::string* out) {
-  if (fragment < 0 || fragment >= static_cast<int>(meta_->fragments.size())) {
+  if (fragment < 0 || fragment >= static_cast<int>(meta_.fragments.size())) {
     return Status::InvalidArgument("no such fragment");
   }
   Status s = ReadFragment(fragment, offset, size, out);
@@ -193,7 +193,7 @@ Status TableCache::GetReader(const FileMetaRef& meta, Handle* handle) {
       return s;
     }
     auto* entry = new Entry;
-    entry->fetcher = std::make_unique<StocBlockFetcher>(client_, meta);
+    entry->fetcher = std::make_unique<StocBlockFetcher>(client_, *meta);
     entry->reader = std::make_unique<SSTableReader>(
         std::move(table_meta), entry->fetcher.get(),
         cache_data_blocks_ ? cache_ : nullptr, range_id_,
@@ -213,17 +213,7 @@ Status TableCache::GetReader(const FileMetaRef& meta, Handle* handle) {
   return Status::OK();
 }
 
-void TableCache::Evict(uint64_t number) {
-  // The reader entry and all of the file's data blocks share this prefix
-  // in both tiers.
-  std::string prefix = BlockCachePrefix(range_id_, number);
-  cache_->EraseWithPrefix(prefix);
-  if (compressed_cache_ != nullptr) {
-    compressed_cache_->EraseWithPrefix(prefix);
-  }
-}
-
-void TableCache::EvictBatch(const std::vector<uint64_t>& numbers) {
+void TableCache::Evict(const std::vector<uint64_t>& numbers) {
   if (numbers.empty()) {
     return;
   }

@@ -45,8 +45,10 @@ void XorInto(std::string* acc, const Slice& data);
 
 class StocBlockFetcher : public BlockFetcher {
  public:
-  StocBlockFetcher(stoc::StocClient* client, FileMetaRef meta)
-      : client_(client), meta_(std::move(meta)) {}
+  /// Keeps its own copy of meta: a reader parked in the TableCache must
+  /// not keep a retired SSTable live (RangeEngine::IsFileNumberLive).
+  StocBlockFetcher(stoc::StocClient* client, const FileMetaData& meta)
+      : client_(client), meta_(meta) {}
 
   Status Fetch(int fragment, uint64_t offset, uint64_t size,
                std::string* out) override;
@@ -60,7 +62,7 @@ class StocBlockFetcher : public BlockFetcher {
   Status ReconstructFromParity(int fragment, std::string* full_fragment);
 
   stoc::StocClient* client_;
-  FileMetaRef meta_;
+  const FileMetaData meta_;
   std::atomic<uint64_t> degraded_reads_{0};
 };
 
@@ -84,8 +86,8 @@ class TableCache {
   ~TableCache();
 
   /// A pinned reader: keeps the underlying reader (and its fetcher) alive
-  /// even if the entry is evicted concurrently (e.g., by a compaction
-  /// finishing while a scan is mid-flight).
+  /// even if the entry is evicted concurrently (e.g., by memory pressure
+  /// while a scan is mid-flight).
   struct Handle {
     std::shared_ptr<void> pin;
     SSTableReader* reader = nullptr;
@@ -94,12 +96,10 @@ class TableCache {
   /// Returns a cached (or freshly opened) pinned reader for the file.
   Status GetReader(const FileMetaRef& meta, Handle* handle);
 
-  /// Drop the file's reader and every cached data block of the file
-  /// (compaction apply / file deletion invalidate through this).
-  void Evict(uint64_t number);
-  /// Same for many files in one cache sweep (a compaction retires all of
-  /// its inputs at once; per-file sweeps of a large cache add up).
-  void EvictBatch(const std::vector<uint64_t>& numbers);
+  /// Drop the files' readers and every cached data block of the files,
+  /// in one sweep of each cache tier (a repair swap and the deletion of
+  /// retired tables invalidate through this).
+  void Evict(const std::vector<uint64_t>& numbers);
   /// Resident (not yet reclaimed) reader entries opened by this cache.
   size_t size() const;
 

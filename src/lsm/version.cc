@@ -60,6 +60,20 @@ FileMetaRef Version::FileForKey(int level, const Slice& user_key) const {
   return nullptr;
 }
 
+FileMetaRef Version::Find(uint64_t number, int* level) const {
+  for (int l = 0; l < num_levels(); l++) {
+    for (const auto& f : levels_[l]) {
+      if (f->number == number) {
+        if (level != nullptr) {
+          *level = l;
+        }
+        return f;
+      }
+    }
+  }
+  return nullptr;
+}
+
 void VersionEdit::EncodeTo(std::string* dst) const {
   PutVarint64(dst, last_sequence);
   PutVarint64(dst, next_file_number);

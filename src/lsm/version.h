@@ -56,6 +56,10 @@ class Version {
   /// user_key, or nullptr.
   FileMetaRef FileForKey(int level, const Slice& user_key) const;
 
+  /// The file numbered `number` at any level, or nullptr; *level
+  /// (optional) receives its level.
+  FileMetaRef Find(uint64_t number, int* level = nullptr) const;
+
  private:
   friend class VersionSet;
   std::vector<std::vector<FileMetaRef>> levels_;

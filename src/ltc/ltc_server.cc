@@ -71,6 +71,10 @@ void LtcServer::MaintenanceLoop() {
       for (auto& [id, engine] : ranges_) {
         engine->MaintenanceTick();
       }
+      // A detached range's readers may still hold its retired tables.
+      for (auto& engine : retired_ranges_) {
+        engine->DeleteRetiredTables();
+      }
     }
     std::this_thread::sleep_for(
         std::chrono::microseconds(options_.maintenance_interval_us));

@@ -76,7 +76,8 @@ class LtcServer {
                                    const std::vector<rdma::NodeId>& stocs);
   /// Detach a range (migration source): it stops receiving requests from
   /// this server but stays alive (retired) so racing operations holding a
-  /// pointer cannot use freed memory. Returns the detached engine.
+  /// pointer cannot use freed memory, and it deletes its retired tables
+  /// once those operations let go of them. Returns the detached engine.
   RangeEngine* DetachRange(uint32_t range_id);
 
   RangeEngine* GetRange(uint32_t range_id);

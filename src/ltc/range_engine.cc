@@ -318,16 +318,22 @@ struct RangeEngine::NewestVersion {
   SequenceNumber seq = 0;
   std::string value;
   Status status;
+  /// Why the first table that could not be opened or read failed.
+  Status unreadable;
 
   /// Looks the key up in a memtable or SSTable and keeps the table's
   /// version when it is the newest so far. Returns whether the table holds
-  /// a version of the key.
+  /// a version of the key; a failed read counts as unreadable instead.
   template <typename Table>
   bool Probe(Table* table, const LookupKey& lkey) {
     std::string v;
     Status s;
     SequenceNumber table_seq = 0;
     if (!table->Get(lkey, &v, &s, &table_seq)) {
+      return false;
+    }
+    if (!s.ok() && !s.IsNotFound()) {
+      Unreadable(s);
       return false;
     }
     if (!found || table_seq > seq) {
@@ -339,7 +345,25 @@ struct RangeEngine::NewestVersion {
     return true;
   }
 
-  Status Result(std::string* out) {
+  void Unreadable(const Status& s) {
+    if (unreadable.ok()) {
+      unreadable = s;
+    }
+  }
+
+  /// Whether the version found is the key's newest anywhere, as the lookup
+  /// index claims (claimed_seq; 0 = no claim): then no other table holds a
+  /// newer one.
+  bool Newest(SequenceNumber claimed_seq) const {
+    return found && claimed_seq > 0 && seq >= claimed_seq;
+  }
+
+  /// An error is an answer: an unreadable table fails the Get unless the
+  /// version found is the newest.
+  Status Result(std::string* out, SequenceNumber claimed_seq) {
+    if (!unreadable.ok() && !Newest(claimed_seq)) {
+      return unreadable;
+    }
     if (!found) {
       return Status::NotFound("key not found");
     }
@@ -358,9 +382,8 @@ Status RangeEngine::Get(const Slice& key, std::string* value) {
     stats_.gets++;
   }
   LookupKey lkey(key, last_sequence_.load());
-  // The sequence the lookup index claims for the key's newest version. It
-  // stays 0 when the index is off or has no entry, so any memtable or L0
-  // version then stands without a look at the levels.
+  // The sequence the lookup index claims for the key's newest version (0
+  // when the index is off or has no entry).
   SequenceNumber claimed_seq = 0;
   // Without the index (Challenge 2's ablation) every memtable is probed.
   bool sweep_memtables = !options_.enable_lookup_index;
@@ -392,7 +415,7 @@ Status RangeEngine::Get(const Slice& key, std::string* value) {
         sweep_memtables = true;  // slot should have held this key
         continue;
       }
-      lsm::FileMetaRef meta = FindL0File(entry.file_number);
+      lsm::FileMetaRef meta = versions_->current()->Find(entry.file_number);
       if (meta == nullptr) {
         // The L0 file was compacted into L1+: self-clean the index.
         lookup_index_.EraseIf(key, mid);
@@ -422,13 +445,17 @@ Status RangeEngine::Get(const Slice& key, std::string* value) {
     ProbeMemtables(lkey, &newest);
   }
   ProbeL0(lkey, &newest);
-  if (!newest.found || newest.seq < claimed_seq) {
-    // No memtable or L0 version, or only one older than the index claimed:
-    // the newer one was compacted into the levels, and the levels' version
-    // wins when it is newer, a tombstone included.
+  if (!newest.Newest(claimed_seq)) {
+    // Flushes run in parallel, so a key's versions need not reach the
+    // levels in the order they were written: only the index's claim lets a
+    // memtable or L0 version stand without them. The levels' version wins
+    // when it is newer, a tombstone included.
     SearchLevels(lkey, &newest);
   }
-  return newest.Result(value);
+  if (!newest.unreadable.ok()) {
+    degraded_gets_.fetch_add(1);
+  }
+  return newest.Result(value, claimed_seq);
 }
 
 void RangeEngine::ProbeMemtables(const LookupKey& lkey,
@@ -458,7 +485,9 @@ void RangeEngine::ProbeL0(const LookupKey& lkey, NewestVersion* newest) {
       continue;
     }
     lsm::TableCache::Handle handle;
-    if (!table_cache_->GetReader(f, &handle).ok()) {
+    Status s = table_cache_->GetReader(f, &handle);
+    if (!s.ok()) {
+      newest->Unreadable(s);
       continue;
     }
     if (!handle.reader->KeyMayMatch(key)) {
@@ -482,9 +511,8 @@ void RangeEngine::SearchLevels(const LookupKey& lkey, NewestVersion* newest) {
       lsm::TableCache::Handle handle;
       Status s = table_cache_->GetReader(f, &handle);
       if (!s.ok()) {
-        if (s.IsUnavailable()) {
-          degraded_gets_.fetch_add(1);
-        }
+        // Deeper levels may still hold the version the index claims.
+        newest->Unreadable(s);
         continue;
       }
       if (!handle.reader->KeyMayMatch(lkey.user_key())) {
@@ -499,20 +527,6 @@ void RangeEngine::SearchLevels(const LookupKey& lkey, NewestVersion* newest) {
       return;  // deeper levels hold only older versions
     }
   }
-}
-
-lsm::FileMetaRef RangeEngine::FindL0File(uint64_t number) {
-  return FindL0FileIn(versions_->current(), number);
-}
-
-lsm::FileMetaRef RangeEngine::FindL0FileIn(const lsm::VersionRef& version,
-                                           uint64_t number) {
-  for (const auto& f : version->files(0)) {
-    if (f->number == number) {
-      return f;
-    }
-  }
-  return nullptr;
 }
 
 IteratorOptions RangeEngine::ScanIteratorOptions(int rows) {
@@ -616,7 +630,7 @@ Status RangeEngine::Scan(
       }
     };
     for (uint64_t number : l0_numbers) {
-      lsm::FileMetaRef f = FindL0FileIn(version, number);
+      lsm::FileMetaRef f = version->Find(number);
       if (f != nullptr) {  // else compacted away; this version's L1+ has it
         add_table(f);
       }
@@ -745,6 +759,8 @@ void RangeEngine::MaintenanceTick() {
   }
   // 4. Compactions.
   ScheduleCompactions();
+  // 5. Retired tables their last reader let go of.
+  DeleteRetiredTables();
 }
 
 bool RangeEngine::FlushesIdleLocked() {
@@ -818,14 +834,7 @@ void RangeEngine::FlushTask(MemTableRef mem) {
     }
     s = MergeSmallMemtables(mems, did);
   } else if (unique == 0) {
-    // Empty memtable: just drop it.
-    std::lock_guard<std::mutex> lk(mu_);
-    all_memtables_.erase(mem->id());
-    mem_spans_.erase(mem->id());
-    mid_table_.Erase(mem->id());
-    range_index_->RemoveMemtable(mem->id());
-    logc_->DeleteLogFile(mem->id());
-    stall_cv_.notify_all();
+    DropMemtables(mems);
   } else {
     // Armed: the commit retires the memtable and wakes stalled writers.
     s = FlushToSSTable(mems, did, mem->generation());
@@ -899,20 +908,23 @@ Status RangeEngine::MergeSmallMemtables(const std::vector<MemTableRef>& mems,
     return fs;
   }
 
-  // Install the merged memtable and re-index its keys. Each key is
-  // re-pointed with the merged entry's *own* sequence number through the
-  // seq-guarded Update: a newer version living in an active memtable (or
-  // indexed by a racing merge) always keeps the slot, so the index
-  // invariant — the slot's table contains key@slot.seq — stays intact
-  // under concurrent merges.
+  // Install the merged memtable and re-point at it the index slots that
+  // name an input. A slot that names another table, or none (a Get dropped
+  // it once the key's newest version reached the levels), keeps its claim:
+  // an input's older sequence there would let a parked, stale version
+  // answer without the levels.
   mid_table_.SetMemtable(new_mid, new_mem);
   {
+    std::set<uint64_t> input_mids;
+    for (const auto& m : mems) {
+      input_mids.insert(m->id());
+    }
     std::unique_ptr<Iterator> it(new_mem->NewIterator());
     it->SeekToFirst();
     while (it->Valid()) {
       ParsedInternalKey parsed;
       if (ParseInternalKey(it->key(), &parsed)) {
-        lookup_index_.Update(parsed.user_key, new_mid, parsed.sequence);
+        lookup_index_.UpdateIfIn(parsed.user_key, input_mids, new_mid);
       }
       it->Next();
     }
@@ -926,22 +938,28 @@ Status RangeEngine::MergeSmallMemtables(const std::vector<MemTableRef>& mems,
     // Append (not assign): a concurrent merge on the same Drange may have
     // installed its own table between our gather and now.
     small_immutables_[drange_id].push_back(new_mid);
+  }
+  DropMemtables(mems);
+  std::lock_guard<std::mutex> l(stats_mu_);
+  stats_.memtable_merges++;
+  return Status::OK();
+}
+
+void RangeEngine::DropMemtables(const std::vector<MemTableRef>& mems) {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
     for (const auto& m : mems) {
       all_memtables_.erase(m->id());
       mem_spans_.erase(m->id());
     }
   }
+  // One StoC DeleteFile per log replica: outside mu_.
   for (const auto& m : mems) {
     mid_table_.Erase(m->id());
     range_index_->RemoveMemtable(m->id());
     logc_->DeleteLogFile(m->id());
   }
-  {
-    std::lock_guard<std::mutex> l(stats_mu_);
-    stats_.memtable_merges++;
-  }
   stall_cv_.notify_all();
-  return Status::OK();
 }
 
 Status RangeEngine::FlushToSSTable(const std::vector<MemTableRef>& mems,
@@ -971,16 +989,6 @@ Status RangeEngine::FlushToSSTable(const std::vector<MemTableRef>& mems,
       builder.Add(merged->key(), merged->value());
     }
     merged->Next();
-  }
-  if (builder.empty()) {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto& m : mems) {
-      all_memtables_.erase(m->id());
-      mid_table_.Erase(m->id());
-      range_index_->RemoveMemtable(m->id());
-      logc_->DeleteLogFile(m->id());
-    }
-    return Status::OK();
   }
 
   auto output = std::make_unique<FlushOutput>();
@@ -1228,9 +1236,12 @@ void RangeEngine::ScheduleCompactions() {
     inflight_hulls_.emplace_back(job_lo, job_hi);
     Clock::time_point queued_at = Clock::now();
     compaction_pool_->Submit([this, job = std::move(job), job_lo, job_hi,
-                              queued_at] {
-      RunCompaction(job, ElapsedUs(queued_at));
+                              queued_at]() mutable {
+      // Finished only once the job let go of its inputs, so a quiescent
+      // range holds no retired table of its own.
+      RunCompaction(std::move(job), ElapsedUs(queued_at));
       std::lock_guard<std::mutex> cl(compaction_mu_);
+      compactions_inflight_--;
       for (size_t i = 0; i < inflight_hulls_.size(); i++) {
         if (inflight_hulls_[i].first == job_lo &&
             inflight_hulls_[i].second == job_hi) {
@@ -1248,9 +1259,12 @@ void RangeEngine::RunCompaction(lsm::CompactionJob job, uint64_t queue_us) {
   // "Offloading") and retries locally on failure, so the job completes
   // exactly once wherever it ran.
   Status s = scheduler_->Run(job, executor_.get(), &result);
-  if (s.ok()) {
-    ApplyCompactionResult(job, result);
-  } else {
+  if (s.ok() && !ApplyCompactionResult(job, result).ok()) {
+    // The edit published nothing: the outputs go like a failed flush's.
+    for (const auto& out : result.outputs) {
+      placer_->Delete(out);
+    }
+  } else if (!s.ok()) {
     NOVA_WARN("compaction failed: %s", s.ToString().c_str());
   }
   // The outputs are in the version now, or were deleted.
@@ -1272,7 +1286,6 @@ void RangeEngine::RunCompaction(lsm::CompactionJob job, uint64_t queue_us) {
     for (const auto& f : job.inputs_next) {
       compacting_files_.erase(f->number);
     }
-    compactions_inflight_--;
   }
   // l0_bytes_ was lowered outside mu_ (ApplyCompactionResult), so without
   // this empty critical section the notify can land in the window between
@@ -1284,8 +1297,8 @@ void RangeEngine::RunCompaction(lsm::CompactionJob job, uint64_t queue_us) {
   stall_cv_.notify_all();
 }
 
-void RangeEngine::ApplyCompactionResult(const lsm::CompactionJob& job,
-                                        const lsm::CompactionResult& result) {
+Status RangeEngine::ApplyCompactionResult(
+    const lsm::CompactionJob& job, const lsm::CompactionResult& result) {
   lsm::VersionEdit edit;
   for (const auto& f : job.inputs) {
     edit.deleted_files.emplace_back(job.input_level, f->number);
@@ -1296,10 +1309,26 @@ void RangeEngine::ApplyCompactionResult(const lsm::CompactionJob& job,
   for (const auto& out : result.outputs) {
     edit.new_files.emplace_back(job.output_level, out);
   }
+  // Retired before the version drops them, so IsFileNumberLive never
+  // misses them.
+  {
+    std::lock_guard<std::mutex> l(numbers_mu_);
+    for (const auto* files : {&job.inputs, &job.inputs_next}) {
+      retired_.insert(retired_.end(), files->begin(), files->end());
+    }
+  }
   Status s = versions_->LogAndApply(&edit);
   if (!s.ok()) {
     NOVA_WARN("compaction apply failed: %s", s.ToString().c_str());
-    return;
+    // The version still holds the inputs: un-retire them, or a retry would
+    // retire them twice.
+    std::lock_guard<std::mutex> l(numbers_mu_);
+    for (const auto* files : {&job.inputs, &job.inputs_next}) {
+      for (const auto& f : *files) {
+        retired_.erase(std::find(retired_.begin(), retired_.end(), f));
+      }
+    }
+    return s;
   }
   l0_bytes_.store(versions_->current()->LevelBytes(0));
 
@@ -1318,24 +1347,9 @@ void RangeEngine::ApplyCompactionResult(const lsm::CompactionJob& job,
       range_index_->RemoveL0File(f->number);
     }
   }
-  // Retire the inputs: delete the StoC blocks first, then drop cache
-  // entries in one sweep for all dead files. Sweeping after the deletes
-  // closes (almost all of) the window where an in-flight read of the old
-  // version re-inserts a dead file's block that nothing would invalidate
-  // again; dead entries are otherwise unreachable and would squat on the
-  // charge budget until LRU churn reached them.
-  std::vector<uint64_t> dead;
-  for (const auto* files : {&job.inputs, &job.inputs_next}) {
-    for (const auto& f : *files) {
-      dead.push_back(f->number);
-      placer_->Delete(*f);
-    }
-  }
-  table_cache_->EvictBatch(dead);
-  {
-    std::lock_guard<std::mutex> l(stats_mu_);
-    stats_.compactions++;
-  }
+  std::lock_guard<std::mutex> l(stats_mu_);
+  stats_.compactions++;
+  return Status::OK();
 }
 
 std::vector<rdma::NodeId> RangeEngine::ManifestStocs() const {
@@ -1414,34 +1428,34 @@ Status RangeEngine::RecoverFromManifest(int recovery_threads) {
       return s;
     }
   }
-  DropUncommittedTables();
+  // Pieces the recovered version does not name were never committed, or
+  // retired and never deleted; GcStocFiles sweeps a StoC down now later.
+  for (rdma::NodeId stoc : placer_->options().stocs) {
+    std::vector<uint64_t> files;
+    if (client_->ListFiles(stoc, &files).ok()) {
+      SweepStocFiles(stoc, files);
+    }
+  }
   return InstallRecoveredState(recovery_threads);
 }
 
-void RangeEngine::DropUncommittedTables() {
-  uint32_t highest = 0;
-  for (rdma::NodeId stoc : placer_->options().stocs) {
-    std::vector<uint64_t> files;
-    if (!client_->ListFiles(stoc, &files).ok()) {
-      continue;  // a StoC down now reconciles through GcStocFiles later
+void RangeEngine::SweepStocFiles(rdma::NodeId stoc,
+                                 const std::vector<uint64_t>& files) {
+  for (uint64_t file_id : files) {
+    stoc::FileKind kind = stoc::FileIdKind(file_id);
+    if (stoc::FileIdRange(file_id) != options_.range_id ||
+        (kind != stoc::FileKind::kData && kind != stoc::FileKind::kMeta &&
+         kind != stoc::FileKind::kParity)) {
+      continue;
     }
-    for (uint64_t file_id : files) {
-      stoc::FileKind kind = stoc::FileIdKind(file_id);
-      if (stoc::FileIdRange(file_id) != options_.range_id ||
-          (kind != stoc::FileKind::kData && kind != stoc::FileKind::kMeta &&
-           kind != stoc::FileKind::kParity)) {
-        continue;
-      }
-      // A new SSTable under this number would append behind these pieces
-      // (BlockStore::Append extends an existing file) and read as garbage.
-      uint32_t number = stoc::FileIdNumber(file_id);
-      highest = std::max(highest, number);
-      if (!IsFileNumberLive(number)) {
-        client_->DeleteFile(stoc, file_id, /*in_memory=*/false);
-      }
+    // A new SSTable under this number would append behind these pieces
+    // (BlockStore::Append extends a file) and read as garbage.
+    uint32_t number = stoc::FileIdNumber(file_id);
+    versions_->MarkFileNumberUsed(number);
+    if (!IsFileNumberLive(number)) {
+      client_->DeleteFile(stoc, file_id, /*in_memory=*/false);
     }
   }
-  versions_->MarkFileNumberUsed(highest);
 }
 
 Status RangeEngine::InstallRecoveredState(int recovery_threads) {
@@ -1646,6 +1660,9 @@ void RangeEngine::WaitForQuiescence(bool flush_all) {
       std::lock_guard<std::mutex> cl(compaction_mu_);
       idle = compactions_inflight_ == 0;
     }
+    if (idle) {
+      idle = DeleteRetiredTables();
+    }
     if (idle && flush_all) {
       lsm::VersionRef v = versions_->current();
       idle = lsm::CompactionPicker::Pick(*versions_, v, 1).empty();
@@ -1723,8 +1740,8 @@ RangeStats RangeEngine::stats() const {
 }
 
 bool RangeEngine::IsFileNumberLive(uint64_t number) {
-  // Held numbers first: a commit publishes a number before it releases it,
-  // so a number released between the two lookups is in the version.
+  // In this order: a commit publishes a number before it releases it, and
+  // a compaction retires a number before the version drops it.
   {
     std::lock_guard<std::mutex> l(numbers_mu_);
     auto it = unpublished_numbers_.upper_bound(number);
@@ -1733,13 +1750,64 @@ bool RangeEngine::IsFileNumberLive(uint64_t number) {
       return true;
     }
   }
+  if (versions_->current()->Find(number) != nullptr) {
+    return true;
+  }
+  std::lock_guard<std::mutex> l(numbers_mu_);
+  return std::any_of(retired_.begin(), retired_.end(),
+                     [number](const lsm::FileMetaRef& f) {
+                       return f->number == number;
+                     });
+}
+
+bool RangeEngine::DeleteRetiredTables() {
+  // Read before the retired list: a compaction retires its inputs before
+  // it publishes the version without them.
   lsm::VersionRef v = versions_->current();
-  for (int level = 0; level < v->num_levels(); level++) {
-    for (const auto& f : v->files(level)) {
-      if (f->number == number) {
-        return true;
+  std::vector<lsm::FileMetaRef> dead;
+  {
+    std::lock_guard<std::mutex> l(numbers_mu_);
+    if (deleting_retired_) {
+      return false;
+    }
+    // A number goes once every retired metadata of it is unheld.
+    std::set<uint64_t> held;
+    for (const auto& f : retired_) {
+      if (f.use_count() > 1) {
+        held.insert(f->number);
       }
     }
+    for (const auto& f : retired_) {
+      if (held.count(f->number) == 0) {
+        dead.push_back(f);
+      }
+    }
+    if (dead.empty()) {
+      return true;
+    }
+    deleting_retired_ = true;
+  }
+  auto task = [this, v, dead] {
+    // A number still in the version (metadata a repair swapped out) has
+    // nothing of its own to delete. No reader is left to put a deleted
+    // table's blocks back in the cache.
+    std::vector<uint64_t> numbers;
+    for (const auto& f : dead) {
+      if (v->Find(f->number) == nullptr) {
+        placer_->Delete(*f);
+        numbers.push_back(f->number);
+      }
+    }
+    table_cache_->Evict(numbers);
+    std::lock_guard<std::mutex> l(numbers_mu_);
+    for (const auto& f : dead) {
+      retired_.erase(std::find(retired_.begin(), retired_.end(), f));
+    }
+    deleting_retired_ = false;
+  };
+  if (!compaction_pool_->Submit(task)) {
+    std::lock_guard<std::mutex> l(numbers_mu_);
+    deleting_retired_ = false;  // the LTC is stopping
   }
   return false;
 }
@@ -1767,17 +1835,9 @@ Status RangeEngine::SwapFileMeta(const lsm::FileMetaData& updated) {
   } unclaim{this, updated.number};
   // Locate the file's level; compactions cannot move it while we hold the
   // claim, so the snapshot stays accurate through LogAndApply.
-  lsm::VersionRef v = versions_->current();
   int level = -1;
-  for (int l = 0; l < v->num_levels() && level < 0; l++) {
-    for (const auto& f : v->files(l)) {
-      if (f->number == updated.number) {
-        level = l;
-        break;
-      }
-    }
-  }
-  if (level < 0) {
+  lsm::FileMetaRef old = versions_->current()->Find(updated.number, &level);
+  if (old == nullptr) {
     return Status::NotFound("file no longer live");
   }
   lsm::VersionEdit edit;
@@ -1787,10 +1847,13 @@ Status RangeEngine::SwapFileMeta(const lsm::FileMetaData& updated) {
   if (!s.ok()) {
     return s;
   }
-  // Readers holding the old FileMetaRef keep working (the surviving
-  // replica locations are unchanged); evict the cached reader so new
-  // opens see the repaired placement.
-  table_cache_->Evict(updated.number);
+  // Retired, the old metadata keeps the number live for its readers
+  // should a compaction retire the new one. New opens see the new one.
+  {
+    std::lock_guard<std::mutex> l(numbers_mu_);
+    retired_.push_back(std::move(old));
+  }
+  table_cache_->Evict({updated.number});
   return Status::OK();
 }
 
@@ -1810,7 +1873,7 @@ std::string RangeEngine::DebugLookupState(const Slice& key) {
     snprintf(buf, sizeof(buf), "mid=%llu iseq=%llu file=%llu l0=%d",
              (unsigned long long)mid, (unsigned long long)iseq,
              (unsigned long long)entry.file_number,
-             FindL0File(entry.file_number) != nullptr);
+             versions_->current()->Find(entry.file_number) != nullptr);
     return buf;
   }
   LookupKey lkey(key, kMaxSequenceNumber);

@@ -253,11 +253,21 @@ class RangeEngine {
   lsm::VersionSet* versions() { return versions_.get(); }
   lsm::TableCache* table_cache() { return table_cache_.get(); }
   Cache* block_cache() { return block_cache_; }
-  /// True if this SSTable number may have live pieces on the StoCs: the
-  /// current version references it, a flush holds it from its build to
-  /// its commit or cleanup, or it lies in the number block of a compaction
-  /// that has not been applied or dropped yet.
+  /// The one rule for SSTable pieces: a piece of this range's SSTable
+  /// `number` may be deleted only when this is false. A number is live
+  /// while a flush or compaction holds it (HoldNumbers), while the current
+  /// version names it, and while it is retired (out of the version, or
+  /// metadata a repair swapped out) and its pieces are not deleted yet.
   bool IsFileNumberLive(uint64_t number);
+  /// The one sweep of a StoC's files, for recovery and GC (Section 9: the
+  /// owning LTC decides): given the listing of a StoC's files, deletes
+  /// each piece of this range's SSTables there whose number is not live,
+  /// and never hands out the number of any such piece again.
+  void SweepStocFiles(rdma::NodeId stoc, const std::vector<uint64_t>& files);
+  /// Delete, on a compaction pool thread, the pieces and cached blocks of
+  /// the retired tables that nothing else holds (no VersionRef, FileMetaRef
+  /// or compaction job). Returns whether no batch is running or due.
+  bool DeleteRetiredTables();
   /// Atomically replace the placement metadata of a live SSTable (same
   /// file number, same key range — only BlockLocations change). Used by
   /// the repair manager after re-replicating fragments away from a dead
@@ -275,7 +285,8 @@ class RangeEngine {
   const RangeEngineOptions& options() const { return options_; }
   int num_memtables();
   uint64_t l0_bytes() const { return l0_bytes_.load(); }
-  /// For fault-injection tests: how many gets were served degraded.
+  /// For fault-injection tests: how many Gets met a table they could not
+  /// open or read.
   uint64_t degraded_gets() const { return degraded_gets_.load(); }
 
   /// Diagnostic: where does the lookup index say `key` lives, and what is
@@ -333,25 +344,21 @@ class RangeEngine {
   /// File numbers handed out whose SSTables are not in the version.
   void HoldNumbers(uint64_t first, uint64_t count);
   void ReleaseNumbers(uint64_t first);
-  /// Recovery: delete this range's SSTable pieces on the placement StoCs
-  /// that the recovered version does not hold (written by a dead LTC but
-  /// never committed), and never hand out their numbers again.
-  void DropUncommittedTables();
   /// Merge small memtables into a fresh one (re-logging its records).
   Status MergeSmallMemtables(const std::vector<MemTableRef>& mems,
                              int drange_id);
+  /// Drop memtables that leave without an SSTable (empty, or merged), with
+  /// their index entries and log files, and wake stalled writers.
+  void DropMemtables(const std::vector<MemTableRef>& mems);
   void ScheduleCompactions();
   /// queue_us: time the job waited between scheduling and pool pickup.
   void RunCompaction(lsm::CompactionJob job, uint64_t queue_us);
-  void ApplyCompactionResult(const lsm::CompactionJob& job,
-                             const lsm::CompactionResult& result);
+  Status ApplyCompactionResult(const lsm::CompactionJob& job,
+                               const lsm::CompactionResult& result);
   /// One append per MANIFEST replica carrying every record of a
   /// group-committed batch (lsm::ManifestSink).
   Status ManifestAppend(const std::vector<std::string>& records);
   Status ReadManifestRecords(std::vector<std::string>* records);
-  lsm::FileMetaRef FindL0File(uint64_t number);
-  static lsm::FileMetaRef FindL0FileIn(const lsm::VersionRef& version,
-                                       uint64_t number);
   /// The newest version of a key (a tombstone included) among the tables
   /// probed so far: Get's one selection rule.
   struct NewestVersion;
@@ -422,9 +429,12 @@ class RangeEngine {
   std::vector<std::unique_ptr<FlushOutput>> flush_outputs_;
   bool commit_running_ = false;
   int unpublished_commits_ = 0;
-  /// First number -> count, for the numbers IsFileNumberLive must count.
+  /// What IsFileNumberLive counts besides the version: first held number
+  /// -> count, and the retired tables until their pieces are deleted.
   std::mutex numbers_mu_;
   std::map<uint64_t, uint64_t> unpublished_numbers_;
+  std::vector<lsm::FileMetaRef> retired_;
+  bool deleting_retired_ = false;
 
   // Compaction bookkeeping.
   std::mutex compaction_mu_;

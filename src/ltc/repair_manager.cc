@@ -194,7 +194,7 @@ Status RepairManager::RebuildPiece(const lsm::FileMetaRef& file,
                                    lsm::PieceKind kind, int fragment,
                                    std::string* out) {
   // Fragments come through the read path: replica failover, then parity.
-  lsm::StocBlockFetcher fetcher(client_, file);
+  lsm::StocBlockFetcher fetcher(client_, *file);
   switch (kind) {
     case lsm::PieceKind::kFragment:
       return fetcher.Fetch(fragment, 0, file->fragment_sizes[fragment], out);

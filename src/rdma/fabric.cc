@@ -27,6 +27,14 @@ void RdmaFabric::RemoveNode(NodeId node) {
   DrainNodePinsLocked(&l, &it->second);
   it->second.regions.clear();
   it->second.inbound.clear();
+  for (auto& [id, peer] : nodes_) {
+    if (peer.alive) {
+      InboundMessage m;
+      m.kind = InboundMessage::Kind::kPeerDown;
+      m.src = node;
+      peer.inbound.push_back(std::move(m));
+    }
+  }
 }
 
 void RdmaFabric::DrainNodePinsLocked(std::unique_lock<std::mutex>* l,

@@ -45,8 +45,9 @@ struct RemoteAddr {
 };
 
 /// What an xchg thread receives when it polls its completion queue.
+/// kPeerDown reports that node src left the fabric (see RemoveNode).
 struct InboundMessage {
-  enum class Kind { kSend, kWriteImm };
+  enum class Kind { kSend, kWriteImm, kPeerDown };
   Kind kind = Kind::kSend;
   NodeId src = -1;
   uint32_t imm = 0;
@@ -74,7 +75,10 @@ class RdmaFabric {
   void AddNode(NodeId node);
 
   /// Take a node off the fabric: pending inbound messages are dropped and
-  /// its memory registrations removed — like a machine losing power.
+  /// its memory registrations removed — like a machine losing power. Every
+  /// other node's queue receives a kPeerDown message from it, behind what
+  /// the node delivered before, as a real queue pair to a dead peer
+  /// flushes its outstanding work with errors.
   void RemoveNode(NodeId node);
 
   bool IsAlive(NodeId node) const;

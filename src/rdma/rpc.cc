@@ -219,6 +219,10 @@ void RpcEndpoint::Dispatch(const InboundMessage& msg) {
     }
     return;
   }
+  if (msg.kind == InboundMessage::Kind::kPeerDown) {
+    FailWaitersOn(msg.src);
+    return;
+  }
   const std::string& m = msg.payload;
   if (m.size() < 9) {
     NOVA_WARN("malformed rpc frame from node %d", msg.src);
@@ -245,12 +249,13 @@ void RpcEndpoint::Dispatch(const InboundMessage& msg) {
   }
 }
 
-Future RpcEndpoint::RegisterWaiter(uint64_t* id) {
+Future RpcEndpoint::RegisterWaiter(NodeId peer, uint64_t* id) {
   *id = next_id_.fetch_add(1);
   Future f;
   f.state_ = std::make_shared<Future::State>();
   f.state_->endpoint = this;
   f.state_->id = *id;
+  f.state_->peer = peer;
   std::lock_guard<std::mutex> l(waiters_mu_);
   waiters_[*id] = f.state_;
   return f;
@@ -285,6 +290,24 @@ bool RpcEndpoint::AbandonWaiter(uint64_t id, Status status) {
   return true;
 }
 
+void RpcEndpoint::FailWaitersOn(NodeId peer) {
+  std::vector<std::shared_ptr<Future::State>> lost;
+  {
+    std::lock_guard<std::mutex> l(waiters_mu_);
+    for (auto it = waiters_.begin(); it != waiters_.end();) {
+      if (it->second->peer == peer) {
+        lost.push_back(std::move(it->second));
+        it = waiters_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  for (auto& state : lost) {
+    Fulfill(state, Status::Unavailable("peer left the fabric"), "");
+  }
+}
+
 size_t RpcEndpoint::num_pending_waiters() {
   std::lock_guard<std::mutex> l(waiters_mu_);
   return waiters_.size();
@@ -295,7 +318,7 @@ Future RpcEndpoint::AsyncCall(NodeId dst, const Slice& request) {
     return Future::Failed(Status::Unavailable("endpoint stopped"));
   }
   uint64_t id;
-  Future f = RegisterWaiter(&id);
+  Future f = RegisterWaiter(dst, &id);
   // Re-check after registering: if Stop() swept the waiter map between
   // the check above and RegisterWaiter, this waiter would wait out its
   // full timeout with nobody left to fulfill it.
@@ -346,9 +369,9 @@ Status RpcEndpoint::Reply(NodeId dst, uint64_t req_id, const Slice& response) {
   return fabric_->Send(node_, dst, Frame(kResponse, req_id, response));
 }
 
-uint64_t RpcEndpoint::AllocToken(Future* future) {
+uint64_t RpcEndpoint::AllocToken(NodeId peer, Future* future) {
   uint64_t id;
-  *future = RegisterWaiter(&id);
+  *future = RegisterWaiter(peer, &id);
   return id;
 }
 

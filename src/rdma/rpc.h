@@ -93,6 +93,9 @@ class Future {
     /// withdraw the waiter slot; null for Failed() futures.
     RpcEndpoint* endpoint = nullptr;
     uint64_t id = 0;
+    /// The node expected to complete it; its removal from the fabric
+    /// fails the future.
+    NodeId peer = -1;
   };
   std::shared_ptr<State> state_;
 };
@@ -128,7 +131,9 @@ class RpcEndpoint {
 
   /// Asynchronous request/response: send now, collect the response later
   /// through the returned future (completed by the xchg threads). A send
-  /// failure yields an immediately-failed future.
+  /// failure yields an immediately-failed future, and dst leaving the
+  /// fabric fails a pending one at once; a live dst that never answers
+  /// fails it only at the Wait deadline.
   Future AsyncCall(NodeId dst, const Slice& request);
 
   /// Synchronous request/response. Fails with Unavailable if dst is dead
@@ -143,10 +148,11 @@ class RpcEndpoint {
   Status Reply(NodeId dst, uint64_t req_id, const Slice& response);
 
   /// Token flow (see file comment). AllocToken registers a waiter slot;
-  /// *future completes when some node calls CompleteToken(token). An
-  /// abandoned token costs a dormant slot until its completion arrives;
-  /// reap one that can never complete with future.Wait(nullptr, 0).
-  uint64_t AllocToken(Future* future);
+  /// *future completes when peer calls CompleteToken(token), or fails
+  /// when peer leaves the fabric. An abandoned token costs a dormant slot
+  /// until then; reap one that can never complete with
+  /// future.Wait(nullptr, 0).
+  uint64_t AllocToken(NodeId peer, Future* future);
   /// Server side: complete a token on node dst.
   Status CompleteToken(NodeId dst, uint64_t token, const Slice& payload);
 
@@ -162,9 +168,9 @@ class RpcEndpoint {
 
   void XchgLoop(int thread_index);
   void Dispatch(const InboundMessage& msg);
-  /// Register a fresh waiter slot; the returned future completes when
-  /// CompleteWaiter runs for the slot's id.
-  Future RegisterWaiter(uint64_t* id);
+  /// Register a fresh waiter slot on peer; the returned future completes
+  /// when CompleteWaiter runs for the slot's id.
+  Future RegisterWaiter(NodeId peer, uint64_t* id);
   /// Complete state exactly once (later attempts are no-ops).
   static void Fulfill(const std::shared_ptr<Future::State>& state,
                       Status status, std::string payload);
@@ -173,6 +179,8 @@ class RpcEndpoint {
   /// its future with the given status so every copy unblocks. False if
   /// already completed/withdrawn.
   bool AbandonWaiter(uint64_t id, Status status);
+  /// Fail every waiter on a peer that left the fabric.
+  void FailWaitersOn(NodeId peer);
 
   RdmaFabric* fabric_;
   NodeId node_;
@@ -192,7 +200,7 @@ class RpcEndpoint {
 
   /// Pending completions by request/token id. An entry is removed when
   /// its future is fulfilled (xchg thread), withdrawn on timeout, or
-  /// failed en masse by Stop().
+  /// failed en masse by Stop() or by its peer's removal.
   std::mutex waiters_mu_;
   std::map<uint64_t, std::shared_ptr<Future::State>> waiters_;
   std::atomic<uint64_t> next_id_{1};

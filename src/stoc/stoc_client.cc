@@ -269,7 +269,7 @@ PendingAppend StocClient::AsyncAppendBlock(rdma::NodeId stoc,
     return pending;
   }
   // 1. Ask the StoC for a buffer, registering our completion token.
-  uint64_t token = endpoint_->AllocToken(&pending.flush_ack_);
+  uint64_t token = endpoint_->AllocToken(stoc, &pending.flush_ack_);
   std::string req;
   req.push_back(kOpAllocBlock);
   PutVarint64(&req, file_id);

@@ -8,6 +8,7 @@
 // accounting, the deferred first block).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -115,6 +116,32 @@ TEST_F(AsyncRpcTest, WaitTimesOutWhenNoReply) {
   EXPECT_TRUE(f.Wait(nullptr, 50).IsUnavailable());
   EXPECT_TRUE(copy.ready());
   EXPECT_TRUE(copy.Wait(nullptr, 50).IsUnavailable());
+}
+
+TEST_F(AsyncRpcTest, RemovedPeerFailsItsWaitersAtOnce) {
+  // The server swallows requests; its removal from the fabric, not the
+  // deadline, ends the call and the token wait on it. A waiter on another
+  // node keeps waiting.
+  server_->set_request_handler(
+      [](rdma::NodeId, uint64_t, const Slice&) {});
+  server_->Start();
+  client_->Start();
+  fabric_.AddNode(2);
+  rdma::Future call = client_->AsyncCall(1, "void");
+  rdma::Future token;
+  client_->AllocToken(1, &token);
+  rdma::Future elsewhere;
+  client_->AllocToken(2, &elsewhere);
+  auto start = std::chrono::steady_clock::now();
+  fabric_.RemoveNode(1);
+  EXPECT_TRUE(call.Wait(nullptr, 10000).IsUnavailable());
+  EXPECT_TRUE(token.Wait(nullptr, 10000).IsUnavailable());
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count(),
+            2000);
+  EXPECT_FALSE(elsewhere.ready());
+  EXPECT_EQ(client_->num_pending_waiters(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -289,7 +316,7 @@ TEST_F(AsyncStocTest, DegradedParityGatherReconstructsLostFragment) {
   EXPECT_NE(meta->parity.stoc_id, lost_stoc);
   KillStoc(lost_stoc - kStoc0);
 
-  lsm::StocBlockFetcher fetcher(client_.get(), meta);
+  lsm::StocBlockFetcher fetcher(client_.get(), *meta);
   std::string frag;
   ASSERT_TRUE(
       fetcher.Fetch(1, 0, meta->fragment_sizes[1], &frag).ok());
@@ -629,7 +656,7 @@ TEST_F(AsyncStocTest, ShortScanReadsItsBlocksInOneFetch) {
   std::vector<DataBlock> blocks = DataBlocks(table_meta);
   std::string data;
   lsm::FileMetaRef meta = WriteScatteredTable(std::move(built), &data);
-  lsm::StocBlockFetcher fetcher(client_.get(), meta);
+  lsm::StocBlockFetcher fetcher(client_.get(), *meta);
   // From the last key of block 1, ten rows span blocks 1 and 2 of
   // fragment 0.
   ASSERT_EQ(FragmentOf(table_meta, blocks[2]).first, 0);
@@ -661,7 +688,7 @@ TEST_F(AsyncStocTest, RunBlocksEnterTheTiersOnlyWhenReached) {
   std::vector<DataBlock> blocks = DataBlocks(table_meta);
   std::string data;
   lsm::FileMetaRef meta = WriteScatteredTable(std::move(built), &data);
-  lsm::StocBlockFetcher stoc_fetcher(client_.get(), meta);
+  lsm::StocBlockFetcher stoc_fetcher(client_.get(), *meta);
   RecordingFetcher fetcher(&stoc_fetcher);
   ASSERT_EQ(FragmentOf(table_meta, blocks[4]).first, 0);
   std::unique_ptr<Cache> hot(NewShardedLRUCache(1 << 20));
@@ -721,7 +748,7 @@ TEST_F(AsyncStocTest, RunStopsAtAFragmentBoundary) {
   std::vector<DataBlock> blocks = DataBlocks(table_meta);
   std::string data;
   lsm::FileMetaRef meta = WriteScatteredTable(std::move(built), &data);
-  lsm::StocBlockFetcher stoc_fetcher(client_.get(), meta);
+  lsm::StocBlockFetcher stoc_fetcher(client_.get(), *meta);
   // The last block of fragment 0.
   size_t last = 0;
   while (FragmentOf(table_meta, blocks[last + 1]).first == 0) {
@@ -767,7 +794,7 @@ TEST_F(AsyncStocTest, ReadaheadIteratorMatchesSerialScan) {
   const uint64_t blocks = DataBlocks(table_meta).size();
   std::string data;
   lsm::FileMetaRef meta = WriteScatteredTable(std::move(built), &data);
-  lsm::StocBlockFetcher fetcher(client_.get(), meta);
+  lsm::StocBlockFetcher fetcher(client_.get(), *meta);
   SSTableReader reader(table_meta, &fetcher);
 
   auto sweep = [&](int rows, ReadaheadCounters* counters,
@@ -803,7 +830,7 @@ TEST_F(AsyncStocTest, SeekBeforeTheFirstKeyDefersTheFirstBlock) {
   SSTableMetadata table_meta = built.meta;
   std::string data;
   lsm::FileMetaRef meta = WriteScatteredTable(std::move(built), &data);
-  lsm::StocBlockFetcher stoc_fetcher(client_.get(), meta);
+  lsm::StocBlockFetcher stoc_fetcher(client_.get(), *meta);
   RecordingFetcher fetcher(&stoc_fetcher);
   SSTableReader reader(table_meta, &fetcher);
 
@@ -856,7 +883,7 @@ TEST_F(AsyncStocTest, CorruptBlockInARunSurfacesAsCorruption) {
   std::vector<DataBlock> blocks = DataBlocks(table_meta);
   std::string data;
   lsm::FileMetaRef meta = WriteScatteredTable(std::move(built), &data);
-  lsm::StocBlockFetcher stoc_fetcher(client_.get(), meta);
+  lsm::StocBlockFetcher stoc_fetcher(client_.get(), *meta);
   RecordingFetcher fetcher(&stoc_fetcher);
   ASSERT_EQ(FragmentOf(table_meta, blocks[2]).first, 0);
   // Flip a payload byte of block 2, the second block of the run that a
@@ -906,7 +933,7 @@ TEST_F(AsyncStocTest, RunsOnOverlappingTablesMatchOracleWithNoExtraReads) {
   std::vector<std::unique_ptr<SSTableReader>> readers;
   for (int t = 0; t < 3; t++) {
     fetchers.push_back(
-        std::make_unique<lsm::StocBlockFetcher>(client_.get(), files[t]));
+        std::make_unique<lsm::StocBlockFetcher>(client_.get(), *files[t]));
     readers.push_back(
         std::make_unique<SSTableReader>(table_metas[t], fetchers[t].get()));
   }

@@ -304,5 +304,89 @@ TEST(ChurnConcurrentTest, MigrationUnderLoad) {
   cluster.Stop();
 }
 
+/// Gets racing flushes and compactions, with the lookup index on and off:
+/// two writers on disjoint keys, three readers. No Get may return a
+/// version older than one acknowledged before it began, NotFound for a
+/// written key, or an error (compactions delete no table a reader holds).
+class GetsDuringCompactionsTest : public testing::TestWithParam<bool> {};
+
+TEST_P(GetsDuringCompactionsTest, NeverOlderThanAckedNorFailed) {
+  coord::ClusterOptions opt = ChurnOptions(3);
+  opt.range.enable_lookup_index = GetParam();
+  coord::Cluster cluster(opt);
+  cluster.Start();
+  ltc::LtcServer* ltc = cluster.ltc(0);
+  const int kKeysPerWriter = 200;
+  // Per key, the newest version its one writer had acknowledged.
+  std::vector<std::atomic<int>> acked(2 * kKeysPerWriter);
+  for (auto& a : acked) {
+    a.store(-1);
+  }
+  std::atomic<bool> stop{false};
+  std::mutex failures_mu;
+  std::vector<std::string> failures;
+  auto fail = [&](const std::string& what) {
+    std::lock_guard<std::mutex> l(failures_mu);
+    failures.push_back(what);
+  };
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; w++) {
+    threads.emplace_back([&, w] {
+      Random rng(w * 17 + 3);
+      for (int i = 0; !stop.load(); i++) {
+        int k = w * kKeysPerWriter +
+                static_cast<int>(rng.Uniform(kKeysPerWriter));
+        std::string value = std::to_string(i) + std::string(40, 'x');
+        if (ltc->Put(bench::MakeKey(k), value).ok()) {
+          acked[k].store(i, std::memory_order_release);
+        }
+      }
+    });
+  }
+  for (int r = 0; r < 3; r++) {
+    threads.emplace_back([&, r] {
+      Random rng(r * 29 + 11);
+      while (!stop.load()) {
+        int k = static_cast<int>(rng.Uniform(2 * kKeysPerWriter));
+        int known = acked[k].load(std::memory_order_acquire);
+        if (known < 0) {
+          continue;
+        }
+        std::string got;
+        Status s = ltc->Get(bench::MakeKey(k), &got);
+        if (!s.ok()) {
+          fail(bench::MakeKey(k) + ": " + s.ToString());
+        } else if (std::stoi(got) < known) {
+          ltc::RangeEngine* engine = ltc->ranges()[0];
+          fail(bench::MakeKey(k) + ": read " + std::to_string(std::stoi(got)) +
+               " after " + std::to_string(known) + " was acknowledged; " +
+               engine->DebugLookupState(bench::MakeKey(k)) + "; newest " +
+               engine->DebugFindNewest(bench::MakeKey(k)));
+        }
+      }
+    });
+  }
+  // 1.5 s, or as long as 10 compactions take (sanitizer builds are slow).
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+  while (cluster.TotalStats().compactions < 10 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  stop.store(true);
+  for (auto& t : threads) {
+    t.join();
+  }
+  ltc::RangeStats stats = cluster.TotalStats();
+  EXPECT_GE(stats.compactions, 10u);
+  EXPECT_TRUE(failures.empty())
+      << failures.size() << " bad Gets over " << stats.compactions
+      << " compactions, first: " << failures.front();
+  cluster.Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(LookupIndex, GetsDuringCompactionsTest,
+                         testing::Bool());
+
 }  // namespace
 }  // namespace nova

@@ -272,7 +272,7 @@ TEST_F(RpcTest, TokenCompletion) {
   fabric_.RegisterMemory(1, 3, region, sizeof(region));
 
   rdma::Future completion;
-  uint64_t token = client_->AllocToken(&completion);
+  uint64_t token = client_->AllocToken(1, &completion);
   ASSERT_LT(token, 1u << 31);  // fits in imm for the test
   ASSERT_TRUE(fabric_
                   .Write(0, Slice("block-bytes"), rdma::RemoteAddr{1, 3, 0},
