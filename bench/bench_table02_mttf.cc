@@ -80,7 +80,7 @@ bool MeasureRepairWindow(const nova::bench::BenchConfig& cfg,
   opt.placement.num_data_replicas = 1;
   opt.placement.num_meta_replicas = 2;
   opt.placement.use_parity = true;
-  opt.range.manifest_replicas = 1;  // manifest pinned to StoC 0
+  opt.range.manifest_replicas = 1;
   opt.membership.failure_threshold = 2;
   opt.membership.dead_after_ms = 150;
   opt.membership.rejoin_probes = 1;
@@ -99,7 +99,7 @@ bool MeasureRepairWindow(const nova::bench::BenchConfig& cfg,
   engine->FlushAllMemtables();
   engine->WaitForQuiescence(true);
 
-  // Kill the last StoC (StoC 0 holds the manifest replica).
+  // Kill the last StoC.
   cluster.KillStoc(opt.num_stocs - 1);
   auto killed = std::chrono::steady_clock::now();
   auto deadline = killed + std::chrono::seconds(60);

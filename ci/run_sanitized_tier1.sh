@@ -11,15 +11,24 @@
 # WritersAndReadersRace / NoStaleReadsUnderReorgChurn flake fixes.
 #
 # `chaos` runs the seeded fault-injection suite (ChaosTest: StoC
-# kill/restart under failpoint-injected RPC errors, 10 seeds), the
+# kill/restart under failpoint-injected RPC errors, 10 seeds, once always
+# killing StoC 3 and once killing the StoC of the range's first MANIFEST
+# replica), the MANIFEST placement tests
+# (ManifestStocDeathTest: a replica's StoC dies, then the LTC;
+# FlushesCommitAfterTheManifestStocDies: the range moves a single
+# replica; RecoveryFailsWhenNoManifestReplicaAnswers;
+# StaleManifestReplicaNeverWinsRecovery: the version rule and the sweep
+# of stale replicas), the
 # tests that move SSTable pieces off a StoC (RepairTest, and every
 # GracefulRemove test: the drain and the repair scan share one per-file
-# path under one mutex), the placement tests (PlacementTest: new
+# path under one mutex, and the removal moves a MANIFEST replica), the
+# placement tests (PlacementTest: new
 # SSTables take their StoCs by the same rule repair uses), the
 # MANIFEST group-commit tests
 # (VersionSetGroupCommitTest: one caller appends and publishes for a
 # queue of writers; FlushCommitDoesNotBlockGetsOrRouting: readers and
-# routing run while a commit waits on the disk), the flush-pipeline
+# routing run while a commit waits at its MANIFEST append), the
+# flush-pipeline
 # tests (FlushPipelineKeepsTwoWritesPerStoc: flush threads arm SSTables
 # and acknowledgment callbacks on the xchg threads start the commits;
 # FailedFlushLeavesNoPiecesBehind, RecoveryDropsUncommittedTables and
@@ -77,9 +86,10 @@ run_one() {
           --output-on-failure "$@"
 }
 
-# Chaos stage: the 10-seed kill/restart + failpoint suite plus the repair,
-# graceful-removal, placement, MANIFEST group-commit, flush-pipeline,
-# piece-deletion, read-error, StoC-removal and LTC-recovery tests,
+# Chaos stage: the 10-seed kill/restart + failpoint suite plus the
+# MANIFEST placement, repair, graceful-removal, placement, MANIFEST
+# group-commit, flush-pipeline, piece-deletion, read-error, StoC-removal
+# and LTC-recovery tests,
 # serialized
 # (-j 1) because each test churns a whole cluster and the timing
 # assumptions (death verdicts, probe intervals) degrade when
@@ -90,7 +100,7 @@ run_chaos() {
   cmake -S "${repo_root}" -B "${build_dir}" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSANITIZE=thread >/dev/null
   cmake --build "${build_dir}" -j "$(nproc)" >/dev/null
-  local tests="ChaosTest|RepairTest|GracefulRemove|PlacementTest|VersionSetGroupCommitTest|FlushCommitDoesNotBlockGetsOrRouting|FlushPipelineKeepsTwoWritesPerStoc|FailedFlushLeavesNoPiecesBehind|RecoveryDropsUncommittedTables|GcKeepsTablesAwaitingCommit|HeldVersionKeepsCompactedTablesReadable|CompactionRetriedAfterFailedApplyDeletesItsInputs|MigratedRangeDeletesHeldTablesAfterRelease|GcBetweenLtcCrashAndRecoveryLosesNoKey|StocDeathGetTest|GetsDuringCompactionsTest|RemovedPeerFailsItsWaitersAtOnce|KilledStocFailsArmedFlushAtOnce|RecoveryRepro"
+  local tests="ChaosTest|ManifestStocDeathTest|FlushesCommitAfterTheManifestStocDies|RecoveryFailsWhenNoManifestReplicaAnswers|StaleManifestReplicaNeverWinsRecovery|RepairTest|GracefulRemove|PlacementTest|VersionSetGroupCommitTest|FlushCommitDoesNotBlockGetsOrRouting|FlushPipelineKeepsTwoWritesPerStoc|FailedFlushLeavesNoPiecesBehind|RecoveryDropsUncommittedTables|GcKeepsTablesAwaitingCommit|HeldVersionKeepsCompactedTablesReadable|CompactionRetriedAfterFailedApplyDeletesItsInputs|MigratedRangeDeletesHeldTablesAfterRelease|GcBetweenLtcCrashAndRecoveryLosesNoKey|StocDeathGetTest|GetsDuringCompactionsTest|RemovedPeerFailsItsWaitersAtOnce|KilledStocFailsArmedFlushAtOnce|RecoveryRepro"
   echo "==> [chaos] ctest -R ${tests} (TSan)"
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     ctest --test-dir "${build_dir}" -R "${tests}" -j 1 \

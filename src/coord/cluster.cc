@@ -76,12 +76,14 @@ void Cluster::WireStoc(int index) {
       });
 }
 
-ltc::RangeEngineOptions Cluster::RangeOptionsFor(const RangeAssignment& r) {
+ltc::RangeEngine* Cluster::AddRange(int ltc, const RangeAssignment& r) {
   ltc::RangeEngineOptions opt = options_.range;
   opt.range_id = r.range_id;
   opt.lower = r.lower;
   opt.upper = r.upper;
-  return opt;
+  lsm::PlacementOptions p = options_.placement;
+  p.stocs = AliveStocNodes();
+  return ltcs_[ltc]->AddRange(opt, p);
 }
 
 void Cluster::RefreshPlacements() {
@@ -131,7 +133,6 @@ void Cluster::Start() {
   // ranges to LTCs (the paper's range partitioning, Section 3).
   Configuration config;
   int num_ranges = static_cast<int>(options_.split_points.size()) + 1;
-  std::vector<rdma::NodeId> stoc_nodes = AliveStocNodes();
   for (int r = 0; r < num_ranges; r++) {
     RangeAssignment a;
     a.range_id = static_cast<uint32_t>(r);
@@ -139,13 +140,7 @@ void Cluster::Start() {
     a.upper = (r == num_ranges - 1) ? "" : options_.split_points[r];
     a.ltc_index = r * options_.num_ltcs / num_ranges;
     config.ranges.push_back(a);
-
-    ltc::RangeEngine* engine =
-        ltcs_[a.ltc_index]->AddRange(RangeOptionsFor(a), stoc_nodes);
-    lsm::PlacementOptions p = options_.placement;
-    p.stocs = stoc_nodes;
-    p.range_id = a.range_id;
-    engine->placer()->set_options(p);
+    AddRange(a.ltc_index, a)->Bootstrap();
   }
   for (int i = 0; i < options_.num_stocs; i++) {
     config.alive_stocs.push_back(i);
@@ -166,7 +161,8 @@ void Cluster::Stop() {
   }
 }
 
-Status Cluster::Put(const Slice& key, const Slice& value) {
+template <typename Op>
+Status Cluster::RetryOnRange(const Slice& key, Op op) {
   for (int attempt = 0; attempt < 200; attempt++) {
     Configuration cfg = coordinator_.config();
     int idx = cfg.LtcForKey(key);
@@ -174,7 +170,7 @@ Status Cluster::Put(const Slice& key, const Slice& value) {
       return Status::InvalidArgument("key outside all ranges");
     }
     if (ltc_alive_[idx]) {
-      Status s = ltcs_[idx]->Put(key, value);
+      Status s = op(idx, cfg);
       if (!s.IsInvalidArgument() && !s.IsUnavailable()) {
         return s;
       }
@@ -185,67 +181,50 @@ Status Cluster::Put(const Slice& key, const Slice& value) {
   return Status::Unavailable("range unavailable");
 }
 
+Status Cluster::Put(const Slice& key, const Slice& value) {
+  return RetryOnRange(key, [&](int idx, const Configuration&) {
+    return ltcs_[idx]->Put(key, value);
+  });
+}
+
 Status Cluster::Get(const Slice& key, std::string* value) {
-  for (int attempt = 0; attempt < 200; attempt++) {
-    Configuration cfg = coordinator_.config();
-    int idx = cfg.LtcForKey(key);
-    if (idx < 0) {
-      return Status::InvalidArgument("key outside all ranges");
-    }
-    if (ltc_alive_[idx]) {
-      Status s = ltcs_[idx]->Get(key, value);
-      if (!s.IsInvalidArgument() && !s.IsUnavailable()) {
-        return s;
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return Status::Unavailable("range unavailable");
+  return RetryOnRange(key, [&](int idx, const Configuration&) {
+    return ltcs_[idx]->Get(key, value);
+  });
 }
 
 Status Cluster::Delete(const Slice& key) {
-  Configuration cfg = coordinator_.config();
-  int idx = cfg.LtcForKey(key);
-  if (idx < 0 || !ltc_alive_[idx]) {
-    return Status::Unavailable("range unavailable");
-  }
-  return ltcs_[idx]->Delete(key);
+  return RetryOnRange(key, [&](int idx, const Configuration&) {
+    return ltcs_[idx]->Delete(key);
+  });
 }
 
 Status Cluster::Scan(
     const Slice& start_key, int num_records,
     std::vector<std::pair<std::string, std::string>>* out) {
-  for (int attempt = 0; attempt < 200; attempt++) {
-    Configuration cfg = coordinator_.config();
-    int idx = cfg.LtcForKey(start_key);
-    if (idx < 0) {
-      return Status::InvalidArgument("key outside all ranges");
+  int idx = -1;
+  Configuration cfg;
+  Status s = RetryOnRange(start_key, [&](int ltc, const Configuration& c) {
+    idx = ltc;
+    cfg = c;
+    return ltcs_[ltc]->Scan(start_key, num_records, out);
+  });
+  // Scans spanning LTCs: continue on the next LTC (read committed), from
+  // where this LTC's run of ranges ends — also when it returned no rows.
+  std::string pos = start_key.ToString();
+  while (s.ok() && static_cast<int>(out->size()) < num_records) {
+    pos = RunUpperBound(cfg, pos, idx);
+    if (pos.empty()) {
+      break;
     }
-    if (ltc_alive_[idx]) {
-      Status s = ltcs_[idx]->Scan(start_key, num_records, out);
-      if (!s.IsInvalidArgument() && !s.IsUnavailable()) {
-        // Scans spanning LTCs: continue on the next LTC (read committed),
-        // from where this LTC's run of ranges ends — also when it
-        // returned no rows.
-        std::string pos = start_key.ToString();
-        while (s.ok() && static_cast<int>(out->size()) < num_records) {
-          pos = RunUpperBound(cfg, pos, idx);
-          if (pos.empty()) {
-            break;
-          }
-          idx = cfg.LtcForKey(pos);
-          if (idx < 0 || !ltc_alive_[idx]) {
-            break;
-          }
-          // num_records is the total target on `out` (see RangeEngine::Scan).
-          s = ltcs_[idx]->Scan(pos, num_records, out);
-        }
-        return s;
-      }
+    idx = cfg.LtcForKey(pos);
+    if (idx < 0 || !ltc_alive_[idx]) {
+      break;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    // num_records is the total target on `out` (see RangeEngine::Scan).
+    s = ltcs_[idx]->Scan(pos, num_records, out);
   }
-  return Status::Unavailable("range unavailable");
+  return s;
 }
 
 void Cluster::KillStoc(int index) {
@@ -306,7 +285,7 @@ void Cluster::KillLtc(int index) {
 Status Cluster::RecoverLtcRanges(int crashed_ltc, int dst_ltc,
                                  int recovery_threads) {
   Configuration cfg = coordinator_.config();
-  std::vector<rdma::NodeId> stoc_nodes = AliveStocNodes();
+  Status first_error;
   int rr = 0;
   for (auto& r : cfg.ranges) {
     if (r.ltc_index != crashed_ltc) {
@@ -319,21 +298,21 @@ Status Cluster::RecoverLtcRanges(int crashed_ltc, int dst_ltc,
         target = rr++ % static_cast<int>(ltcs_.size());
       } while (!ltc_alive_[target] || target == crashed_ltc);
     }
-    ltc::RangeEngine* engine = ltcs_[target]->AddRangeForRecovery(
-        RangeOptionsFor(r), stoc_nodes);
-    lsm::PlacementOptions p = options_.placement;
-    p.stocs = stoc_nodes;
-    p.range_id = r.range_id;
-    engine->placer()->set_options(p);
+    ltc::RangeEngine* engine = AddRange(target, r);
     Status s = engine->RecoverFromManifest(recovery_threads);
-    if (!s.ok() && !s.IsNotFound()) {
-      return s;
+    if (!s.ok()) {
+      // Unreadable, not empty: the range keeps no LTC until a later call.
+      ltcs_[target]->DetachRange(r.range_id);
+      if (first_error.ok()) {
+        first_error = s;
+      }
+      continue;
     }
     engine->Bootstrap();
     r.ltc_index = target;
   }
   coordinator_.UpdateConfig(std::move(cfg));
-  return Status::OK();
+  return first_error;
 }
 
 Status Cluster::MigrateRange(uint32_t range_id, int dst_ltc,
@@ -367,17 +346,11 @@ Status Cluster::MigrateRange(uint32_t range_id, int dst_ltc,
   //    Section 9: ~1% of migrated bytes; log records stay at StoCs. The
   //    source's memtables are discarded; the destination rebuilds them
   //    from the log records.
-  std::string state = old->ExtractMigrationState();
+  std::string state = old->SnapshotRecord();
 
   // 3. Install at the destination and rebuild memtables from log records
   //    with parallel background threads.
-  std::vector<rdma::NodeId> stoc_nodes = AliveStocNodes();
-  ltc::RangeEngine* engine = ltcs_[dst_ltc]->AddRangeForRecovery(
-      RangeOptionsFor(*assignment), stoc_nodes);
-  lsm::PlacementOptions p = options_.placement;
-  p.stocs = stoc_nodes;
-  p.range_id = range_id;
-  engine->placer()->set_options(p);
+  ltc::RangeEngine* engine = AddRange(dst_ltc, *assignment);
   Status s = engine->InstallFromMigrationState(state, recovery_threads);
   if (!s.ok()) {
     return s;
@@ -411,33 +384,17 @@ int Cluster::AddStoc() {
 
 Status Cluster::RemoveStocGraceful(int index) {
   rdma::NodeId node = StocNode(index);
-  // MANIFEST replicas are positional: replica r lives on a range's r-th
-  // StoC, and recovery reads it back by that position. Refuse before
-  // anything moves.
-  for (size_t l = 0; l < ltcs_.size(); l++) {
-    if (!ltc_alive_[l]) {
-      continue;
-    }
-    for (ltc::RangeEngine* engine : ltcs_[l]->ranges()) {
-      std::vector<rdma::NodeId> manifest = engine->ManifestStocs();
-      if (std::find(manifest.begin(), manifest.end(), node) !=
-          manifest.end()) {
-        return Status::InvalidArgument(
-            "StoC holds a MANIFEST replica of range " +
-            std::to_string(engine->options().range_id));
-      }
-    }
-  }
   if (AliveStocNodes().size() <= 1) {
     return Status::InvalidArgument("cannot remove the last StoC");
   }
   // 1. No new placements on the departing StoC.
   stoc_alive_[index] = false;
   RefreshPlacements();
-  // 2. Once in-flight flushes and compactions have settled, every live
-  //    LTC's repair manager copies the StoC's pieces to other StoCs and
-  //    swaps each file's placement (Section 9: the LTC identifies the
-  //    fragments and the source StoC copies them to their destinations).
+  // 2. Once in-flight flushes and compactions have settled and every
+  //    range moved its MANIFEST replica off the StoC, every live LTC's
+  //    repair manager copies the StoC's pieces to other StoCs and swaps
+  //    each file's placement (Section 9: the LTC identifies the fragments
+  //    and the source StoC copies them to their destinations).
   for (size_t l = 0; l < ltcs_.size(); l++) {
     if (!ltc_alive_[l]) {
       continue;

@@ -54,6 +54,8 @@ class Cluster {
   void Stop();
 
   // --- Data path (used by clients/benchmarks; routed via the config) ---
+  // Each call waits out a migration or an LTC recovery: while the key's LTC
+  // is down or no longer hosts its range, it retries for up to 2 s.
   Status Put(const Slice& key, const Slice& value);
   Status Get(const Slice& key, std::string* value);
   Status Delete(const Slice& key);
@@ -66,22 +68,26 @@ class Cluster {
   /// Crash an LTC: its server stops, memtables are lost.
   void KillLtc(int index);
   /// Recover a crashed LTC's ranges onto dst_ltc (or spread across all
-  /// alive LTCs when dst_ltc < 0) from manifests + log records.
+  /// alive LTCs when dst_ltc < 0) from manifests + log records. A range
+  /// none of whose MANIFEST replicas answers stays assigned to the crashed
+  /// LTC, unserved, and its error is returned; the others recover.
   Status RecoverLtcRanges(int crashed_ltc, int dst_ltc,
                           int recovery_threads);
   /// Live-migrate one range between LTCs (metadata + log replay).
   Status MigrateRange(uint32_t range_id, int dst_ltc, int recovery_threads);
   /// Add a new StoC (elastic scale-out); new SSTables use it immediately.
   int AddStoc();
-  /// Gracefully remove a StoC: every LTC's repair manager drains its
-  /// SSTable pieces onto the other StoCs first. Refused, with nothing
-  /// moved, when the StoC holds a MANIFEST replica of any range (those are
-  /// positional); a failed drain leaves the StoC in service.
+  /// Gracefully remove a StoC: it leaves every range's placement list, each
+  /// range moves its MANIFEST replica off it (the quiesce counts that as
+  /// unfinished work), and every LTC's repair manager drains its SSTable
+  /// pieces onto the other StoCs. A failed drain leaves the StoC in
+  /// service.
   Status RemoveStocGraceful(int index);
-  /// Delete the SSTable pieces on a (re-added) StoC whose range's owner
-  /// no longer needs them (RangeEngine::SweepStocFiles). Only ranges the
-  /// configuration assigns to an alive LTC that hosts them are swept;
-  /// every other piece, and every log and MANIFEST file, stays.
+  /// Delete the files on a (re-added) StoC whose range's owner no longer
+  /// needs them (RangeEngine::SweepStocFiles): SSTable pieces whose number
+  /// is not live and MANIFEST files that are not a replica of the range.
+  /// Only ranges the configuration assigns to an alive LTC that hosts them
+  /// are swept; every other file, and every log file, stays.
   Status GcStocFiles(int index);
 
   // --- Accessors ---
@@ -105,7 +111,14 @@ class Cluster {
  private:
   void WireStoc(int index);
   void RefreshPlacements();
-  ltc::RangeEngineOptions RangeOptionsFor(const RangeAssignment& r);
+  /// Create range r on LTC `ltc`, placing over the alive StoCs under the
+  /// cluster's placement options. The caller bootstraps it.
+  ltc::RangeEngine* AddRange(int ltc, const RangeAssignment& r);
+  /// Run op(LTC index, config) on the LTC the configuration names for key,
+  /// retrying for up to 2 s while that LTC is down or answers
+  /// InvalidArgument or Unavailable (the range is moving).
+  template <typename Op>
+  Status RetryOnRange(const Slice& key, Op op);
 
   ClusterOptions options_;
   rdma::RdmaFabric fabric_;

@@ -252,11 +252,6 @@ PlacementOptions SSTablePlacer::options() const {
   return options_;
 }
 
-void SSTablePlacer::set_options(const PlacementOptions& options) {
-  std::lock_guard<std::mutex> l(mu_);
-  options_ = options;
-}
-
 std::vector<rdma::NodeId> SSTablePlacer::PickStocs(int count, int d,
                                                    int max_writes_per_stoc) {
   PlacementOptions opt = options();
@@ -498,13 +493,15 @@ Status SSTablePlacer::StartWrite(SSTableBuilder::Result&& built,
         opt.range_id, static_cast<uint32_t>(tmeta.file_number), file_kind,
         static_cast<uint8_t>(index));
   };
-  // A bounded write places again after each release until every StoC of
-  // its data pieces has a free slot.
+  // A bounded write places again until every StoC of its data pieces has
+  // a free slot: at once when another write took or freed a slot since it
+  // looked (it lost a race, and another StoC may have room), otherwise
+  // after the next release.
   util::Deadline deadline =
       util::Deadline::After(PendingSSTable::kAckTimeoutMs);
   std::vector<rdma::NodeId> data_stocs;
   for (;;) {
-    uint64_t releases = client_->write_releases();
+    uint64_t slot_changes = client_->write_slot_changes();
     order = PickStocs(probed + (parity ? 1 : 0), /*d=*/2 * probed,
                       max_writes_per_stoc);
     if (order.empty()) {
@@ -543,8 +540,8 @@ Status SSTablePlacer::StartWrite(SSTableBuilder::Result&& built,
     if (deadline.expired()) {
       return Status::Busy("no StoC has a free SSTable write slot");
     }
-    client_->WaitForWriteRelease(releases,
-                                 static_cast<int>(deadline.remaining_ms()));
+    client_->WaitForWriteSlotChange(slot_changes,
+                                    static_cast<int>(deadline.remaining_ms()));
   }
   for (rdma::NodeId stoc : data_stocs) {
     state->acks->slot_pieces[stoc]++;

@@ -192,9 +192,10 @@ class SSTablePlacer {
   /// the client's write slots: placement puts the data pieces (fragment
   /// replicas and parity) on StoCs with a free slot when there are such,
   /// reserves one slot on each of their StoCs, and the pending SSTable
-  /// frees a StoC's slot once that StoC acknowledged its data pieces. With
-  /// no room, it waits for a release and places again, for at most
-  /// PendingSSTable::kAckTimeoutMs (then Busy).
+  /// frees a StoC's slot once that StoC acknowledged its data pieces. A
+  /// placement that lost a slot to another write places again at once;
+  /// one that found no room waits for a release and places again, for at
+  /// most PendingSSTable::kAckTimeoutMs (then Busy).
   Status StartWrite(SSTableBuilder::Result&& built, int drange_id,
                     uint32_t generation, PendingSSTable* pending,
                     int max_writes_per_stoc = 0);
@@ -206,7 +207,6 @@ class SSTablePlacer {
 
   void UpdateStocs(const std::vector<rdma::NodeId>& stocs);
   PlacementOptions options() const;
-  void set_options(const PlacementOptions& options);
 
   /// Pick min(count, candidates) distinct StoCs, routable ones only
   /// unless none is, using the configured policy: at random, or the least

@@ -75,6 +75,7 @@ FileMetaRef Version::Find(uint64_t number, int* level) const {
 }
 
 void VersionEdit::EncodeTo(std::string* dst) const {
+  PutVarint64(dst, manifest_version);
   PutVarint64(dst, last_sequence);
   PutVarint64(dst, next_file_number);
   PutVarint32(dst, static_cast<uint32_t>(new_files.size()));
@@ -92,7 +93,8 @@ void VersionEdit::EncodeTo(std::string* dst) const {
 
 Status VersionEdit::DecodeFrom(Slice input) {
   uint32_t n_new, n_del;
-  if (!GetVarint64(&input, &last_sequence) ||
+  if (!GetVarint64(&input, &manifest_version) ||
+      !GetVarint64(&input, &last_sequence) ||
       !GetVarint64(&input, &next_file_number) ||
       !GetVarint32(&input, &n_new)) {
     return Status::Corruption("bad version edit header");
@@ -216,6 +218,7 @@ Status VersionSet::LogAndApply(VersionEdit* edit) {
   std::vector<std::string> records(batch.size());
   for (size_t i = 0; i < batch.size(); i++) {
     VersionEdit* e = batch[i]->edit;
+    e->manifest_version = manifest_version_.load() + i + 1;
     e->last_sequence = last_sequence_.load();
     e->next_file_number = next_file_number_.load();
     e->EncodeTo(&records[i]);
@@ -259,7 +262,9 @@ Status VersionSet::Recover(const std::vector<std::string>& records) {
     }
   }
   Install(Apply(Version(options_.num_levels), order), order);
-  manifest_version_.fetch_add(records.size());
+  if (!edits.empty()) {
+    manifest_version_.store(edits.back().manifest_version);
+  }
   return Status::OK();
 }
 

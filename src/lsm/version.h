@@ -2,8 +2,9 @@
 // snapshot of the LSM-tree's file layout: Level 0 holds possibly
 // overlapping SSTables (disjoint *across* Dranges by construction), higher
 // levels are sorted and disjoint. VersionEdits are appended to a per-range
-// MANIFEST (replicated at StoCs with a version number so a restarting
-// StoC's stale replicas can be detected and discarded). Concurrent edits
+// MANIFEST (replicated at StoCs, each record stamped with the MANIFEST
+// version it brings the range to, so a restarting StoC's stale replicas
+// lose to newer ones and are discarded). Concurrent edits
 // are group-committed: one caller appends every queued edit in one
 // MANIFEST write, outside the lock that guards the current Version.
 #ifndef NOVA_LSM_VERSION_H_
@@ -68,6 +69,9 @@ class Version {
 using VersionRef = std::shared_ptr<const Version>;
 
 struct VersionEdit {
+  /// The MANIFEST version this record brings the range to: LogAndApply
+  /// stamps it, and a snapshot of a whole version carries that version's.
+  uint64_t manifest_version = 0;
   std::vector<std::pair<int, FileMetaData>> new_files;
   std::vector<std::pair<int, uint64_t>> deleted_files;  // (level, number)
   uint64_t last_sequence = 0;
@@ -98,13 +102,16 @@ class VersionSet {
   /// Persist the edit to the manifest, then publish a version with it
   /// applied. Concurrent calls are group-committed: they queue, and the
   /// caller at the head of the queue stamps every queued edit with the
-  /// current last sequence and next file number, hands them to the sink
-  /// in one call, applies them in queue order and publishes one version.
-  /// A sink failure fails every edit of its batch and publishes none.
+  /// MANIFEST version it brings the range to, the current last sequence
+  /// and next file number, hands them to the sink in one call, applies
+  /// them in queue order and publishes one version. A sink failure fails
+  /// every edit of its batch and publishes none.
   Status LogAndApply(VersionEdit* edit);
 
-  /// Rebuild state from manifest records (replayed in order). A record
-  /// that does not decode fails the recovery and changes nothing.
+  /// Rebuild state from manifest records (replayed in order; the first
+  /// may be a snapshot of a whole version). The MANIFEST version becomes
+  /// the last record's. A record that does not decode fails the recovery
+  /// and changes nothing.
   Status Recover(const std::vector<std::string>& records);
 
   uint64_t NewFileNumber() { return next_file_number_.fetch_add(1); }
@@ -130,8 +137,9 @@ class VersionSet {
     while (cur < s && !last_sequence_.compare_exchange_weak(cur, s)) {
     }
   }
-  /// Number of edits applied — the manifest version number used for
-  /// stale-replica detection.
+  /// The MANIFEST version of the current Version: the version the last
+  /// committed or recovered record brought the range to. A replica whose
+  /// last record is older is stale.
   uint64_t manifest_version() const { return manifest_version_.load(); }
 
   const LsmOptions& options() const { return options_; }

@@ -82,17 +82,9 @@ void LtcServer::MaintenanceLoop() {
 }
 
 RangeEngine* LtcServer::AddRange(const RangeEngineOptions& options,
-                                 const std::vector<rdma::NodeId>& stocs) {
-  RangeEngine* engine = AddRangeForRecovery(options, stocs);
-  engine->Bootstrap();
-  return engine;
-}
-
-RangeEngine* LtcServer::AddRangeForRecovery(
-    const RangeEngineOptions& options,
-    const std::vector<rdma::NodeId>& stocs) {
+                                 const lsm::PlacementOptions& placement) {
   auto engine = std::make_unique<RangeEngine>(
-      options, stoc_client_.get(), stocs, throttle_.get(),
+      options, stoc_client_.get(), placement, throttle_.get(),
       flush_pool_.get(), compaction_pool_.get(), block_cache_.get(),
       compressed_cache_.get());
   RangeEngine* ptr = engine.get();

@@ -67,13 +67,11 @@ class LtcServer {
   void Start();
   void Stop();
 
-  /// Create (and bootstrap) a range on this LTC. stocs is the set of
-  /// StoCs the range may use.
+  /// Create a range on this LTC that places under `placement` (see
+  /// RangeEngine). The caller bootstraps it, after recovering or
+  /// installing its state when the range moves here.
   RangeEngine* AddRange(const RangeEngineOptions& options,
-                        const std::vector<rdma::NodeId>& stocs);
-  /// Create a range without bootstrapping (recovery / migration target).
-  RangeEngine* AddRangeForRecovery(const RangeEngineOptions& options,
-                                   const std::vector<rdma::NodeId>& stocs);
+                        const lsm::PlacementOptions& placement);
   /// Detach a range (migration source): it stops receiving requests from
   /// this server but stays alive (retired) so racing operations holding a
   /// pointer cannot use freed memory, and it deletes its retired tables

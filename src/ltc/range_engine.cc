@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <iterator>
 #include <thread>
 
 #include "sim/cost_model.h"
 #include "sstable/merging_iterator.h"
 #include "util/coding.h"
+#include "util/failpoint.h"
 #include "util/logging.h"
 
 namespace nova {
@@ -27,17 +29,57 @@ uint64_t ElapsedUs(Clock::time_point start) {
           .count());
 }
 
+/// MANIFEST records as one append: each keeps its own length frame, so a
+/// replica reads back record by record.
+std::string FrameRecords(const std::vector<std::string>& records) {
+  std::string framed;
+  for (const std::string& record : records) {
+    PutFixed32(&framed, static_cast<uint32_t>(record.size()));
+    framed.append(record);
+  }
+  return framed;
+}
+
+/// The records of a MANIFEST replica up to a torn tail, and the version
+/// its last one brought the range to.
+Status ReadManifestReplica(stoc::StocClient* client, rdma::NodeId stoc,
+                           uint64_t file_id, std::vector<std::string>* records,
+                           uint64_t* version) {
+  std::string contents;
+  Status s = client->ReadBlock(stoc, file_id, 0, 0, &contents);
+  if (!s.ok()) {
+    return s;
+  }
+  Slice in(contents);
+  while (in.size() >= 4) {
+    uint32_t len = DecodeFixed32(in.data());
+    in.remove_prefix(4);
+    if (in.size() < len) {
+      break;  // torn tail
+    }
+    records->emplace_back(in.data(), len);
+    in.remove_prefix(len);
+  }
+  if (records->empty()) {
+    return Status::Corruption("empty manifest replica");
+  }
+  lsm::VersionEdit last;
+  s = last.DecodeFrom(records->back());
+  *version = last.manifest_version;
+  return s;
+}
+
 }  // namespace
 
 RangeEngine::RangeEngine(const RangeEngineOptions& options,
                          stoc::StocClient* client,
-                         const std::vector<rdma::NodeId>& stocs,
+                         const lsm::PlacementOptions& placement,
                          sim::CpuThrottle* throttle, ThreadPool* flush_pool,
                          ThreadPool* compaction_pool, Cache* block_cache,
                          Cache* compressed_cache)
     : options_(options),
       client_(client),
-      stocs_(stocs),
+      stocs_(placement.stocs),
       throttle_(throttle == nullptr ? sim::CpuThrottle::Unlimited()
                                     : throttle),
       flush_pool_(flush_pool),
@@ -45,6 +87,7 @@ RangeEngine::RangeEngine(const RangeEngineOptions& options,
       block_cache_(block_cache),
       compressed_cache_(compressed_cache),
       compressor_(GetCompressor(options.compression_codec)) {
+  options_.manifest_replicas = std::max(1, options_.manifest_replicas);
   drange_ = std::make_unique<DrangeManager>(options_.lower, options_.upper,
                                             options_.drange);
   versions_ = std::make_unique<lsm::VersionSet>(
@@ -54,14 +97,13 @@ RangeEngine::RangeEngine(const RangeEngineOptions& options,
   table_cache_ = std::make_unique<lsm::TableCache>(
       client_, block_cache_, options_.range_id,
       /*cache_data_blocks=*/block_cache_ != nullptr, compressed_cache_);
-  lsm::PlacementOptions popt;
-  popt.stocs = stocs;
+  lsm::PlacementOptions popt = placement;
   popt.range_id = options_.range_id;
   placer_ = std::make_unique<lsm::SSTablePlacer>(client_, popt);
   executor_ = std::make_unique<lsm::CompactionExecutor>(
       table_cache_.get(), placer_.get(), throttle_);
   scheduler_ = std::make_unique<CompactionScheduler>(
-      client_, stocs, options_.offload_compaction);
+      client_, stocs_, options_.offload_compaction);
   logc_ = std::make_unique<logc::LogClient>(client_, options_.range_id,
                                             options_.log);
   range_index_ =
@@ -136,15 +178,23 @@ MemTableRef RangeEngine::NewMemTableLocked(int drange_id) {
 }
 
 void RangeEngine::Bootstrap() {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (options_.enable_dranges) {
-    for (int d = 0; d < drange_->num_dranges(); d++) {
-      NewMemTableLocked(d);
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    if (options_.enable_dranges) {
+      for (int d = 0; d < drange_->num_dranges(); d++) {
+        NewMemTableLocked(d);
+      }
+    } else {
+      for (int d = 0; d < options_.num_active_memtables; d++) {
+        NewMemTableLocked(d);
+      }
     }
-  } else {
-    for (int d = 0; d < options_.num_active_memtables; d++) {
-      NewMemTableLocked(d);
-    }
+  }
+  // A new range writes its MANIFEST now, so recovery can tell a range it
+  // cannot read from an empty one; a range that migrated here writes its
+  // own replicas.
+  if (manifest_stocs().empty()) {
+    MoveManifest();
   }
 }
 
@@ -761,6 +811,18 @@ void RangeEngine::MaintenanceTick() {
   ScheduleCompactions();
   // 5. Retired tables their last reader let go of.
   DeleteRetiredTables();
+  // 6. A MANIFEST replica that must move while the range commits nothing:
+  // an empty edit moves it, on the flush pool, since this thread holds
+  // LtcServer::mu_, which RouteKey takes.
+  if (!manifest_move_queued_.load() && ManifestMustMove() &&
+      !manifest_move_queued_.exchange(true)) {
+    if (!flush_pool_->Submit([this] {
+          MoveManifest();
+          manifest_move_queued_.store(false);
+        })) {
+      manifest_move_queued_.store(false);  // the LTC is stopping
+    }
+  }
 }
 
 bool RangeEngine::FlushesIdleLocked() {
@@ -1352,89 +1414,177 @@ Status RangeEngine::ApplyCompactionResult(
   return Status::OK();
 }
 
-std::vector<rdma::NodeId> RangeEngine::ManifestStocs() const {
-  size_t replicas = std::min<size_t>(std::max(1, options_.manifest_replicas),
-                                     stocs_.size());
-  return std::vector<rdma::NodeId>(stocs_.begin(), stocs_.begin() + replicas);
+std::vector<rdma::NodeId> RangeEngine::manifest_stocs() {
+  std::lock_guard<std::mutex> l(manifest_mu_);
+  std::vector<rdma::NodeId> stocs;
+  for (const ManifestReplica& r : manifest_) {
+    stocs.push_back(r.stoc);
+  }
+  return stocs;
+}
+
+bool RangeEngine::IsManifestReplica(rdma::NodeId stoc, uint64_t file_id) {
+  std::lock_guard<std::mutex> l(manifest_mu_);
+  return std::any_of(manifest_.begin(), manifest_.end(),
+                     [&](const ManifestReplica& r) {
+                       return r.stoc == stoc && r.file_id == file_id;
+                     });
+}
+
+bool RangeEngine::ManifestMustMove() {
+  std::vector<rdma::NodeId> list = placer_->options().stocs;
+  std::vector<rdma::NodeId> held = manifest_stocs();
+  return std::any_of(held.begin(), held.end(), [&](rdma::NodeId stoc) {
+    return std::find(list.begin(), list.end(), stoc) == list.end();
+  });
+}
+
+void RangeEngine::MoveManifest() {
+  lsm::VersionEdit edit;
+  Status s = versions_->LogAndApply(&edit);
+  if (!s.ok()) {
+    NOVA_WARN("manifest move failed: %s", s.ToString().c_str());
+  }
 }
 
 Status RangeEngine::ManifestAppend(const std::vector<std::string>& records) {
-  // Each record keeps its own length frame, so a batch reads back as
-  // records.size() records.
-  std::string framed;
-  for (const std::string& record : records) {
-    PutFixed32(&framed, static_cast<uint32_t>(record.size()));
-    framed.append(record);
+  Status s = util::FailPoint::Check("ltc.manifest_append");
+  if (!s.ok()) {
+    return s;
   }
-  int ok_count = 0;
-  std::vector<rdma::NodeId> stocs = ManifestStocs();
-  for (size_t r = 0; r < stocs.size(); r++) {
-    uint64_t file_id =
-        stoc::MakeFileId(options_.range_id, 0, stoc::FileKind::kManifest,
-                         static_cast<uint8_t>(r));
+  std::string batch = FrameRecords(records);
+  std::vector<rdma::NodeId> list = placer_->options().stocs;
+  std::vector<ManifestReplica> current;
+  {
+    std::lock_guard<std::mutex> l(manifest_mu_);
+    current = manifest_;
+  }
+  std::vector<ManifestReplica> kept;
+  std::vector<ManifestReplica> failed;  // its append failed
+  std::vector<ManifestReplica> left;    // its StoC left the list
+  for (const ManifestReplica& r : current) {
     stoc::StocBlockHandle handle;
-    Status s = client_->AppendBlock(stocs[r], file_id, framed, &handle);
-    if (s.ok()) {
-      ok_count++;
+    if (std::find(list.begin(), list.end(), r.stoc) == list.end()) {
+      left.push_back(r);
+    } else if (client_->AppendBlock(r.stoc, r.file_id, batch, &handle).ok()) {
+      kept.push_back(r);
+    } else {
+      failed.push_back(r);
     }
   }
-  if (ok_count == 0 && !stocs.empty()) {
+  size_t wanted = static_cast<size_t>(options_.manifest_replicas);
+  if (kept.size() < wanted) {
+    // A range's first replicas go where an SSTable would (under power-of-d,
+    // the least loaded StoCs probed); a replacement takes any routable
+    // StoC of the list that holds none.
+    std::string fresh;
+    for (rdma::NodeId stoc : placer_->PickStocs(
+             kept.empty() ? static_cast<int>(wanted) : INT_MAX)) {
+      if (kept.size() >= wanted) {
+        break;
+      }
+      if (std::any_of(kept.begin(), kept.end(), [&](const ManifestReplica& r) {
+            return r.stoc == stoc;
+          })) {
+        continue;
+      }
+      // A file number of its own, listed before its first byte lands: a
+      // sweep never takes the new replica for a stale one, and no stale
+      // file shares its id.
+      ManifestReplica r{stoc, stoc::MakeFileId(
+                                  options_.range_id,
+                                  static_cast<uint32_t>(
+                                      versions_->NewFileNumber()),
+                                  stoc::FileKind::kManifest, 0)};
+      {
+        std::lock_guard<std::mutex> l(manifest_mu_);
+        manifest_ = kept;
+        manifest_.push_back(r);
+      }
+      if (fresh.empty()) {
+        fresh = FrameRecords({SnapshotRecord()}) + batch;
+      }
+      stoc::StocBlockHandle handle;
+      if (client_->AppendBlock(stoc, r.file_id, fresh, &handle).ok()) {
+        kept.push_back(r);
+      }
+    }
+  }
+  {
+    std::lock_guard<std::mutex> l(manifest_mu_);
+    manifest_ = kept;
+  }
+  // A replica whose append failed is never appended to again, since the
+  // append may have landed and a failed batch must never replay: it goes.
+  // One whose StoC left the list goes once the batch landed elsewhere;
+  // until then it holds the range's last state. A dead StoC's copy goes to
+  // the sweep when the StoC returns.
+  if (!kept.empty()) {
+    failed.insert(failed.end(), left.begin(), left.end());
+  }
+  for (const ManifestReplica& r : failed) {
+    client_->DeleteFile(r.stoc, r.file_id, /*in_memory=*/false);
+  }
+  if (kept.empty()) {
     return Status::IOError("no manifest replica reachable");
   }
   return Status::OK();
 }
 
-Status RangeEngine::ReadManifestRecords(std::vector<std::string>* records) {
-  std::vector<rdma::NodeId> stocs = ManifestStocs();
-  std::vector<std::string> best;
-  for (size_t r = 0; r < stocs.size(); r++) {
-    uint64_t file_id =
-        stoc::MakeFileId(options_.range_id, 0, stoc::FileKind::kManifest,
-                         static_cast<uint8_t>(r));
-    std::string contents;
-    if (!client_->ReadBlock(stocs[r], file_id, 0, 0, &contents).ok()) {
-      continue;  // stale or unreachable replica
-    }
-    std::vector<std::string> parsed;
-    Slice in(contents);
-    while (in.size() >= 4) {
-      uint32_t len = DecodeFixed32(in.data());
-      in.remove_prefix(4);
-      if (in.size() < len) {
-        break;  // torn tail
-      }
-      parsed.emplace_back(in.data(), len);
-      in.remove_prefix(len);
-    }
-    // The replica with the most edits has the highest manifest version;
-    // shorter ones are stale (Section 3: stale manifest replicas).
-    if (parsed.size() > best.size()) {
-      best = std::move(parsed);
-    }
-  }
-  if (best.empty()) {
-    return Status::NotFound("no manifest records");
-  }
-  *records = std::move(best);
-  return Status::OK();
-}
-
 Status RangeEngine::RecoverFromManifest(int recovery_threads) {
-  std::vector<std::string> records;
-  Status s = ReadManifestRecords(&records);
-  if (s.ok()) {
-    s = versions_->Recover(records);
-    if (!s.ok()) {
-      return s;
-    }
-  }
-  // Pieces the recovered version does not name were never committed, or
-  // retired and never deleted; GcStocFiles sweeps a StoC down now later.
+  // The newest replica's records, and every replica at its version (one
+  // per StoC); older ones are stale.
+  std::vector<std::string> newest;
+  uint64_t newest_version = 0;
+  std::vector<ManifestReplica> at_newest;
+  std::vector<std::pair<rdma::NodeId, std::vector<uint64_t>>> listings;
   for (rdma::NodeId stoc : placer_->options().stocs) {
     std::vector<uint64_t> files;
-    if (client_->ListFiles(stoc, &files).ok()) {
-      SweepStocFiles(stoc, files);
+    if (!client_->ListFiles(stoc, &files).ok()) {
+      continue;
     }
+    for (uint64_t file_id : files) {
+      if (stoc::FileIdRange(file_id) != options_.range_id ||
+          stoc::FileIdKind(file_id) != stoc::FileKind::kManifest) {
+        continue;
+      }
+      std::vector<std::string> records;
+      uint64_t version = 0;
+      if (!ReadManifestReplica(client_, stoc, file_id, &records, &version)
+               .ok()) {
+        continue;
+      }
+      if (newest.empty() || version > newest_version) {
+        newest = std::move(records);
+        newest_version = version;
+        at_newest.clear();
+      }
+      if (version == newest_version &&
+          (at_newest.empty() || at_newest.back().stoc != stoc)) {
+        at_newest.push_back({stoc, file_id});
+      }
+    }
+    listings.emplace_back(stoc, std::move(files));
+  }
+  if (newest.empty()) {
+    return Status::IOError("no manifest replica of range " +
+                           std::to_string(options_.range_id) + " answered");
+  }
+  Status s = versions_->Recover(newest);
+  if (!s.ok()) {
+    return s;
+  }
+  at_newest.resize(std::min(at_newest.size(),
+                            static_cast<size_t>(options_.manifest_replicas)));
+  {
+    std::lock_guard<std::mutex> l(manifest_mu_);
+    manifest_ = at_newest;
+  }
+  // The sweep deletes the stale replicas, and the pieces the recovered
+  // version does not name: never committed, or retired and never deleted.
+  // GcStocFiles sweeps a StoC that is down now once it returns.
+  for (const auto& [stoc, files] : listings) {
+    SweepStocFiles(stoc, files);
   }
   return InstallRecoveredState(recovery_threads);
 }
@@ -1444,15 +1594,17 @@ void RangeEngine::SweepStocFiles(rdma::NodeId stoc,
   for (uint64_t file_id : files) {
     stoc::FileKind kind = stoc::FileIdKind(file_id);
     if (stoc::FileIdRange(file_id) != options_.range_id ||
-        (kind != stoc::FileKind::kData && kind != stoc::FileKind::kMeta &&
-         kind != stoc::FileKind::kParity)) {
+        kind == stoc::FileKind::kLog) {
       continue;
     }
-    // A new SSTable under this number would append behind these pieces
+    // A new file under this number would append behind these bytes
     // (BlockStore::Append extends a file) and read as garbage.
     uint32_t number = stoc::FileIdNumber(file_id);
     versions_->MarkFileNumberUsed(number);
-    if (!IsFileNumberLive(number)) {
+    bool live = kind == stoc::FileKind::kManifest
+                    ? IsManifestReplica(stoc, file_id)
+                    : IsFileNumberLive(number);
+    if (!live) {
       client_->DeleteFile(stoc, file_id, /*in_memory=*/false);
     }
   }
@@ -1590,8 +1742,9 @@ Status RangeEngine::InstallRecoveredState(int recovery_threads) {
   return Status::OK();
 }
 
-std::string RangeEngine::ExtractMigrationState() {
+std::string RangeEngine::SnapshotRecord() {
   lsm::VersionEdit snapshot;
+  snapshot.manifest_version = versions_->manifest_version();
   lsm::VersionRef v = versions_->current();
   for (int level = 0; level < v->num_levels(); level++) {
     for (const auto& f : v->files(level)) {
@@ -1662,6 +1815,9 @@ void RangeEngine::WaitForQuiescence(bool flush_all) {
     }
     if (idle) {
       idle = DeleteRetiredTables();
+    }
+    if (idle) {
+      idle = !manifest_move_queued_.load() && !ManifestMustMove();
     }
     if (idle && flush_all) {
       lsm::VersionRef v = versions_->current();

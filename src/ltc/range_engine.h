@@ -81,7 +81,7 @@ struct RangeEngineOptions {
   /// Offload compaction jobs to StoCs (Section 4.3); the scheduler picks
   /// the least-loaded StoC and falls back to local execution.
   bool offload_compaction = false;
-  /// Replicas of the MANIFEST file.
+  /// Replicas of the MANIFEST file, each on a StoC of the placement list.
   int manifest_replicas = 1;
 };
 
@@ -194,12 +194,13 @@ struct RangeStats {
 
 class RangeEngine {
  public:
-  /// stocs: the StoCs this range may use (log files, manifest, SSTables —
-  /// the placer's list governs SSTable placement and may differ).
+  /// placement: how the range places SSTables and MANIFEST replicas. Its
+  /// StoCs also hold the range's log files, which stay on them when the
+  /// placement list changes later (SSTablePlacer::UpdateStocs).
   /// block_cache / compressed_cache: the LTC's node-wide hot and
   /// compressed block tiers, shared by every range (null = tier off).
   RangeEngine(const RangeEngineOptions& options, stoc::StocClient* client,
-              const std::vector<rdma::NodeId>& stocs,
+              const lsm::PlacementOptions& placement,
               sim::CpuThrottle* throttle, ThreadPool* flush_pool,
               ThreadPool* compaction_pool, Cache* block_cache,
               Cache* compressed_cache);
@@ -208,8 +209,9 @@ class RangeEngine {
   RangeEngine(const RangeEngine&) = delete;
   RangeEngine& operator=(const RangeEngine&) = delete;
 
-  /// Create the initial active memtable(s). Call once before use (not
-  /// needed when recovering/migrating into this engine).
+  /// Create the active memtable(s) and, unless the range holds its MANIFEST
+  /// replicas already, write them. Call once before use: after recovering
+  /// or installing the range's state when it moves here.
   void Bootstrap();
 
   Status Put(const Slice& key, const Slice& value);
@@ -225,8 +227,9 @@ class RangeEngine {
   /// Non-blocking; called periodically by the LtcServer.
   void MaintenanceTick();
 
-  /// Block until no flushes or compactions are in flight and nothing is
-  /// queued (tests / orderly shutdown).
+  /// Block until no flushes or compactions are in flight, nothing is
+  /// queued and no MANIFEST replica must move (tests / orderly shutdown /
+  /// graceful StoC removal).
   void WaitForQuiescence(bool flush_all = false);
 
   /// Force every active memtable to rotate and flush (used by tests and
@@ -239,13 +242,19 @@ class RangeEngine {
 
   // --- Recovery & migration (Sections 4.5, 8.2.6) ---
 
-  /// Serialize everything a destination LTC needs: version snapshot,
-  /// Drange state, last sequence. Log records stay on the StoCs.
-  std::string ExtractMigrationState();
+  /// The current version as one record: every file as a new file, the
+  /// last sequence, next file number, Drange state and MANIFEST version.
+  /// It is everything a destination LTC needs (log records stay on the
+  /// StoCs), and the first record of a new MANIFEST replica.
+  std::string SnapshotRecord();
   /// Install migrated metadata and rebuild memtables from log records
   /// using `recovery_threads` parallel workers.
   Status InstallFromMigrationState(const Slice& state, int recovery_threads);
-  /// Full crash recovery: manifest replay + log replay.
+  /// Full crash recovery: reads every MANIFEST file of the range that a
+  /// placement StoC lists, replays the one whose last record has the
+  /// highest version and adopts the replicas at that version; then the
+  /// sweep and the log replay. Fails when no replica answers: a range
+  /// writes its MANIFEST when it is created.
   Status RecoverFromManifest(int recovery_threads);
 
   RangeStats stats() const;
@@ -261,8 +270,9 @@ class RangeEngine {
   bool IsFileNumberLive(uint64_t number);
   /// The one sweep of a StoC's files, for recovery and GC (Section 9: the
   /// owning LTC decides): given the listing of a StoC's files, deletes
-  /// each piece of this range's SSTables there whose number is not live,
-  /// and never hands out the number of any such piece again.
+  /// each piece of this range's SSTables there whose number is not live
+  /// and each MANIFEST file that is not one of the range's replicas, and
+  /// never hands out the number of any such file again.
   void SweepStocFiles(rdma::NodeId stoc, const std::vector<uint64_t>& files);
   /// Delete, on a compaction pool thread, the pieces and cached blocks of
   /// the retired tables that nothing else holds (no VersionRef, FileMetaRef
@@ -279,9 +289,8 @@ class RangeEngine {
   LookupIndex* lookup_index() { return &lookup_index_; }
   RangeIndex* range_index() { return range_index_.get(); }
   lsm::SSTablePlacer* placer() { return placer_.get(); }
-  /// The StoCs holding this range's MANIFEST replicas: replica r lives on
-  /// the range's r-th StoC, so they cannot move.
-  std::vector<rdma::NodeId> ManifestStocs() const;
+  /// The StoCs holding this range's MANIFEST replicas.
+  std::vector<rdma::NodeId> manifest_stocs();
   const RangeEngineOptions& options() const { return options_; }
   int num_memtables();
   uint64_t l0_bytes() const { return l0_bytes_.load(); }
@@ -355,10 +364,26 @@ class RangeEngine {
   void RunCompaction(lsm::CompactionJob job, uint64_t queue_us);
   Status ApplyCompactionResult(const lsm::CompactionJob& job,
                                const lsm::CompactionResult& result);
+  /// One MANIFEST replica: a file of this range, under a file number of
+  /// its own, on a StoC of the placement list.
+  struct ManifestReplica {
+    rdma::NodeId stoc;
+    uint64_t file_id;
+  };
   /// One append per MANIFEST replica carrying every record of a
-  /// group-committed batch (lsm::ManifestSink).
+  /// group-committed batch (lsm::ManifestSink). The LogAndApply leader
+  /// runs it, so appends never overlap. A replica whose StoC left the
+  /// placement list or whose append failed is replaced: a new replica on
+  /// a routable StoC of the list that holds none is one SnapshotRecord,
+  /// then the batch. A range's first replicas are placed as an SSTable's
+  /// pieces would be (SSTablePlacer::PickStocs).
   Status ManifestAppend(const std::vector<std::string>& records);
-  Status ReadManifestRecords(std::vector<std::string>* records);
+  /// A replica sits on a StoC that left the placement list. (A range short
+  /// of replicas for another reason tops them up at its next commit.)
+  bool ManifestMustMove();
+  /// Commit an empty edit: its MANIFEST append moves the replicas.
+  void MoveManifest();
+  bool IsManifestReplica(rdma::NodeId stoc, uint64_t file_id);
   /// The newest version of a key (a tombstone included) among the tables
   /// probed so far: Get's one selection rule.
   struct NewestVersion;
@@ -456,6 +481,12 @@ class RangeEngine {
   RangeStats stats_;
   ReadaheadCounters readahead_counters_;
   std::atomic<uint64_t> degraded_gets_{0};
+  /// Guards manifest_ only: never held across an RPC, so the maintenance
+  /// tick never waits on a MANIFEST append.
+  std::mutex manifest_mu_;
+  std::vector<ManifestReplica> manifest_;
+  /// An empty edit that moves the replicas is queued on the flush pool.
+  std::atomic<bool> manifest_move_queued_{false};
   std::atomic<bool> stopping_{false};
   /// Writers currently inside RouteAndAppend. A decommission must drain
   /// these before the range is handed off (see WaitForQuiescence): their

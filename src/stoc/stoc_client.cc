@@ -301,6 +301,7 @@ bool StocClient::TryReserveWrites(const std::vector<rdma::NodeId>& stocs,
     peak_writes_in_flight_ =
         std::max(peak_writes_in_flight_, ++writes_in_flight_[stoc]);
   }
+  write_slot_changes_++;
   return true;
 }
 
@@ -308,7 +309,7 @@ void StocClient::ReleaseWrite(rdma::NodeId stoc) {
   {
     std::lock_guard<std::mutex> l(writes_mu_);
     writes_in_flight_[stoc]--;
-    write_releases_++;
+    write_slot_changes_++;
   }
   writes_cv_.notify_all();
 }
@@ -324,15 +325,15 @@ int StocClient::peak_writes_in_flight() {
   return peak_writes_in_flight_;
 }
 
-uint64_t StocClient::write_releases() {
+uint64_t StocClient::write_slot_changes() {
   std::lock_guard<std::mutex> l(writes_mu_);
-  return write_releases_;
+  return write_slot_changes_;
 }
 
-void StocClient::WaitForWriteRelease(uint64_t seen, int timeout_ms) {
+void StocClient::WaitForWriteSlotChange(uint64_t seen, int timeout_ms) {
   std::unique_lock<std::mutex> l(writes_mu_);
   writes_cv_.wait_for(l, std::chrono::milliseconds(timeout_ms),
-                      [&] { return write_releases_ != seen; });
+                      [&] { return write_slot_changes_ != seen; });
 }
 
 std::shared_ptr<StocLoad> StocClient::load(rdma::NodeId stoc) {

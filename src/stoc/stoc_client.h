@@ -285,10 +285,13 @@ class StocClient {
   int writes_in_flight(rdma::NodeId stoc);
   /// The most slots any one StoC has held at once (tests).
   int peak_writes_in_flight();
-  /// Releases so far; pass the count read before a failed reservation to
-  /// WaitForWriteRelease to sleep until the next one (or timeout_ms).
-  uint64_t write_releases();
-  void WaitForWriteRelease(uint64_t seen, int timeout_ms);
+  /// Reservations and releases so far. A placement reads this before it
+  /// looks at the slots; after its reservation failed, pass the count to
+  /// WaitForWriteSlotChange, which returns at once when a slot changed
+  /// since (the placement raced another and may find room now) and
+  /// otherwise sleeps until the next release (or timeout_ms).
+  uint64_t write_slot_changes();
+  void WaitForWriteSlotChange(uint64_t seen, int timeout_ms);
 
   Status DeleteFile(rdma::NodeId stoc, uint64_t file_id, bool in_memory);
 
@@ -375,7 +378,7 @@ class StocClient {
   std::condition_variable writes_cv_;
   std::map<rdma::NodeId, int> writes_in_flight_;
   int peak_writes_in_flight_ = 0;
-  uint64_t write_releases_ = 0;
+  uint64_t write_slot_changes_ = 0;
 };
 
 }  // namespace stoc

@@ -4,6 +4,7 @@
 // produce stale reads, lost writes, or scan gaps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -182,13 +183,24 @@ TEST(ChurnConcurrentTest, WritersAndReadersRace) {
 class ChaosTest : public testing::TestWithParam<int> {
  protected:
   void TearDown() override { util::FailPoint::DisableAll(); }
+  /// Each round kills StoC 3, or, with kill_manifest_stoc, the StoC that
+  /// holds the range's first MANIFEST replica right then.
+  void RunChaos(bool kill_manifest_stoc);
 };
 
 TEST_P(ChaosTest, NoAckedWriteLostUnderFaultsAndStocChurn) {
+  RunChaos(/*kill_manifest_stoc=*/false);
+}
+
+// The same churn where every victim holds a MANIFEST replica: the range
+// moves the replica off it while it is down.
+TEST_P(ChaosTest, NoAckedWriteLostUnderManifestStocChurn) {
+  RunChaos(/*kill_manifest_stoc=*/true);
+}
+
+void ChaosTest::RunChaos(bool kill_manifest_stoc) {
   int seed = GetParam();
   coord::ClusterOptions opt = ChurnOptions(4);
-  // Manifest replicas live on StoC indices [0, manifest_replicas): only
-  // index 3 is safe to kill.
   opt.placement.num_data_replicas = 2;
   opt.placement.num_meta_replicas = 2;
   opt.membership.failure_threshold = 2;
@@ -198,6 +210,7 @@ TEST_P(ChaosTest, NoAckedWriteLostUnderFaultsAndStocChurn) {
   opt.ltc.repair.scan_interval_ms = 10;
   coord::Cluster cluster(opt);
   cluster.Start();
+  auto* engine = cluster.ltc(0)->ranges()[0];
 
   util::FailPoint::Seed(seed);
   // logc.append fires before any replica write, so an injected failure
@@ -232,13 +245,29 @@ TEST_P(ChaosTest, NoAckedWriteLostUnderFaultsAndStocChurn) {
     });
   }
 
-  // StoC churn: kill the (only safe) last StoC, let the death verdict
-  // land and repair run, bring it back, repeat.
+  // StoC churn: kill a StoC, let the death verdict land and repair run,
+  // bring it back, repeat.
   for (int round = 0; round < 2; round++) {
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    cluster.KillStoc(3);
+    int victim = 3;
+    if (kill_manifest_stoc) {
+      std::vector<rdma::NodeId> manifest = engine->manifest_stocs();
+      EXPECT_FALSE(manifest.empty()) << "seed " << seed << " round " << round;
+      if (!manifest.empty()) {
+        victim = manifest[0] - coord::Cluster::StocNode(0);
+      }
+    }
+    cluster.KillStoc(victim);
     std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    cluster.RestartStoc(3);
+    if (kill_manifest_stoc) {
+      std::vector<rdma::NodeId> manifest = engine->manifest_stocs();
+      EXPECT_EQ(std::count(manifest.begin(), manifest.end(),
+                           coord::Cluster::StocNode(victim)),
+                0)
+          << "seed " << seed << " round " << round
+          << ": the replica stayed on the dead StoC";
+    }
+    cluster.RestartStoc(victim);
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   stop.store(true);
@@ -249,7 +278,6 @@ TEST_P(ChaosTest, NoAckedWriteLostUnderFaultsAndStocChurn) {
   // Settle: stop injecting, let compaction/repair drain, then verify
   // every acked write against the oracle (the victim StoC is back up).
   util::FailPoint::DisableAll();
-  auto* engine = cluster.ltc(0)->ranges()[0];
   engine->FlushAllMemtables();
   engine->WaitForQuiescence(true);
   std::lock_guard<std::mutex> l(oracle_mu);

@@ -4,6 +4,7 @@
 // range migration and elasticity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <map>
@@ -761,10 +762,15 @@ TEST_F(IntegrationTest, AddStocAndGracefulRemove) {
   engine->FlushAllMemtables();
   engine->WaitForQuiescence(true);
 
-  // Both original StoCs hold a MANIFEST replica (manifest_replicas = 2),
-  // which cannot move: removing StoC 0 is refused.
-  EXPECT_FALSE(cluster_->RemoveStocGraceful(0).ok());
-  EXPECT_EQ(cluster_->AliveStocNodes().size(), 3u);
+  // A StoC that holds a MANIFEST replica leaves like any other: the
+  // removal moves the replica (manifest_replicas = 2 on 3 StoCs).
+  Status removed_first = cluster_->RemoveStocGraceful(0);
+  ASSERT_TRUE(removed_first.ok()) << removed_first.ToString();
+  EXPECT_EQ(cluster_->AliveStocNodes().size(), 2u);
+  std::vector<rdma::NodeId> manifest = engine->manifest_stocs();
+  EXPECT_EQ(manifest.size(), 2u);
+  EXPECT_EQ(std::count(manifest.begin(), manifest.end(), Cluster::StocNode(0)),
+            0);
 
   // Gracefully remove the added StoC: its blocks must be copied elsewhere
   // first.
@@ -804,21 +810,15 @@ TEST_F(IntegrationTest, LeasesExpireAndRenew) {
 }
 
 TEST_F(IntegrationTest, FlushCommitDoesNotBlockGetsOrRouting) {
-  // One LTC, two ranges. Both MANIFESTs live on StoC 0 and range 0's
-  // SSTable pieces on StoCs 1-2, so a slow StoC 0 disk slows only range
-  // 0's MANIFEST appends.
+  // One LTC, two ranges. A delay at the MANIFEST append holds range 0's
+  // next flush commit while a Get and RouteKey run.
   ClusterOptions opt = FastOptions(1, 3);
   opt.split_points = bench::EvenSplitPoints(1000, 2);
-  opt.range.manifest_replicas = 1;
   opt.range.enable_memtable_merge = false;
   StartCluster(opt);
   ltc::LtcServer* ltc = cluster_->ltc(0);
   ltc::RangeEngine* flushing = ltc->GetRange(0);
   ltc::RangeEngine* other = ltc->GetRange(1);
-  ASSERT_EQ(flushing->ManifestStocs(),
-            std::vector<rdma::NodeId>{Cluster::StocNode(0)});
-  flushing->placer()->UpdateStocs(
-      {Cluster::StocNode(1), Cluster::StocNode(2)});
   for (int i = 0; i < 100; i++) {
     ASSERT_TRUE(cluster_->Put(Key(i), "v" + std::to_string(i)).ok());
   }
@@ -828,19 +828,21 @@ TEST_F(IntegrationTest, FlushCommitDoesNotBlockGetsOrRouting) {
   ASSERT_GT(l0_before, 0u);
 
   constexpr int kManifestLatencyMs = 1500;
-  cluster_->device(0)->InjectLatency(kManifestLatencyMs * 1000);
+  util::FailPoint::EnableDelay("ltc.manifest_append",
+                               kManifestLatencyMs * 1000,
+                               util::FailPoint::Trigger::Once());
   for (int i = 100; i < 200; i++) {
     ASSERT_TRUE(cluster_->Put(Key(i), "v" + std::to_string(i)).ok());
   }
   flushing->FlushAllMemtables();
-  // The flush writes its SSTable to StoCs 1-2, then commits its edit with
-  // a MANIFEST append that StoC 0's disk holds for kManifestLatencyMs.
+  // The flush writes its SSTable, then commits its edit with a MANIFEST
+  // append that the failpoint holds for kManifestLatencyMs.
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (cluster_->device(0)->QueueDepth() == 0 &&
+  while (util::FailPoint::FireCount("ltc.manifest_append") == 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_GT(cluster_->device(0)->QueueDepth(), 0)
+  ASSERT_EQ(util::FailPoint::FireCount("ltc.manifest_append"), 1u)
       << "the flush never reached its MANIFEST append";
 
   auto timed = [](auto call) {
@@ -860,7 +862,6 @@ TEST_F(IntegrationTest, FlushCommitDoesNotBlockGetsOrRouting) {
   double get_ms = get.get();
   double route_ms = route.get();
   size_t l0_after = flushing->versions()->current()->files(0).size();
-  cluster_->device(0)->InjectLatency(0);
 
   EXPECT_EQ(l0_after, l0_before)
       << "the flush committed before the Get and RouteKey returned";
@@ -894,6 +895,14 @@ TEST_F(IntegrationTest, SharedNothingPlacementRestrictsStocs) {
         }
       }
     }
+  }
+  // So does each range's MANIFEST: range r's only replica is on StoC r.
+  for (int r = 0; r < 2; r++) {
+    ltc::RangeEngine* range = cluster_->ltc(r)->GetRange(r);
+    range->WaitForQuiescence();
+    EXPECT_EQ(range->manifest_stocs(),
+              std::vector<rdma::NodeId>{coord::Cluster::StocNode(r)})
+        << "range " << r;
   }
 }
 
@@ -1073,34 +1082,32 @@ TEST_F(IntegrationTest, RecoveryDropsUncommittedTables) {
 }
 
 TEST_F(IntegrationTest, GcKeepsTablesAwaitingCommit) {
-  // As in FlushCommitDoesNotBlockGetsOrRouting: range 0's MANIFEST lives
-  // on StoC 0 and its SSTable pieces on StoCs 1-2, so a slow StoC 0 disk
-  // holds a written SSTable's commit.
+  // As in FlushCommitDoesNotBlockGetsOrRouting: a delay at the MANIFEST
+  // append holds a written SSTable's commit.
   ClusterOptions opt = FastOptions(1, 3);
   opt.split_points = bench::EvenSplitPoints(1000, 2);
-  opt.range.manifest_replicas = 1;
   opt.range.enable_memtable_merge = false;
   StartCluster(opt);
   ltc::RangeEngine* flushing = cluster_->ltc(0)->GetRange(0);
-  flushing->placer()->UpdateStocs(
-      {Cluster::StocNode(1), Cluster::StocNode(2)});
   for (int i = 0; i < 100; i++) {
     ASSERT_TRUE(cluster_->Put(Key(i), "v" + std::to_string(i)).ok());
   }
   flushing->FlushAllMemtables();
   flushing->WaitForQuiescence();
 
-  cluster_->device(0)->InjectLatency(1500 * 1000);
+  util::FailPoint::EnableDelay("ltc.manifest_append", 1500 * 1000,
+                               util::FailPoint::Trigger::Once());
   for (int i = 100; i < 200; i++) {
     ASSERT_TRUE(cluster_->Put(Key(i), "v" + std::to_string(i)).ok());
   }
   flushing->FlushAllMemtables();
-  ASSERT_TRUE(WaitUntil([&] { return cluster_->device(0)->QueueDepth() > 0; }))
-      << "the flush never reached its MANIFEST append";
+  ASSERT_TRUE(WaitUntil([&] {
+    return util::FailPoint::FireCount("ltc.manifest_append") > 0;
+  })) << "the flush never reached its MANIFEST append";
   // The pieces are written and no version lists them yet.
-  ASSERT_TRUE(cluster_->GcStocFiles(1).ok());
-  ASSERT_TRUE(cluster_->GcStocFiles(2).ok());
-  cluster_->device(0)->InjectLatency(0);
+  for (int i = 0; i < cluster_->num_stocs(); i++) {
+    ASSERT_TRUE(cluster_->GcStocFiles(i).ok());
+  }
   flushing->WaitForQuiescence();
   for (int i = 0; i < 200; i++) {
     std::string got;
@@ -1204,11 +1211,8 @@ TEST_F(IntegrationTest, CompactionRetriedAfterFailedApplyDeletesItsInputs) {
   opt.range.enable_memtable_merge = false;
   opt.range.memtable_size = 1 << 20;  // one SSTable per flush
   opt.range.compression_codec = kNoCompression;
-  opt.range.manifest_replicas = 1;
   StartCluster(opt);
   ltc::RangeEngine* engine = cluster_->ltc(0)->ranges()[0];
-  // The MANIFEST lives on StoC 0, every SSTable piece on StoCs 1-2.
-  engine->placer()->UpdateStocs({Cluster::StocNode(1), Cluster::StocNode(2)});
   std::string value(100, 'v');
   for (int i = 0; i < 150; i++) {
     ASSERT_TRUE(cluster_->Put(Key(i), value + "first").ok());
@@ -1216,23 +1220,26 @@ TEST_F(IntegrationTest, CompactionRetriedAfterFailedApplyDeletesItsInputs) {
   engine->FlushAllMemtables();
   engine->WaitForQuiescence();
   ASSERT_EQ(engine->versions()->current()->files(0).size(), 1u);
-  // The second flush passes the 32 KB trigger. Slow data disks keep the
-  // compaction from its MANIFEST append until StoC 0 is gone.
-  cluster_->device(1)->InjectLatency(300 * 1000);
-  cluster_->device(2)->InjectLatency(300 * 1000);
+  // The second flush passes the 32 KB trigger. Slow disks keep the
+  // compaction from its MANIFEST append until every append fails.
+  for (int i = 0; i < cluster_->num_stocs(); i++) {
+    cluster_->device(i)->InjectLatency(300 * 1000);
+  }
   for (int i = 0; i < 150; i++) {
     ASSERT_TRUE(cluster_->Put(Key(i), value + "second").ok());
   }
   engine->FlushAllMemtables();
   ASSERT_TRUE(WaitUntil(
       [&] { return engine->versions()->current()->files(0).size() == 2; }));
-  cluster_->KillStoc(0);
+  util::FailPoint::EnableError("ltc.manifest_append",
+                               Status::IOError("injected manifest failure"));
   std::set<uint64_t> numbers;
   for (const auto& f : engine->versions()->current()->files(0)) {
     numbers.insert(f->number);
   }
-  cluster_->device(1)->InjectLatency(0);
-  cluster_->device(2)->InjectLatency(0);
+  for (int i = 0; i < cluster_->num_stocs(); i++) {
+    cluster_->device(i)->InjectLatency(0);
+  }
   // Output bytes count for every attempt, applied or not: wait for two.
   uint64_t first = 0;
   ASSERT_TRUE(WaitUntil([&] {
@@ -1244,7 +1251,7 @@ TEST_F(IntegrationTest, CompactionRetriedAfterFailedApplyDeletesItsInputs) {
   }));
   ASSERT_EQ(cluster_->TotalStats().compactions, 0u);
 
-  cluster_->RestartStoc(0);
+  util::FailPoint::Disable("ltc.manifest_append");
   engine->WaitForQuiescence(/*flush_all=*/true);
   for (uint64_t number : numbers) {
     ASSERT_EQ(engine->versions()->current()->Find(number), nullptr)
@@ -1396,6 +1403,242 @@ TEST_F(IntegrationTest, KilledStocFailsArmedFlushAtOnce) {
     ASSERT_TRUE(s.ok()) << Key(i) << " " << s.ToString();
     EXPECT_EQ(got, "v" + std::to_string(i));
   }
+}
+
+/// A cluster whose SSTables keep a readable copy of every piece through
+/// one StoC death (two data replicas, three metadata replicas), so a test
+/// of the MANIFEST loses no key to the SSTables themselves.
+ClusterOptions ManifestOptions(int ltcs, int manifest_replicas) {
+  ClusterOptions opt = FastOptions(ltcs, 3);
+  opt.split_points = bench::EvenSplitPoints(1000, 2);
+  opt.range.manifest_replicas = manifest_replicas;
+  opt.placement.num_data_replicas = 2;
+  opt.placement.num_meta_replicas = 3;
+  return opt;
+}
+
+/// StoC index of a StoC node.
+int StocIndex(rdma::NodeId node) { return node - Cluster::StocNode(0); }
+
+bool Lists(const std::vector<rdma::NodeId>& stocs, rdma::NodeId stoc) {
+  return std::find(stocs.begin(), stocs.end(), stoc) != stocs.end();
+}
+
+/// Keys of the oracle that do not read back their value through `ltc`.
+int LostKeys(ltc::LtcServer* ltc,
+             const std::map<std::string, std::string>& oracle) {
+  int lost = 0;
+  for (const auto& [key, value] : oracle) {
+    std::string got;
+    Status s = ltc->Get(key, &got);
+    lost += !s.ok() || got != value;
+  }
+  return lost;
+}
+
+/// MANIFEST files of range 0 on a StoC.
+int ManifestFiles(Cluster* cluster, int stoc) {
+  std::vector<uint64_t> files;
+  EXPECT_TRUE(cluster->ltc(1)
+                  ->stoc_client()
+                  ->ListFiles(Cluster::StocNode(stoc), &files)
+                  .ok());
+  return static_cast<int>(
+      std::count_if(files.begin(), files.end(), [](uint64_t file_id) {
+        return stoc::FileIdRange(file_id) == 0 &&
+               stoc::FileIdKind(file_id) == stoc::FileKind::kManifest;
+      }));
+}
+
+/// The StoC of one MANIFEST replica dies; once the range moved the replica
+/// off it, the LTC crashes. Recovery finds the replicas where the range
+/// put them, and every key reads its newest value. Param: manifest
+/// replicas, and the position of the replica whose StoC dies.
+class ManifestStocDeathTest
+    : public testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(ManifestStocDeathTest, LtcCrashAfterStocDeathLosesNoKey) {
+  auto [replicas, position] = GetParam();
+  Cluster cluster(ManifestOptions(2, replicas));
+  cluster.Start();
+  std::map<std::string, std::string> oracle;
+  Random rng(17);
+  for (int i = 0; i < 2500; i++) {
+    std::string key = Key(rng.Uniform(400));  // range 0, on LTC 0
+    std::string value = "v" + std::to_string(i);
+    ASSERT_TRUE(cluster.Put(key, value).ok());
+    oracle[key] = value;
+  }
+  ltc::RangeEngine* engine = cluster.ltc(0)->GetRange(0);
+  engine->FlushAllMemtables();
+  engine->WaitForQuiescence(/*flush_all=*/true);
+  std::vector<rdma::NodeId> manifest = engine->manifest_stocs();
+  ASSERT_EQ(manifest.size(), static_cast<size_t>(replicas));
+  rdma::NodeId victim = manifest[position];
+  cluster.KillStoc(StocIndex(victim));
+  EXPECT_TRUE(
+      WaitUntil([&] { return !Lists(engine->manifest_stocs(), victim); }))
+      << "the range still lists the replica on the dead StoC";
+  cluster.KillLtc(0);
+  Status s = cluster.RecoverLtcRanges(0, 1, 4);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(LostKeys(cluster.ltc(1), oracle), 0)
+      << "of " << oracle.size() << " keys";
+  cluster.Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Replicas, ManifestStocDeathTest,
+                         testing::Values(std::make_pair(1, 0),
+                                         std::make_pair(3, 0),
+                                         std::make_pair(3, 1),
+                                         std::make_pair(3, 2)));
+
+// With one MANIFEST replica, its StoC's death moves the replica: flushes
+// keep committing, so writers keep being acknowledged.
+TEST_F(IntegrationTest, FlushesCommitAfterTheManifestStocDies) {
+  StartCluster(ManifestOptions(1, 1));
+  ltc::RangeEngine* engine = cluster_->ltc(0)->GetRange(0);
+  std::map<std::string, std::string> oracle;
+  for (int i = 0; i < 1000; i++) {
+    std::string value = "v" + std::to_string(i);
+    ASSERT_TRUE(cluster_->Put(Key(i % 400), value).ok());
+    oracle[Key(i % 400)] = value;
+  }
+  engine->FlushAllMemtables();
+  engine->WaitForQuiescence();
+  std::vector<rdma::NodeId> manifest = engine->manifest_stocs();
+  ASSERT_EQ(manifest.size(), 1u);
+  cluster_->KillStoc(StocIndex(manifest[0]));
+  uint64_t flushes = engine->stats().flushes;
+  // A writer stalled for good on a full δ budget never returns: after
+  // 20 s the decommission releases it.
+  auto writer = std::async(std::launch::async, [&] {
+    int acked = 0;
+    for (int i = 0; i < 3000; i++) {
+      std::string value = "after" + std::to_string(i);
+      if (!cluster_->Put(Key(i % 400), value).ok()) {
+        break;
+      }
+      oracle[Key(i % 400)] = value;
+      acked++;
+    }
+    return acked;
+  });
+  if (writer.wait_for(std::chrono::seconds(20)) !=
+      std::future_status::ready) {
+    engine->BeginDecommission();
+  }
+  ASSERT_EQ(writer.get(), 3000);
+  EXPECT_GT(engine->stats().flushes, flushes);
+  engine->FlushAllMemtables();
+  engine->WaitForQuiescence();
+  EXPECT_FALSE(Lists(engine->manifest_stocs(), manifest[0]));
+  EXPECT_EQ(LostKeys(cluster_->ltc(0), oracle), 0)
+      << "of " << oracle.size() << " keys";
+}
+
+// A range writes its MANIFEST when it is created, so a recovery that finds
+// no replica fails: the range's state is unreadable, not empty. Once the
+// replica's StoC returns, the range recovers.
+TEST_F(IntegrationTest, RecoveryFailsWhenNoManifestReplicaAnswers) {
+  ClusterOptions opt = FastOptions(2, 3);
+  opt.split_points = bench::EvenSplitPoints(1000, 2);
+  opt.range.manifest_replicas = 1;
+  StartCluster(opt);
+  std::map<std::string, std::string> oracle;
+  for (int i = 0; i < 300; i++) {
+    std::string value = "v" + std::to_string(i);
+    ASSERT_TRUE(cluster_->Put(Key(i), value).ok());
+    oracle[Key(i)] = value;
+  }
+  ltc::RangeEngine* dying = cluster_->ltc(0)->GetRange(0);
+  dying->FlushAllMemtables();
+  dying->WaitForQuiescence(/*flush_all=*/true);
+  std::vector<rdma::NodeId> manifest = dying->manifest_stocs();
+  ASSERT_EQ(manifest.size(), 1u);
+  cluster_->KillLtc(0);
+  cluster_->KillStoc(StocIndex(manifest[0]));
+  Status s = cluster_->RecoverLtcRanges(0, 1, 4);
+  EXPECT_FALSE(s.ok()) << "recovered range 0 without its MANIFEST";
+  EXPECT_EQ(cluster_->ltc(1)->GetRange(0), nullptr);
+
+  cluster_->RestartStoc(StocIndex(manifest[0]));
+  s = cluster_->RecoverLtcRanges(0, 1, 4);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(LostKeys(cluster_->ltc(1), oracle), 0)
+      << "of " << oracle.size() << " keys";
+}
+
+// A StoC that returns with the MANIFEST replica its range moved off it
+// holds a stale replica: it never wins a recovery, and the recovery's
+// sweep deletes it, as GcStocFiles does while the LTC lives.
+TEST_F(IntegrationTest, StaleManifestReplicaNeverWinsRecovery) {
+  StartCluster(ManifestOptions(2, 1));
+  std::map<std::string, std::string> oracle;
+  auto write_round = [&](ltc::RangeEngine* engine, const std::string& tag) {
+    for (int i = 0; i < 300; i++) {
+      std::string value = tag + std::to_string(i);
+      ASSERT_TRUE(cluster_->Put(Key(i), value).ok());
+      oracle[Key(i)] = value;
+    }
+    engine->FlushAllMemtables();
+    engine->WaitForQuiescence(/*flush_all=*/true);
+  };
+  // Kills the StoC of the engine's replica and waits until it moved.
+  auto kill_manifest_stoc = [&](ltc::RangeEngine* engine) {
+    rdma::NodeId victim = engine->manifest_stocs()[0];
+    cluster_->KillStoc(StocIndex(victim));
+    EXPECT_TRUE(
+        WaitUntil([&] { return !Lists(engine->manifest_stocs(), victim); }));
+    return StocIndex(victim);
+  };
+
+  ltc::RangeEngine* engine = cluster_->ltc(0)->GetRange(0);
+  write_round(engine, "first");
+  int victim = kill_manifest_stoc(engine);
+  write_round(engine, "second");
+  cluster_->RestartStoc(victim);
+  ASSERT_EQ(ManifestFiles(cluster_.get(), victim), 1)
+      << "the returning StoC holds no stale replica";
+  cluster_->KillLtc(0);
+  Status s = cluster_->RecoverLtcRanges(0, 1, 4);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(LostKeys(cluster_->ltc(1), oracle), 0)
+      << "of " << oracle.size() << " keys";
+  EXPECT_EQ(ManifestFiles(cluster_.get(), victim), 0);
+
+  ltc::RangeEngine* recovered = cluster_->ltc(1)->GetRange(0);
+  victim = kill_manifest_stoc(recovered);
+  write_round(recovered, "third");
+  cluster_->RestartStoc(victim);
+  ASSERT_EQ(ManifestFiles(cluster_.get(), victim), 1);
+  ASSERT_TRUE(cluster_->GcStocFiles(victim).ok());
+  EXPECT_EQ(ManifestFiles(cluster_.get(), victim), 0);
+  EXPECT_EQ(LostKeys(cluster_->ltc(1), oracle), 0)
+      << "of " << oracle.size() << " keys";
+}
+
+// Cluster::Delete waits out an LTC recovery like Put and Get.
+TEST_F(IntegrationTest, DeleteWaitsForLtcRecovery) {
+  ClusterOptions opt = FastOptions(2, 3);
+  opt.split_points = bench::EvenSplitPoints(1000, 2);
+  StartCluster(opt);
+  for (int i = 0; i < 200; i++) {
+    ASSERT_TRUE(cluster_->Put(Key(i), "v" + std::to_string(i)).ok());
+  }
+  cluster_->KillLtc(0);
+  auto deleted =
+      std::async(std::launch::async, [&] { return cluster_->Delete(Key(7)); });
+  EXPECT_EQ(deleted.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "Delete returned while range 0 had no LTC";
+  ASSERT_TRUE(cluster_->RecoverLtcRanges(0, 1, 4).ok());
+  Status s = deleted.get();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  std::string got;
+  EXPECT_TRUE(cluster_->Get(Key(7), &got).IsNotFound());
+  ASSERT_TRUE(cluster_->Get(Key(8), &got).ok());
+  EXPECT_EQ(got, "v8");
 }
 
 /// StoC death with one metadata replica: the tables whose only metadata

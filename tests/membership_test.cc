@@ -8,7 +8,7 @@
 //    action, and post-repair reads take the normal (non-parity) path.
 //  * Graceful StoC removal, which re-homes pieces through the repair
 //    path: replicas stay on distinct StoCs, a concurrent writer loses
-//    nothing, and a StoC holding a MANIFEST replica is refused.
+//    nothing, and a StoC holding a MANIFEST replica hands it over.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -163,7 +163,7 @@ coord::ClusterOptions RepairClusterOptions(int stocs) {
   opt.range.drange.warmup_writes = 200;
   opt.range.lsm.l0_compaction_trigger_bytes = 64 << 10;
   opt.range.lsm.l0_stop_bytes = 512 << 10;
-  opt.range.manifest_replicas = 1;  // manifest pinned to StoC 0
+  opt.range.manifest_replicas = 1;
   opt.ltc.repair.scan_interval_ms = 10;
   return opt;
 }
@@ -236,16 +236,15 @@ TEST(RepairTest, ReplicatedFragmentsRepairAfterDeathVerdict) {
   engine->FlushAllMemtables();
   engine->WaitForQuiescence(true);
 
-  // Kill a StoC that actually holds pieces (not StoC 0: the manifest
-  // replica lives there).
+  // Kill a StoC that actually holds pieces.
   int victim_index = -1;
-  for (int i = opt.num_stocs - 1; i >= 1; i--) {
+  for (int i = opt.num_stocs - 1; i >= 0; i--) {
     if (PiecesOnStoc(engine, coord::Cluster::StocNode(i)) > 0) {
       victim_index = i;
       break;
     }
   }
-  ASSERT_GE(victim_index, 1) << "load produced no placements off StoC 0";
+  ASSERT_GE(victim_index, 0) << "load produced no placements";
   rdma::NodeId victim = coord::Cluster::StocNode(victim_index);
   int lost = PiecesOnStoc(engine, victim);
   cluster.KillStoc(victim_index);
@@ -540,7 +539,6 @@ TEST(GracefulRemoveTest, ReplicasStayOnDistinctStocs) {
   engine->WaitForQuiescence(true);
   ASSERT_EQ(CoLocatedReplicas(engine), 0);
 
-  // StoC 0 holds the MANIFEST (manifest_replicas = 1); remove StoC 2.
   rdma::NodeId victim = coord::Cluster::StocNode(2);
   int pieces = PiecesOnStoc(engine, victim);
   ASSERT_GT(pieces, 0);
@@ -654,11 +652,13 @@ TEST(GracefulRemoveTest, FailsWithoutStocFreeOfOtherCopies) {
   cluster.Stop();
 }
 
-TEST(GracefulRemoveTest, RefusesStocHoldingManifest) {
-  // manifest_replicas = 1 puts every range's MANIFEST on StoC 0. Its
-  // replicas are positional, so the drain cannot move them: the removal
-  // is refused before anything moves, and the StoC keeps serving.
+TEST(GracefulRemoveTest, MovesManifestReplica) {
+  // The StoC holding range 0's only MANIFEST replica leaves like any
+  // other: the removal moves the replica, later flushes commit on its new
+  // StoC, and an LTC crash after the removal loses no key.
   coord::ClusterOptions opt = RepairClusterOptions(3);
+  opt.num_ltcs = 2;
+  opt.split_points = bench::EvenSplitPoints(800, 2);  // range 0 on LTC 0
   coord::Cluster cluster(opt);
   cluster.Start();
   std::map<std::string, std::string> oracle;
@@ -668,21 +668,26 @@ TEST(GracefulRemoveTest, RefusesStocHoldingManifest) {
     ASSERT_TRUE(cluster.Put(key, value).ok());
     oracle[key] = value;
   }
-  auto* engine = cluster.ltc(0)->ranges()[0];
+  auto* engine = cluster.ltc(0)->GetRange(0);
   engine->FlushAllMemtables();
   engine->WaitForQuiescence(true);
-  rdma::NodeId manifest_stoc = coord::Cluster::StocNode(0);
-  int pieces = PiecesOnStoc(engine, manifest_stoc);
+  std::vector<rdma::NodeId> manifest = engine->manifest_stocs();
+  ASSERT_EQ(manifest.size(), 1u);
+  rdma::NodeId manifest_stoc = manifest[0];
 
-  EXPECT_FALSE(cluster.RemoveStocGraceful(0).ok());
-  EXPECT_EQ(cluster.AliveStocNodes().size(), 3u);
-  EXPECT_TRUE(cluster.ltc(0)->stoc_client()->IsRoutable(manifest_stoc));
-  EXPECT_EQ(PiecesOnStoc(engine, manifest_stoc), pieces);
+  Status s = cluster.RemoveStocGraceful(manifest_stoc -
+                                        coord::Cluster::StocNode(0));
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(cluster.AliveStocNodes().size(), 2u);
+  manifest = engine->manifest_stocs();
+  ASSERT_EQ(manifest.size(), 1u);
+  EXPECT_NE(manifest[0], manifest_stoc);
+  EXPECT_EQ(PiecesOnStoc(engine, manifest_stoc), 0);
 
   // Later puts still flush: the MANIFEST stays writable.
   uint64_t flushes = engine->stats().flushes;
   for (int i = 0; i < 1200; i++) {
-    std::string key = bench::MakeKey(400 + i % 400);
+    std::string key = bench::MakeKey(i % 400);
     std::string value = "n" + std::to_string(i);
     ASSERT_TRUE(cluster.Put(key, value).ok());
     oracle[key] = value;
@@ -690,6 +695,10 @@ TEST(GracefulRemoveTest, RefusesStocHoldingManifest) {
   engine->FlushAllMemtables();
   engine->WaitForQuiescence(true);
   EXPECT_GT(engine->stats().flushes, flushes);
+
+  cluster.KillLtc(0);
+  s = cluster.RecoverLtcRanges(0, 1, 2);
+  ASSERT_TRUE(s.ok()) << s.ToString();
   ExpectMatchesOracle(&cluster, oracle);
   cluster.Stop();
 }
