@@ -8,14 +8,26 @@
 namespace nova {
 namespace bench {
 
+/// Minor Drange reorganizations so far, over every range of the cluster.
+uint64_t MinorReorgs(coord::Cluster* cluster) {
+  uint64_t n = 0;
+  for (int i = 0; i < cluster->num_ltcs(); i++) {
+    for (ltc::RangeEngine* engine : cluster->ltc(i)->ranges()) {
+      n += engine->dranges()->num_minor_reorgs();
+    }
+  }
+  return n;
+}
+
 void Run(const BenchConfig& cfg) {
   PrintHeader("Figure 12: impact of skew (eta=1, beta=10, rho=1, theta=16)");
-  printf("%-6s %12s %12s %12s %12s\n", "wload", "Uniform", "Zipf0.27",
-         "Zipf0.73", "Zipf0.99");
+  // Reorganization churn beside each throughput: minor reorganizations per
+  // second and flushes per 1000 puts over the measured window.
+  printf("%-6s %-9s %10s %8s %10s %10s\n", "wload", "dist", "ops/s",
+         "vs_unif", "reorgs/s", "fl/1kput");
   JsonArtifact json("fig12_skew");
   for (WorkloadType type :
        {WorkloadType::kRW50, WorkloadType::kW100, WorkloadType::kSW50}) {
-    printf("%-6s", WorkloadName(type));
     double base = 0;
     for (double theta : {0.0, 0.27, 0.73, 0.99}) {
       coord::ClusterOptions opt = PaperScaledOptions(1, 10);
@@ -30,24 +42,38 @@ void Run(const BenchConfig& cfg) {
       LoadData(&cluster, spec, cfg.client_threads);
       spec.type = type;
       spec.zipf_theta = theta;
+      uint64_t reorgs_before = MinorReorgs(&cluster);
+      ltc::RangeStats before = cluster.TotalStats();
       RunResult r =
           RunWorkload(&cluster, spec, cfg.seconds, cfg.client_threads);
+      ltc::RangeStats after = cluster.TotalStats();
+      double reorgs_per_s =
+          r.duration_sec > 0
+              ? (MinorReorgs(&cluster) - reorgs_before) / r.duration_sec
+              : 0;
+      uint64_t puts = after.puts - before.puts;
+      double flushes_per_1k_puts =
+          puts > 0 ? 1000.0 * (after.flushes - before.flushes) / puts : 0;
       cluster.Stop();
       if (theta == 0.0) {
         base = r.ops_per_sec;
-        printf(" %12.0f", r.ops_per_sec);
-      } else {
-        printf(" %8.0f(%.2f)", r.ops_per_sec,
-               base > 0 ? r.ops_per_sec / base : 0);
       }
+      double vs_uniform = base > 0 ? r.ops_per_sec / base : 1;
+      char dist[16];
+      snprintf(dist, sizeof(dist), theta == 0.0 ? "Uniform" : "Zipf%.2f",
+               theta);
+      printf("%-6s %-9s %10.0f %8.2f %10.1f %10.1f\n", WorkloadName(type),
+             dist, r.ops_per_sec, vs_uniform, reorgs_per_s,
+             flushes_per_1k_puts);
       fflush(stdout);
       char label[48];
       snprintf(label, sizeof(label), "%s/zipf%.2f", WorkloadName(type),
                theta);
       json.Add(label, {{"ops_per_sec", r.ops_per_sec},
-                       {"vs_uniform", base > 0 ? r.ops_per_sec / base : 1}});
+                       {"vs_uniform", vs_uniform},
+                       {"minor_reorgs_per_s", reorgs_per_s},
+                       {"flushes_per_1k_puts", flushes_per_1k_puts}});
     }
-    printf("\n");
   }
   json.Write(cfg.json_path);
 }

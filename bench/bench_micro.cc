@@ -210,7 +210,7 @@ struct ScanEnv {
     popt.power_of_d = false;
     lsm::SSTablePlacer placer(client.get(), popt);
     auto out = std::make_shared<lsm::FileMetaData>();
-    Status s = placer.Write(std::move(built), 0, 0, out.get());
+    Status s = placer.Write(std::move(built), out.get());
     if (!s.ok()) {
       fprintf(stderr, "scan env setup failed: %s\n", s.ToString().c_str());
       abort();
@@ -358,7 +358,7 @@ struct CompactionEnv {
       }
       auto built = builder.Finish(/*file_number=*/i + 1, /*num_fragments=*/2);
       auto out = std::make_shared<lsm::FileMetaData>();
-      Status s = placer.Write(std::move(built), 0, 0, out.get());
+      Status s = placer.Write(std::move(built), out.get());
       if (!s.ok()) {
         fprintf(stderr, "compaction env setup failed: %s\n",
                 s.ToString().c_str());

@@ -3,7 +3,6 @@
 // component statistics.
 #include <cstdio>
 
-#include "client/nova_client.h"
 #include "coord/cluster.h"
 
 using namespace nova;
@@ -21,30 +20,30 @@ int main() {
   coord::Cluster cluster(options);
   cluster.Start();
 
-  // 2. Clients route by key through the coordinator's configuration.
-  client::NovaClient client(&cluster);
-  client.Put("apple", "red");
-  client.Put("banana", "yellow");
-  client.Put("melon", "green");
+  // 2. Requests route by key through the coordinator's configuration to
+  //    the LTC serving the key's range.
+  cluster.Put("apple", "red");
+  cluster.Put("banana", "yellow");
+  cluster.Put("melon", "green");
 
   std::string value;
-  if (client.Get("banana", &value).ok()) {
+  if (cluster.Get("banana", &value).ok()) {
     printf("banana -> %s\n", value.c_str());
   }
 
   // 3. Scans merge memtables, Level0 and higher levels — and continue
   //    across ranges (and LTCs) transparently.
   std::vector<std::pair<std::string, std::string>> records;
-  client.Scan("a", 10, &records);
+  cluster.Scan("a", 10, &records);
   printf("scan from 'a':\n");
   for (const auto& [k, v] : records) {
     printf("  %s = %s\n", k.c_str(), v.c_str());
   }
 
   // 4. Deletes are tombstones until compaction discards them.
-  client.Delete("apple");
+  cluster.Delete("apple");
   printf("after delete, apple found? %s\n",
-         client.Get("apple", &value).IsNotFound() ? "no" : "yes");
+         cluster.Get("apple", &value).IsNotFound() ? "no" : "yes");
 
   // 5. Component statistics.
   auto stats = cluster.TotalStats();

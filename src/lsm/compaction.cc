@@ -366,8 +366,7 @@ Status CompactionExecutor::Run(const CompactionJob& job,
     result->raw_bytes_written += built.raw_bytes;
     throttle_->Charge(costs.compaction_write_sstable_us);
     PendingSSTable pending;
-    Status ws = placer_->StartWrite(std::move(built), /*drange_id=*/-1,
-                                    /*generation=*/0, &pending);
+    Status ws = placer_->StartWrite(std::move(built), &pending);
     if (!ws.ok()) {
       return ws;
     }

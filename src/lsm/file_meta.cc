@@ -29,8 +29,6 @@ void FileMetaData::EncodeTo(std::string* dst) const {
   PutVarint64(dst, data_size);
   PutLengthPrefixedSlice(dst, smallest.Encode());
   PutLengthPrefixedSlice(dst, largest.Encode());
-  PutVarint32(dst, static_cast<uint32_t>(drange_id + 1));
-  PutVarint32(dst, generation);
   PutVarint32(dst, static_cast<uint32_t>(fragments.size()));
   for (const auto& replicas : fragments) {
     PutVarint32(dst, static_cast<uint32_t>(replicas.size()));
@@ -51,16 +49,14 @@ void FileMetaData::EncodeTo(std::string* dst) const {
 
 Status FileMetaData::DecodeFrom(Slice* input) {
   Slice small, large;
-  uint32_t did, nfrags, nsizes, nmeta;
+  uint32_t nfrags, nsizes, nmeta;
   if (!GetVarint64(input, &number) || !GetVarint64(input, &data_size) ||
       !GetLengthPrefixedSlice(input, &small) ||
-      !GetLengthPrefixedSlice(input, &large) || !GetVarint32(input, &did) ||
-      !GetVarint32(input, &generation) || !GetVarint32(input, &nfrags)) {
+      !GetLengthPrefixedSlice(input, &large) || !GetVarint32(input, &nfrags)) {
     return Status::Corruption("bad file metadata");
   }
   smallest.DecodeFrom(small);
   largest.DecodeFrom(large);
-  drange_id = static_cast<int32_t>(did) - 1;
   fragments.clear();
   for (uint32_t i = 0; i < nfrags; i++) {
     uint32_t nreplicas;

@@ -31,9 +31,6 @@ struct FileMetaData {
   uint64_t data_size = 0;  // total data bytes across fragments
   InternalKey smallest;
   InternalKey largest;
-  /// Drange that produced this L0 SSTable (-1 for compaction outputs).
-  int32_t drange_id = -1;
-  uint32_t generation = 0;
 
   /// fragments[i] lists the R replica locations of data fragment i.
   std::vector<std::vector<BlockLocation>> fragments;

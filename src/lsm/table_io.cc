@@ -437,10 +437,10 @@ void SSTablePlacer::Delete(const FileMetaData& meta) {
   });
 }
 
-Status SSTablePlacer::Write(SSTableBuilder::Result&& built, int drange_id,
-                            uint32_t generation, FileMetaData* out) {
+Status SSTablePlacer::Write(SSTableBuilder::Result&& built,
+                            FileMetaData* out) {
   PendingSSTable pending;
-  Status s = StartWrite(std::move(built), drange_id, generation, &pending);
+  Status s = StartWrite(std::move(built), &pending);
   if (!s.ok()) {
     return s;
   }
@@ -448,7 +448,6 @@ Status SSTablePlacer::Write(SSTableBuilder::Result&& built, int drange_id,
 }
 
 Status SSTablePlacer::StartWrite(SSTableBuilder::Result&& built,
-                                 int drange_id, uint32_t generation,
                                  PendingSSTable* pending,
                                  int max_writes_per_stoc) {
   PlacementOptions opt = options();
@@ -469,8 +468,6 @@ Status SSTablePlacer::StartWrite(SSTableBuilder::Result&& built,
   out->data_size = state->data.size();
   out->smallest = tmeta.smallest;
   out->largest = tmeta.largest;
-  out->drange_id = drange_id;
-  out->generation = generation;
   out->fragment_sizes = tmeta.fragment_sizes;
 
   // One StoC order for every piece: R replicas of each fragment, the

@@ -181,8 +181,7 @@ class SSTablePlacer {
   /// them (via UpdateStocs) while the system runs.
   SSTablePlacer(stoc::StocClient* client, const PlacementOptions& options);
 
-  Status Write(SSTableBuilder::Result&& built, int drange_id,
-               uint32_t generation, FileMetaData* out);
+  Status Write(SSTableBuilder::Result&& built, FileMetaData* out);
 
   /// Async half of Write: pick placements, issue and arm every append,
   /// and hand back the in-flight SSTable without waiting for flush acks.
@@ -196,8 +195,7 @@ class SSTablePlacer {
   /// placement that lost a slot to another write places again at once;
   /// one that found no room waits for a release and places again, for at
   /// most PendingSSTable::kAckTimeoutMs (then Busy).
-  Status StartWrite(SSTableBuilder::Result&& built, int drange_id,
-                    uint32_t generation, PendingSSTable* pending,
+  Status StartWrite(SSTableBuilder::Result&& built, PendingSSTable* pending,
                     int max_writes_per_stoc = 0);
 
   /// Delete every StoC file of an SSTable: its fragment replicas, metadata

@@ -81,11 +81,6 @@ int DrangeManager::RouteWrite(const Slice& key) {
   return idx;
 }
 
-int DrangeManager::DrangeForKey(const Slice& key) const {
-  std::shared_lock<std::shared_mutex> l(mu_);
-  return FindDrangeLocked(key);
-}
-
 int DrangeManager::num_dranges() const {
   std::shared_lock<std::shared_mutex> l(mu_);
   return static_cast<int>(dranges_.size());

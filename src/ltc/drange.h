@@ -58,10 +58,6 @@ class DrangeManager {
   /// Record a write and return the Drange index to append to.
   int RouteWrite(const Slice& key);
 
-  /// Drange index whose [lower, upper) contains key, ignoring duplicates
-  /// (used by scans / boundary queries). -1 if out of range.
-  int DrangeForKey(const Slice& key) const;
-
   int num_dranges() const;
   /// [lower, upper) of Drange i.
   std::pair<std::string, std::string> DrangeBounds(int i) const;
@@ -69,9 +65,10 @@ class DrangeManager {
   /// True when the hottest Drange's share exceeds 1/θ + ε.
   bool NeedsReorg() const;
   /// Perform a minor (or, if needed, major) reorganization. Returns the
-  /// indices of Dranges whose boundaries changed — the caller must rotate
-  /// their active memtables and bump the generation (Section 4.1).
-  /// Returns empty if nothing changed.
+  /// indices of Dranges whose boundaries changed, or empty if nothing
+  /// changed. The caller retires exactly their active memtables, and after
+  /// a major reorganization those of the indices it dropped, so each
+  /// Drange's next memtable takes its new bounds (Section 4.1).
   std::vector<int> MaybeReorg();
 
   /// Sorted interior boundaries (Drange upper bounds, deduplicated) —

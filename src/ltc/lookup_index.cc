@@ -83,13 +83,6 @@ size_t LookupIndex::size() const {
   return total;
 }
 
-size_t LookupIndex::ApproximateBytes() const {
-  size_t entries = size();
-  // key + mid + hashmap overhead, mirroring the paper's estimate of
-  // (avg key size + 4B pointer + 8B file number) per unique key.
-  return entries * 48;
-}
-
 void MidTable::SetMemtable(uint64_t mid, MemTableRef mem) {
   std::lock_guard<std::mutex> l(mu_);
   Entry& e = map_[mid];

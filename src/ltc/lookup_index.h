@@ -34,8 +34,6 @@ class LookupIndex {
   void UpdateIfIn(const Slice& key, const std::set<uint64_t>& old_mids,
                   uint64_t new_mid);
   size_t size() const;
-  /// Approximate memory footprint (paper reports 240 MB at its scale).
-  size_t ApproximateBytes() const;
 
  private:
   struct Slot {

@@ -143,53 +143,30 @@ RangeEngine::~RangeEngine() {
   }
 }
 
-MemTableRef RangeEngine::NewMemTableLocked(int drange_id) {
-  // Idempotent per Drange: two writers that both stalled on a full δ
-  // budget must not each install a replacement — the loser's table would
-  // be orphaned (never flushed) and leak a memtable slot forever.
-  auto existing = actives_.find(drange_id);
-  if (existing != actives_.end() && existing->second.active != nullptr &&
-      !existing->second.active->immutable()) {
-    return existing->second.active;
-  }
+MemTableRef RangeEngine::NewMemTableLocked(int did) {
   uint64_t mid = next_mid_.fetch_add(1);
   auto mem = std::make_shared<MemTable>(icmp_, mid);
-  mem->set_drange_id(drange_id);
-  mem->set_generation(generation_hint_);
+  mem->set_drange_id(did);
   all_memtables_[mid] = mem;
-  actives_[drange_id] = DrangeMem{mem};
+  actives_[did] = mem;
   mid_table_.SetMemtable(mid, mem);
   std::string lo = options_.lower;
   std::string hi = options_.upper;
   if (options_.enable_dranges) {
-    auto bounds = drange_->DrangeBounds(drange_id);
+    auto bounds = drange_->DrangeBounds(did);
     if (!bounds.first.empty() || !bounds.second.empty()) {
       lo = bounds.first;
       hi = bounds.second;
     }
   }
   range_index_->AddMemtable(mid, lo, hi);
-  mem_spans_[mid] = {lo, hi};
   if (options_.log.mode != logc::LogMode::kNone) {
     logc_->CreateLogFile(mid, stocs_);
-    mem->set_log_file_id(mid);
   }
   return mem;
 }
 
 void RangeEngine::Bootstrap() {
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (options_.enable_dranges) {
-      for (int d = 0; d < drange_->num_dranges(); d++) {
-        NewMemTableLocked(d);
-      }
-    } else {
-      for (int d = 0; d < options_.num_active_memtables; d++) {
-        NewMemTableLocked(d);
-      }
-    }
-  }
   // A new range writes its MANIFEST now, so recovery can tell a range it
   // cannot read from an empty one; a range that migrated here writes its
   // own replicas.
@@ -252,6 +229,9 @@ Status RangeEngine::RouteAndAppend(SequenceNumber seq, ValueType type,
     std::atomic<int>* n;
     ~WriteGuard() { n->fetch_sub(1, std::memory_order_release); }
   } write_guard{&foreground_writes_};
+  // A memtable whose log append failed: the next attempt retires it, so no
+  // writer keeps appending to a failing log file.
+  MemTableRef unlogged;
   for (int attempt = 0; attempt < 1000; attempt++) {
     if (stopping_.load(std::memory_order_relaxed)) {
       return Status::Unavailable("range decommissioned");
@@ -259,6 +239,9 @@ Status RangeEngine::RouteAndAppend(SequenceNumber seq, ValueType type,
     MemTableRef mem;
     {
       std::unique_lock<std::mutex> lk(mu_);
+      if (unlogged != nullptr) {
+        RetireLocked(std::move(unlogged));
+      }
       // Write stall: L0 too large.
       if (!StallUntil(lk, [this] {
             return l0_bytes_.load() < options_.lsm.l0_stop_bytes;
@@ -275,47 +258,32 @@ Status RangeEngine::RouteAndAppend(SequenceNumber seq, ValueType type,
         did = static_cast<int>(
             tl_rng.Uniform(options_.num_active_memtables));
       }
+      // Routing, reorganizations and the creation of actives all hold mu_,
+      // so the active found here was registered under the bounds the key
+      // was routed by.
       auto it = actives_.find(did);
-      if (it == actives_.end() || it->second.active == nullptr) {
-        // Write stall: all δ memtables in use.
+      if (it != actives_.end() &&
+          it->second->ApproximateMemoryUsage() >= options_.memtable_size) {
+        RetireLocked(it->second);
+        it = actives_.end();
+      }
+      if (it != actives_.end()) {
+        mem = it->second;
+      } else if (MemtableBudgetFree()) {
+        mem = NewMemTableLocked(did);
+      } else {
+        // Write stall: all δ memtables in use. The stall releases mu_, so
+        // the put routes again.
         if (!StallUntil(lk, [this] { return MemtableBudgetFree(); })) {
           return Status::Unavailable("engine stopping");
         }
-        mem = NewMemTableLocked(did);
-      } else {
-        mem = it->second.active;
-      }
-      if (mem->ApproximateMemoryUsage() >= options_.memtable_size) {
-        RotateLocked(did, &lk);
-        auto it2 = actives_.find(did);
-        if (it2 == actives_.end() || it2->second.active == nullptr) {
-          continue;  // stalled and state changed; retry
-        }
-        mem = it2->second.active;
-      }
-      if (options_.enable_range_index) {
-        // If a reorg moved this Drange's bounds between routing and
-        // rotation, the key may fall outside the memtable's range-index
-        // registration; expand it so scans keep seeing every key.
-        auto span_it = mem_spans_.find(mem->id());
-        if (span_it != mem_spans_.end()) {
-          auto& span = span_it->second;
-          bool below =
-              !span.first.empty() && key.compare(span.first) < 0;
-          bool above =
-              !span.second.empty() && key.compare(span.second) >= 0;
-          if (below || above) {
-            std::string upper_key = key.ToString() + std::string(1, '\0');
-            range_index_->AddMemtable(mem->id(), key.ToString(), upper_key);
-            if (below) span.first = key.ToString();
-            if (above) span.second = upper_key;
-          }
-        }
+        continue;
       }
     }
 
     // Log record first (durability ordering, Section 2.1/5), then the
-    // memtable append. Both happen outside the lifecycle lock.
+    // memtable append. Both happen outside the lifecycle lock. A record
+    // that is not in the log is not added: the put retries.
     if (options_.log.mode != logc::LogMode::kNone) {
       throttle_->Charge(costs.log_append_us * options_.log.num_replicas);
       logc::LogRecord rec;
@@ -324,11 +292,9 @@ Status RangeEngine::RouteAndAppend(SequenceNumber seq, ValueType type,
       rec.type = type;
       rec.key = key.ToString();
       rec.value = value.ToString();
-      Status ls = logc_->Append(mem->id(), rec);
-      if (!ls.ok()) {
-        // Benign when the memtable rotated under us: AddIfActive below
-        // fails too and the retry re-logs to the new active.
-        NOVA_DEBUG("log append raced rotation: %s", ls.ToString().c_str());
+      if (!logc_->Append(mem->id(), rec).ok()) {
+        unlogged = std::move(mem);
+        continue;
       }
     }
     if (mem->AddIfActive(seq, type, key, value)) {
@@ -337,28 +303,19 @@ Status RangeEngine::RouteAndAppend(SequenceNumber seq, ValueType type,
       }
       return Status::OK();
     }
-    // The memtable became immutable under us; retry with the new active.
+    // The memtable retired under us; retry with the new active.
   }
   return Status::Busy("put retry limit exceeded");
 }
 
-void RangeEngine::RotateLocked(int drange_id,
-                               std::unique_lock<std::mutex>* lk) {
-  auto it = actives_.find(drange_id);
-  if (it == actives_.end() || it->second.active == nullptr) {
-    return;
+void RangeEngine::RetireLocked(MemTableRef mem) {
+  auto it = actives_.find(mem->drange_id());
+  if (it == actives_.end() || it->second != mem) {
+    return;  // retired already
   }
-  MemTableRef old = it->second.active;
-  if (old->ApproximateMemoryUsage() < options_.memtable_size) {
-    return;  // somebody else already rotated
-  }
-  old->MarkImmutable();
-  flush_queue_.push_back(old);
-  it->second.active = nullptr;
-  // Stall if we are at the memtable budget δ.
-  if (StallUntil(*lk, [this] { return MemtableBudgetFree(); })) {
-    NewMemTableLocked(drange_id);
-  }
+  actives_.erase(it);
+  mem->MarkImmutable();
+  flush_queue_.push_back(std::move(mem));
 }
 
 /// The newest version of one key among the tables a Get has probed. A
@@ -591,10 +548,6 @@ Status RangeEngine::Scan(
     std::vector<std::pair<std::string, std::string>>* out) {
   const sim::CostModel& costs = sim::DefaultCostModel();
   throttle_->Charge(costs.request_dispatch_us + costs.scan_seek_us);
-  {
-    std::lock_guard<std::mutex> l(stats_mu_);
-    stats_.scans++;
-  }
   SequenceNumber snapshot = last_sequence_.load();
 
   std::string pos = start_key.ToString();
@@ -764,9 +717,7 @@ Status RangeEngine::Scan(
 void RangeEngine::MaintenanceTick() {
   // 1. Drange reorganization (Section 4.1).
   if (options_.enable_dranges && drange_->NeedsReorg()) {
-    if (!drange_->MaybeReorg().empty()) {
-      HandleReorg();
-    }
+    Reorganize();
   }
   // 2. Dispatch queued flushes. First break the parked-small-immutable
   // cycle: Drange merge outputs wait in small_immutables_ for the *next*
@@ -832,27 +783,23 @@ bool RangeEngine::FlushesIdleLocked() {
          unpublished_commits_ == 0;
 }
 
-void RangeEngine::HandleReorg() {
-  // Rotate every active memtable: reorganized Dranges get fresh memtables
-  // with a bumped generation id (Section 4.1's second technique).
+void RangeEngine::Reorganize() {
   std::lock_guard<std::mutex> lk(mu_);
-  uint32_t next_gen = 0;
-  for (auto& [did, dm] : actives_) {
-    if (dm.active != nullptr) {
-      next_gen = std::max(next_gen, dm.active->generation() + 1);
+  std::vector<int> moved = drange_->MaybeReorg();
+  if (moved.empty()) {
+    return;
+  }
+  for (auto it = actives_.lower_bound(drange_->num_dranges());
+       it != actives_.end(); ++it) {
+    moved.push_back(it->first);
+  }
+  for (int did : moved) {
+    auto it = actives_.find(did);
+    if (it != actives_.end()) {
+      RetireLocked(it->second);
     }
   }
-  for (auto& [did, dm] : actives_) {
-    if (dm.active != nullptr) {
-      dm.active->MarkImmutable();
-      flush_queue_.push_back(dm.active);
-    }
-  }
-  actives_.clear();
-  // New actives are created lazily on the next put with the new Drange
-  // ids; record the generation they must carry.
-  generation_hint_ = next_gen;
-  // Refine the range index at the new boundaries; splits are idempotent.
+  // Splits are idempotent.
   if (options_.enable_range_index) {
     for (const std::string& b : drange_->Boundaries()) {
       range_index_->SplitAt(b);
@@ -899,7 +846,7 @@ void RangeEngine::FlushTask(MemTableRef mem) {
     DropMemtables(mems);
   } else {
     // Armed: the commit retires the memtable and wakes stalled writers.
-    s = FlushToSSTable(mems, did, mem->generation());
+    s = FlushToSSTable(mems);
   }
   std::lock_guard<std::mutex> lk(mu_);
   if (!s.ok()) {
@@ -954,7 +901,12 @@ Status RangeEngine::MergeSmallMemtables(const std::vector<MemTableRef>& mems,
         rec.type = parsed.type;
         rec.key = last_key;
         rec.value = merged->value().ToString();
-        logc_->Append(new_mid, rec);
+        Status ls = logc_->Append(new_mid, rec);
+        if (!ls.ok()) {
+          // The inputs keep their log files, which hold every record.
+          logc_->DeleteLogFile(new_mid);
+          return ls;
+        }
       }
     }
     merged->Next();
@@ -965,7 +917,7 @@ Status RangeEngine::MergeSmallMemtables(const std::vector<MemTableRef>& mems,
       new_mem->ApproximateMemoryUsage() >= options_.memtable_size) {
     // Merged result grew past the threshold: flush the inputs for real,
     // through the same pipeline; their SSTable's commit retires them.
-    Status fs = FlushToSSTable(mems, drange_id, mems[0]->generation());
+    Status fs = FlushToSSTable(mems);
     logc_->DeleteLogFile(new_mid);
     return fs;
   }
@@ -1012,7 +964,6 @@ void RangeEngine::DropMemtables(const std::vector<MemTableRef>& mems) {
     std::lock_guard<std::mutex> lk(mu_);
     for (const auto& m : mems) {
       all_memtables_.erase(m->id());
-      mem_spans_.erase(m->id());
     }
   }
   // One StoC DeleteFile per log replica: outside mu_.
@@ -1024,8 +975,7 @@ void RangeEngine::DropMemtables(const std::vector<MemTableRef>& mems) {
   stall_cv_.notify_all();
 }
 
-Status RangeEngine::FlushToSSTable(const std::vector<MemTableRef>& mems,
-                                   int drange_id, uint32_t generation) {
+Status RangeEngine::FlushToSSTable(const std::vector<MemTableRef>& mems) {
   std::vector<Iterator*> children;
   for (const auto& m : mems) {
     children.push_back(m->NewIterator());
@@ -1063,8 +1013,8 @@ Status RangeEngine::FlushToSSTable(const std::vector<MemTableRef>& mems,
   auto built = builder.Finish(output->number, popt.rho);
   output->data_size = built.data.size();
   output->raw_size = built.raw_bytes;
-  Status s = placer_->StartWrite(std::move(built), drange_id, generation,
-                                 &output->pending, kMaxFlushWritesPerStoc);
+  Status s = placer_->StartWrite(std::move(built), &output->pending,
+                                 kMaxFlushWritesPerStoc);
   if (!s.ok()) {
     ReleaseNumbers(output->number);
     return s;
@@ -1196,7 +1146,6 @@ void RangeEngine::CommitBatch(
     for (FlushOutput* out : written) {
       for (const auto& m : out->mems) {
         all_memtables_.erase(m->id());
-        mem_spans_.erase(m->id());
         range_index_->RemoveMemtable(m->id());
       }
     }
@@ -1214,7 +1163,6 @@ void RangeEngine::CommitBatch(
     std::lock_guard<std::mutex> l(stats_mu_);
     for (FlushOutput* out : written) {
       stats_.flushes++;
-      stats_.bytes_flushed += out->data_size;
       stats_.sstable_stored_bytes += out->data_size;
       stats_.sstable_raw_bytes += out->raw_size;
     }
@@ -1761,14 +1709,7 @@ std::string RangeEngine::SnapshotRecord() {
 
 Status RangeEngine::InstallFromMigrationState(const Slice& state,
                                               int recovery_threads) {
-  lsm::VersionEdit edit;
-  Status s = edit.DecodeFrom(state);
-  if (!s.ok()) {
-    return s;
-  }
-  std::string record;
-  edit.EncodeTo(&record);
-  s = versions_->Recover({record});
+  Status s = versions_->Recover({state.ToString()});
   if (!s.ok()) {
     return s;
   }
@@ -1786,11 +1727,10 @@ void RangeEngine::BeginDecommission() {
 
 void RangeEngine::FlushAllMemtables() {
   std::lock_guard<std::mutex> lk(mu_);
-  for (auto& [did, dm] : actives_) {
-    if (dm.active != nullptr && dm.active->num_entries() > 0) {
-      dm.active->MarkImmutable();
-      flush_queue_.push_back(dm.active);
-      dm.active = nullptr;
+  for (auto it = actives_.begin(); it != actives_.end();) {
+    MemTableRef mem = (it++)->second;  // RetireLocked erases its entry
+    if (mem->num_entries() > 0) {
+      RetireLocked(std::move(mem));
     }
   }
 }
@@ -1846,11 +1786,9 @@ std::string RangeEngine::DebugMaintenanceState() {
       out += buf;
     }
     out += " actives=[";
-    for (const auto& [did, dm] : actives_) {
-      snprintf(buf, sizeof(buf), "%d:%s ", did,
-               dm.active == nullptr
-                   ? "null"
-                   : std::to_string(dm.active->num_entries()).c_str());
+    for (const auto& [did, mem] : actives_) {
+      snprintf(buf, sizeof(buf), "%d:%llu ", did,
+               (unsigned long long)mem->num_entries());
       out += buf;
     }
     out += "] small=[";

@@ -1,7 +1,7 @@
 // RangeEngine: one application range's LSM-tree at an LTC (paper
 // Section 4). It ties together every Nova-LSM mechanism:
-//   * θ Dranges, each with an active memtable; minor/major reorganizations
-//     rotate affected actives and bump the generation id;
+//   * θ Dranges, each with an active memtable; a minor or major
+//     reorganization retires the actives of the Dranges it moved;
 //   * the lookup index (key -> memtable | L0 SSTable via MIDToTable) and
 //     the range index (keyspace partitions -> overlapping tables);
 //   * flushing with the small-memtable merge policy (< ~100 unique keys
@@ -88,13 +88,11 @@ struct RangeEngineOptions {
 struct RangeStats {
   uint64_t puts = 0;
   uint64_t gets = 0;
-  uint64_t scans = 0;
   uint64_t stall_us = 0;
   uint64_t stall_events = 0;
   uint64_t flushes = 0;
   uint64_t memtable_merges = 0;
   uint64_t compactions = 0;
-  uint64_t bytes_flushed = 0;
   uint64_t lookup_index_hits = 0;
   uint64_t lookup_index_misses = 0;
   /// Data-block cache counters. The cache tiers are node-wide, so only
@@ -154,13 +152,11 @@ struct RangeStats {
   RangeStats& operator+=(const RangeStats& o) {
     puts += o.puts;
     gets += o.gets;
-    scans += o.scans;
     stall_us += o.stall_us;
     stall_events += o.stall_events;
     flushes += o.flushes;
     memtable_merges += o.memtable_merges;
     compactions += o.compactions;
-    bytes_flushed += o.bytes_flushed;
     lookup_index_hits += o.lookup_index_hits;
     lookup_index_misses += o.lookup_index_misses;
     block_cache_hits += o.block_cache_hits;
@@ -209,9 +205,10 @@ class RangeEngine {
   RangeEngine(const RangeEngine&) = delete;
   RangeEngine& operator=(const RangeEngine&) = delete;
 
-  /// Create the active memtable(s) and, unless the range holds its MANIFEST
-  /// replicas already, write them. Call once before use: after recovering
-  /// or installing the range's state when it moves here.
+  /// Unless the range holds its MANIFEST replicas already, write them. Call
+  /// once before use: after recovering or installing the range's state when
+  /// it moves here. (Each Drange's active memtable is created by the first
+  /// put that routes to it.)
   void Bootstrap();
 
   Status Put(const Slice& key, const Slice& value);
@@ -308,15 +305,24 @@ class RangeEngine {
   std::string DebugFindNewest(const Slice& key);
 
  private:
-  struct DrangeMem {
-    MemTableRef active;
-  };
-
-  MemTableRef NewMemTableLocked(int drange_id);
-  /// Route a put; handles stalls and rotation. Returns the memtable.
+  /// A new active memtable for Drange did, registered in the range index
+  /// under the Drange's bounds. Requires mu_.
+  MemTableRef NewMemTableLocked(int did);
+  /// Route a put to its Drange's active memtable, creating or retiring it
+  /// there under the same hold of mu_ (handles the stalls), then log the
+  /// record and add it to the memtable.
   Status RouteAndAppend(SequenceNumber seq, ValueType type, const Slice& key,
                         const Slice& value);
-  void RotateLocked(int drange_id, std::unique_lock<std::mutex>* lk);
+  /// The one way an active memtable retires: it stops taking writes and
+  /// goes to the flush queue, unless it is no longer its Drange's active.
+  /// Requires mu_.
+  void RetireLocked(MemTableRef mem);
+  /// A Drange reorganization as one step under mu_ (Section 4.1): retire
+  /// the actives of the Dranges it moved, and of the Drange ids a major
+  /// reorganization dropped, and split the range index at the new bounds.
+  /// No put routes by the new bounds into a memtable registered under the
+  /// old ones.
+  void Reorganize();
   /// Write stall (Challenge 1): block on stall_cv_ until cleared() holds or
   /// the engine is stopping, counting the event and its wait time.
   /// Returns false when the engine is stopping.
@@ -337,8 +343,7 @@ class RangeEngine {
   /// kMaxFlushWritesPerStoc in flight per StoC across the LTC). Once
   /// armed, the SSTable owns the memtables: its commit retires them, a
   /// failure deletes its pieces and requeues them.
-  Status FlushToSSTable(const std::vector<MemTableRef>& mems, int drange_id,
-                        uint32_t generation);
+  Status FlushToSSTable(const std::vector<MemTableRef>& mems);
   /// An armed SSTable was acknowledged (or overdue): start the range's
   /// commit unless one is forming or appending its batch. Any thread,
   /// never blocks.
@@ -398,7 +403,6 @@ class RangeEngine {
   /// L0 bytes, range-index partitions), then rebuild the memtables and
   /// the lookup index from the log records.
   Status InstallRecoveredState(int recovery_threads);
-  void HandleReorg();
   /// How scans and log rebuilds iterate SSTables: counted into
   /// readahead_counters_, with the rows the caller still wants (kAllRows
   /// for a whole-table sweep; see IteratorOptions::rows).
@@ -430,15 +434,12 @@ class RangeEngine {
   std::atomic<uint64_t> next_mid_{1};
   std::atomic<uint64_t> l0_bytes_{0};
 
-  // Memtable lifecycle. mu_ guards the maps below and rotation; individual
-  // memtable writes use the memtable's own lock.
+  // Memtable lifecycle. mu_ guards the maps below, routing and Drange
+  // reorganizations; individual memtable writes use the memtable's own
+  // lock.
   std::mutex mu_;
   std::condition_variable stall_cv_;
-  std::map<int, DrangeMem> actives_;              // by drange id
-  /// Span each memtable is registered under in the range index; a put
-  /// landing outside it (drange boundary moved between routing and
-  /// rotation) expands the registration so scans never miss the key.
-  std::map<uint64_t, std::pair<std::string, std::string>> mem_spans_;
+  std::map<int, MemTableRef> actives_;             // by drange id
   std::map<uint64_t, MemTableRef> all_memtables_;  // by mid
   std::vector<MemTableRef> flush_queue_;
   std::map<int, std::vector<uint64_t>> small_immutables_;  // drange -> mids
@@ -474,8 +475,6 @@ class RangeEngine {
   /// L0 file number -> the mids flushed into it (for index upkeep when the
   /// file is compacted away).
   std::map<uint64_t, std::vector<uint64_t>> file_to_mids_;
-  /// Generation for actives created after a reorganization.
-  uint32_t generation_hint_ = 0;
 
   mutable std::mutex stats_mu_;
   RangeStats stats_;

@@ -125,15 +125,5 @@ size_t RangeIndex::num_partitions() const {
   return partitions_.size();
 }
 
-size_t RangeIndex::ApproximateBytes() const {
-  std::shared_lock<std::shared_mutex> l(mu_);
-  size_t bytes = 0;
-  for (const auto& p : partitions_) {
-    bytes += p.lower.size() + p.upper.size() +
-             8 * (p.memtables.size() + p.l0_files.size()) + 32;
-  }
-  return bytes;
-}
-
 }  // namespace ltc
 }  // namespace nova

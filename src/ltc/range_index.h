@@ -48,8 +48,6 @@ class RangeIndex {
   PartitionView Collect(const Slice& key) const;
 
   size_t num_partitions() const;
-  /// Approximate memory footprint (paper: 6 KB at its scale).
-  size_t ApproximateBytes() const;
 
  private:
   struct Partition {

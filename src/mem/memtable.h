@@ -3,10 +3,8 @@
 // one active memtable per Drange, more for duplicated Dranges). Each
 // memtable carries:
 //   * a unique id (`mid`) used by the lookup index's MIDToTable indirection
-//     (paper Section 4.1.1),
-//   * a generation id incremented by Drange reorganizations so flushes can
-//     preserve ordering across boundary changes (paper Section 4.1),
-//   * the id of its Drange and of its LogC log file.
+//     (paper Section 4.1.1) and naming its LogC log file,
+//   * the id of its Drange.
 // Adds take a per-memtable mutex (writers to *different* memtables never
 // contend — the point of multiple active memtables); reads are lock-free.
 #ifndef NOVA_MEM_MEMTABLE_H_
@@ -72,23 +70,9 @@ class MemTable {
 
   uint64_t id() const { return id_; }
 
-  uint32_t generation() const {
-    return generation_.load(std::memory_order_relaxed);
-  }
-  void set_generation(uint32_t g) {
-    generation_.store(g, std::memory_order_relaxed);
-  }
-
   int drange_id() const { return drange_id_.load(std::memory_order_relaxed); }
   void set_drange_id(int d) {
     drange_id_.store(d, std::memory_order_relaxed);
-  }
-
-  uint64_t log_file_id() const {
-    return log_file_id_.load(std::memory_order_relaxed);
-  }
-  void set_log_file_id(uint64_t id) {
-    log_file_id_.store(id, std::memory_order_relaxed);
   }
 
   /// Marked when the table stops accepting writes.
@@ -115,9 +99,7 @@ class MemTable {
   Table table_;
   std::mutex write_mu_;
   std::atomic<uint64_t> num_entries_;
-  std::atomic<uint32_t> generation_{0};
   std::atomic<int> drange_id_{-1};
-  std::atomic<uint64_t> log_file_id_{0};
   std::atomic<bool> immutable_{false};
 };
 

@@ -209,7 +209,7 @@ class AsyncStocTest : public testing::Test {
     *data_copy = built.data;
     lsm::SSTablePlacer placer(client_.get(), Placement());
     auto out = std::make_shared<lsm::FileMetaData>();
-    Status s = placer.Write(std::move(built), 0, 0, out.get());
+    Status s = placer.Write(std::move(built), out.get());
     EXPECT_TRUE(s.ok()) << s.ToString();
     return out;
   }
@@ -513,7 +513,7 @@ TEST_F(AsyncStocTest, FailedCompactionLeavesNoOutputBehind) {
     ASSERT_TRUE(input_placer
                     .Write(builder.Finish(/*file_number=*/t + 1,
                                           /*num_fragments=*/t + 1),
-                           0, 0, out.get())
+                           out.get())
                     .ok());
     inputs.push_back(out);
   }

@@ -16,7 +16,6 @@
 #include "baseline/baseline.h"
 #include "bench_core/workload.h"
 #include "coord/cluster.h"
-#include "client/nova_client.h"
 #include "lsm/table_io.h"
 #include "lsm/version.h"
 #include "sstable/block.h"
@@ -197,6 +196,92 @@ TEST_F(IntegrationTest, ScanMatchesOracle) {
                                            oracle.end()));
     EXPECT_EQ(got.size(), expected);
   }
+}
+
+// Scans under Drange reorganization churn. Two writers put each key once,
+// a block of 100 keys at a time in a jumping block order, so the hot block
+// keeps moving and the Dranges keep reorganizing; three scanners start
+// every scan inside the block being written. A scan misses no key
+// acknowledged before it began: a memtable takes only keys inside the
+// bounds it is registered under in the range index.
+TEST_F(IntegrationTest, ScansMissNoAckedKeyUnderReorgChurn) {
+  ClusterOptions opt = FastOptions(1, 3);
+  opt.range.log.mode = logc::LogMode::kNone;
+  StartCluster(opt);
+  constexpr int kBlocks = 40;
+  constexpr int kBlockKeys = 100;
+  constexpr int kKeys = kBlocks * kBlockKeys;
+  constexpr size_t kRows = 20;
+  // The i-th put writes this key: blocks in the order 0, 17, 34, 11, ...
+  auto key_at = [](int i) {
+    return (i / kBlockKeys * 17) % kBlocks * kBlockKeys + i % kBlockKeys;
+  };
+  auto index_of = [](const std::string& key) {
+    return std::stoi(key.substr(4));
+  };
+  std::atomic<int> next{0};
+  // Per key, its ticket from acks once its put was acknowledged (0 before).
+  std::atomic<uint64_t> acks{0};
+  std::vector<std::atomic<uint64_t>> acked_at(kKeys);
+  for (auto& a : acked_at) {
+    a.store(0);
+  }
+  std::atomic<int> failed_ops{0};
+  std::atomic<int> scans{0};
+  std::mutex misses_mu;
+  std::vector<std::string> misses;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; w++) {
+    threads.emplace_back([&] {
+      for (int i = next.fetch_add(1); i < kKeys; i = next.fetch_add(1)) {
+        int k = key_at(i);
+        if (!cluster_->Put(Key(k), std::string(100, 'v')).ok()) {
+          failed_ops.fetch_add(1);
+          continue;
+        }
+        acked_at[k].store(acks.fetch_add(1) + 1);
+      }
+    });
+  }
+  for (int r = 0; r < 3; r++) {
+    threads.emplace_back([&, r] {
+      Random rng(r * 7 + 1);
+      while (next.load() < kKeys) {
+        int block = key_at(std::min(next.load(), kKeys - 1)) / kBlockKeys;
+        int start =
+            block * kBlockKeys + static_cast<int>(rng.Uniform(kBlockKeys));
+        uint64_t began = acks.load();
+        std::vector<std::pair<std::string, std::string>> rows;
+        if (!cluster_->Scan(Key(start), kRows, &rows).ok()) {
+          failed_ops.fetch_add(1);
+          continue;
+        }
+        scans.fetch_add(1);
+        // The span the scan answers for: up to its last row, or to the end
+        // of the keyspace when it returned fewer rows than asked.
+        int end = rows.size() < kRows ? kKeys : index_of(rows.back().first) + 1;
+        std::set<int> got;
+        for (const auto& row : rows) {
+          got.insert(index_of(row.first));
+        }
+        for (int k = start; k < end; k++) {
+          uint64_t t = acked_at[k].load();
+          if (t != 0 && t <= began && got.count(k) == 0) {
+            std::lock_guard<std::mutex> l(misses_mu);
+            misses.push_back(Key(k) + " in a scan from " + Key(start));
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(failed_ops.load(), 0);
+  EXPECT_GT(scans.load(), 0);
+  EXPECT_GT(cluster_->ltc(0)->ranges()[0]->dranges()->num_minor_reorgs(), 0u);
+  EXPECT_TRUE(misses.empty()) << misses.size() << " acknowledged keys missed, "
+                              << "first: " << misses.front();
 }
 
 TEST_F(IntegrationTest, ScanSeesDeletes) {
@@ -419,25 +504,6 @@ TEST_F(IntegrationTest, ScanContinuesPastLtcsWithNoRows) {
   }
 }
 
-TEST_F(IntegrationTest, ClientRoutesAndRefreshesConfig) {
-  ClusterOptions opt = FastOptions(2, 2);
-  opt.split_points = bench::EvenSplitPoints(1000, 2);
-  StartCluster(opt);
-  client::NovaClient client(cluster_.get());
-  ASSERT_TRUE(client.Put(Key(10), "a").ok());
-  ASSERT_TRUE(client.Put(Key(900), "b").ok());
-  std::string value;
-  ASSERT_TRUE(client.Get(Key(10), &value).ok());
-  EXPECT_EQ(value, "a");
-  // Migrate range 0 to LTC 1 and keep using the same client.
-  ASSERT_TRUE(cluster_->MigrateRange(0, 1, 2).ok());
-  ASSERT_TRUE(client.Get(Key(10), &value).ok());
-  EXPECT_EQ(value, "a");
-  ASSERT_TRUE(client.Put(Key(10), "a2").ok());
-  ASSERT_TRUE(client.Get(Key(10), &value).ok());
-  EXPECT_EQ(value, "a2");
-}
-
 TEST_F(IntegrationTest, MemtableMergeAvoidsFlushes) {
   ClusterOptions opt = FastOptions(1, 2);
   opt.range.unique_key_threshold = 50;
@@ -481,6 +547,33 @@ TEST_F(IntegrationTest, LtcCrashRecoveryFromLogsAndManifest) {
                           << " newest=" << recovered->DebugFindNewest(key)
                           << " index=" << recovered->DebugLookupState(key);
   }
+}
+
+// A put whose log append fails is not acknowledged from the memtable
+// alone: it retries in a memtable whose record reaches the log, so an LTC
+// crash right after loses none of the acknowledged puts.
+TEST_F(IntegrationTest, PutIsAckedOnlyOnceItsRecordIsLogged) {
+  ClusterOptions opt = FastOptions(2, 3);
+  opt.split_points = bench::EvenSplitPoints(1000, 2);
+  StartCluster(opt);
+  for (int i = 0; i < 50; i++) {
+    util::FailPoint::EnableError("logc.append",
+                                 Status::Unavailable("injected"),
+                                 util::FailPoint::Trigger::Once());
+    ASSERT_TRUE(cluster_->Put(Key(i), "v" + std::to_string(i)).ok());
+  }
+  util::FailPoint::DisableAll();
+  cluster_->KillLtc(0);
+  ASSERT_TRUE(cluster_->RecoverLtcRanges(0, 1, 4).ok());
+  int lost = 0;
+  for (int i = 0; i < 50; i++) {
+    std::string got;
+    Status s = cluster_->Get(Key(i), &got);
+    if (!s.ok() || got != "v" + std::to_string(i)) {
+      lost++;
+    }
+  }
+  EXPECT_EQ(lost, 0) << "of 50 acknowledged puts";
 }
 
 /// Seeded repro loop for the recovery stale-read flake: the lookup-index
@@ -919,6 +1012,78 @@ bool WaitUntil(Cond cond, int timeout_ms = 10000) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return true;
+}
+
+// A minor reorganization retires the active memtables of the two Dranges
+// it moved a Trange between; every other Drange keeps its active
+// memtable, which goes on taking that Drange's writes.
+TEST_F(IntegrationTest, MinorReorgRotatesOnlyTheDrangesItMoved) {
+  ClusterOptions opt = FastOptions(1, 3);
+  opt.range.memtable_size = 4 << 20;  // no memtable fills up
+  opt.range.drange.warmup_writes = 400;
+  opt.range.drange.epsilon = 0.15;  // minor above a 0.40 share
+  StartCluster(opt);
+  auto* engine = cluster_->ltc(0)->ranges()[0];
+  ltc::DrangeManager* dranges = engine->dranges();
+  constexpr int kKeys = 4000;
+  // Uniform writes until the first major reorganization builds θ = 4
+  // Dranges; it restarts the write counts.
+  Random rng(21);
+  for (int i = 0; i < 400; i++) {
+    ASSERT_TRUE(cluster_->Put(Key(rng.Uniform(kKeys)), "w").ok());
+  }
+  ASSERT_TRUE(WaitUntil([&] { return dranges->num_major_reorgs() == 1; }));
+  const int n = dranges->num_dranges();
+  ASSERT_EQ(n, 4);
+  std::vector<std::pair<std::string, std::string>> bounds(n);
+  std::vector<std::vector<int>> keys(n);
+  for (int d = 0; d < n; d++) {
+    bounds[d] = dranges->DrangeBounds(d);
+    for (int k = 0; k < kKeys; k++) {
+      std::string key = Key(k);
+      if (key >= bounds[d].first &&
+          (bounds[d].second.empty() || key < bounds[d].second)) {
+        keys[d].push_back(k);
+      }
+    }
+    ASSERT_FALSE(keys[d].empty()) << "Drange " << d;
+  }
+  // One put per Drange creates its active memtable; the lookup index names
+  // the memtable that took it.
+  auto mid_of = [&](int k) {
+    std::string state = engine->DebugLookupState(Key(k));
+    return state.substr(0, state.find(' '));
+  };
+  std::vector<std::string> mids(n);
+  for (int d = 0; d < n; d++) {
+    int k = keys[d][keys[d].size() / 2];
+    ASSERT_TRUE(cluster_->Put(Key(k), "probe").ok());
+    mids[d] = mid_of(k);
+  }
+  // Drange 0 takes 9 of every 20 writes: a share above 1/θ + ε but below
+  // the major reorganization's 2/θ. Moving its last Trange to Drange 1
+  // balances the load.
+  for (int i = 0; i < 396; i++) {
+    int d = i % 20 < 9 ? 0 : 1 + i % 3;
+    ASSERT_TRUE(
+        cluster_->Put(Key(keys[d][rng.Uniform(keys[d].size())]), "w").ok());
+  }
+  ASSERT_TRUE(WaitUntil([&] {
+    return dranges->num_minor_reorgs() > 0 && !dranges->NeedsReorg();
+  }));
+  ASSERT_EQ(dranges->num_major_reorgs(), 1u);
+  int kept = 0;
+  for (int d = 0; d < n; d++) {
+    if (dranges->DrangeBounds(d) != bounds[d]) {
+      continue;
+    }
+    kept++;
+    int k = keys[d][keys[d].size() / 2];
+    ASSERT_TRUE(cluster_->Put(Key(k), "after").ok());
+    EXPECT_EQ(mid_of(k), mids[d]) << "Drange " << d << " kept its bounds";
+  }
+  EXPECT_GE(kept, 1);
+  EXPECT_LT(kept, n);
 }
 
 /// SSTable pieces (data, metadata, parity) of the engine's range on the

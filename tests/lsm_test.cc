@@ -34,14 +34,12 @@ std::string Key(uint64_t i) {
   return buf;
 }
 
-FileMetaData MakeFile(uint64_t number, uint64_t lo, uint64_t hi,
-                      int drange = -1) {
+FileMetaData MakeFile(uint64_t number, uint64_t lo, uint64_t hi) {
   FileMetaData f;
   f.number = number;
   f.data_size = 1000;
   f.smallest = InternalKey(Key(lo), 1, kTypeValue);
   f.largest = InternalKey(Key(hi), 1, kTypeValue);
-  f.drange_id = drange;
   f.fragments = {{BlockLocation{0, number * 10}}};
   f.fragment_sizes = {1000};
   f.meta_replicas = {BlockLocation{0, number * 10 + 1}};
@@ -49,13 +47,12 @@ FileMetaData MakeFile(uint64_t number, uint64_t lo, uint64_t hi,
 }
 
 TEST(FileMetaTest, EncodeDecodeRoundTrip) {
-  FileMetaData f = MakeFile(42, 100, 200, 3);
+  FileMetaData f = MakeFile(42, 100, 200);
   f.fragments = {{BlockLocation{1, 11}, BlockLocation{2, 22}},
                  {BlockLocation{3, 33}}};
   f.fragment_sizes = {600, 400};
   f.meta_replicas = {BlockLocation{1, 44}, BlockLocation{2, 55}};
   f.parity = BlockLocation{4, 66};
-  f.generation = 7;
 
   std::string buf;
   f.EncodeTo(&buf);
@@ -63,8 +60,6 @@ TEST(FileMetaTest, EncodeDecodeRoundTrip) {
   FileMetaData g;
   ASSERT_TRUE(g.DecodeFrom(&in).ok());
   EXPECT_EQ(g.number, 42u);
-  EXPECT_EQ(g.drange_id, 3);
-  EXPECT_EQ(g.generation, 7u);
   ASSERT_EQ(g.fragments.size(), 2u);
   EXPECT_EQ(g.fragments[0][1].stoc_id, 2);
   EXPECT_EQ(g.fragments[0][1].file_id, 22u);
@@ -396,7 +391,7 @@ TEST_P(CompactionPickerProperty, JobsAreDisjoint) {
     for (int i = 0; i < 1 + static_cast<int>(rng.Uniform(4)); i++) {
       uint64_t a = lo + rng.Uniform(400);
       uint64_t b = a + 1 + rng.Uniform(400);
-      e.new_files.emplace_back(0, MakeFile(number++, a, std::min(b, lo + 999), d));
+      e.new_files.emplace_back(0, MakeFile(number++, a, std::min(b, lo + 999)));
     }
   }
   for (int i = 0; i < 6; i++) {

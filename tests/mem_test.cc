@@ -231,12 +231,8 @@ TEST_F(MemTableTest, ConcurrentWritersAndReaders) {
 
 TEST_F(MemTableTest, MetadataFields) {
   EXPECT_EQ(mem_->id(), 1u);
-  mem_->set_generation(3);
-  EXPECT_EQ(mem_->generation(), 3u);
   mem_->set_drange_id(7);
   EXPECT_EQ(mem_->drange_id(), 7);
-  mem_->set_log_file_id(99);
-  EXPECT_EQ(mem_->log_file_id(), 99u);
   EXPECT_FALSE(mem_->immutable());
   mem_->MarkImmutable();
   EXPECT_TRUE(mem_->immutable());

@@ -80,7 +80,7 @@ class PlacementTest : public testing::Test {
     lsm::SSTablePlacer placer(client_.get(), popt);
     std::vector<lsm::FileMetaData> out(tables);
     for (int t = 0; t < tables; t++) {
-      Status s = placer.Write(BuildTable(t + 1, popt.rho), 0, 0, &out[t]);
+      Status s = placer.Write(BuildTable(t + 1, popt.rho), &out[t]);
       EXPECT_TRUE(s.ok()) << s.ToString();
     }
     return out;
@@ -158,7 +158,7 @@ TEST_F(PlacementTest, WriteLandsWithBothReplicasOnTheOneRoutableStoc) {
   std::string data = built.data;
   lsm::SSTablePlacer placer(client_.get(), popt);
   lsm::FileMetaData meta;
-  Status s = placer.Write(std::move(built), 0, 0, &meta);
+  Status s = placer.Write(std::move(built), &meta);
   ASSERT_TRUE(s.ok()) << s.ToString();
   ASSERT_EQ(meta.fragments.size(), 1u);
   ASSERT_EQ(meta.fragments[0].size(), 2u);
