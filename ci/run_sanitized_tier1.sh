@@ -45,7 +45,11 @@
 # and compactions with the lookup index on and off), the tests that a
 # removed StoC fails its RPCs at once
 # (AsyncRpcTest.RemovedPeerFailsItsWaitersAtOnce,
-# KilledStocFailsArmedFlushAtOnce), the LTC crash-recovery seeds
+# KilledStocFailsArmedFlushAtOnce), the suites of the wake-ups that
+# deliver every RPC (FabricTest, RpcTest, AsyncRpcTest, AsyncStocTest,
+# ReadPathTest: xchg threads wait on their queue until a message lands,
+# and a StoC read gather waits for a completion, its hedge or its
+# deadline), the LTC crash-recovery seeds
 # (RecoveryRepro), the test that a put is acknowledged only once its log
 # record is in the log (PutIsAckedOnlyOnceItsRecordIsLogged) and the scans
 # racing Drange reorganizations (ScansMissNoAckedKeyUnderReorgChurn) under
@@ -91,7 +95,8 @@ run_one() {
 # Chaos stage: the 10-seed kill/restart + failpoint suite plus the
 # MANIFEST placement, repair, graceful-removal, placement, MANIFEST
 # group-commit, flush-pipeline, piece-deletion, read-error, StoC-removal,
-# LTC-recovery, log-acknowledgment and reorganizing-scan tests,
+# RPC wake-up, LTC-recovery, log-acknowledgment and reorganizing-scan
+# tests,
 # serialized
 # (-j 1) because each test churns a whole cluster and the timing
 # assumptions (death verdicts, probe intervals) degrade when
@@ -102,7 +107,7 @@ run_chaos() {
   cmake -S "${repo_root}" -B "${build_dir}" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSANITIZE=thread >/dev/null
   cmake --build "${build_dir}" -j "$(nproc)" >/dev/null
-  local tests="ChaosTest|ManifestStocDeathTest|FlushesCommitAfterTheManifestStocDies|RecoveryFailsWhenNoManifestReplicaAnswers|StaleManifestReplicaNeverWinsRecovery|RepairTest|GracefulRemove|PlacementTest|VersionSetGroupCommitTest|FlushCommitDoesNotBlockGetsOrRouting|FlushPipelineKeepsTwoWritesPerStoc|FailedFlushLeavesNoPiecesBehind|RecoveryDropsUncommittedTables|GcKeepsTablesAwaitingCommit|HeldVersionKeepsCompactedTablesReadable|CompactionRetriedAfterFailedApplyDeletesItsInputs|MigratedRangeDeletesHeldTablesAfterRelease|GcBetweenLtcCrashAndRecoveryLosesNoKey|StocDeathGetTest|GetsDuringCompactionsTest|RemovedPeerFailsItsWaitersAtOnce|KilledStocFailsArmedFlushAtOnce|RecoveryRepro|PutIsAckedOnlyOnceItsRecordIsLogged|ScansMissNoAckedKeyUnderReorgChurn"
+  local tests="ChaosTest|ManifestStocDeathTest|FlushesCommitAfterTheManifestStocDies|RecoveryFailsWhenNoManifestReplicaAnswers|StaleManifestReplicaNeverWinsRecovery|RepairTest|GracefulRemove|PlacementTest|VersionSetGroupCommitTest|FlushCommitDoesNotBlockGetsOrRouting|FlushPipelineKeepsTwoWritesPerStoc|FailedFlushLeavesNoPiecesBehind|RecoveryDropsUncommittedTables|GcKeepsTablesAwaitingCommit|HeldVersionKeepsCompactedTablesReadable|CompactionRetriedAfterFailedApplyDeletesItsInputs|MigratedRangeDeletesHeldTablesAfterRelease|GcBetweenLtcCrashAndRecoveryLosesNoKey|StocDeathGetTest|GetsDuringCompactionsTest|RemovedPeerFailsItsWaitersAtOnce|KilledStocFailsArmedFlushAtOnce|FabricTest|RpcTest|AsyncRpcTest|AsyncStocTest|ReadPathTest|RecoveryRepro|PutIsAckedOnlyOnceItsRecordIsLogged|ScansMissNoAckedKeyUnderReorgChurn"
   echo "==> [chaos] ctest -R ${tests} (TSan)"
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     ctest --test-dir "${build_dir}" -R "${tests}" -j 1 \

@@ -693,6 +693,9 @@ Status RangeEngine::Scan(
       if (++failed_reads > kScanStretchRetries) {
         return read_status;
       }
+      scan_stretch_retries_.fetch_add(1);
+      NOVA_WARN("scan retries a stretch after a failed read: %s",
+                read_status.ToString().c_str());
       continue;
     }
     failed_reads = 0;

@@ -294,6 +294,10 @@ class RangeEngine {
   /// For fault-injection tests: how many Gets met a table they could not
   /// open or read.
   uint64_t degraded_gets() const { return degraded_gets_.load(); }
+  /// How many times a Scan re-collected a stretch after a failed read.
+  uint64_t scan_stretch_retries() const {
+    return scan_stretch_retries_.load();
+  }
 
   /// Diagnostic: where does the lookup index say `key` lives, and what is
   /// the newest sequence actually present there (tests/debugging).
@@ -480,6 +484,7 @@ class RangeEngine {
   RangeStats stats_;
   ReadaheadCounters readahead_counters_;
   std::atomic<uint64_t> degraded_gets_{0};
+  std::atomic<uint64_t> scan_stretch_retries_{0};
   /// Guards manifest_ only: never held across an RPC, so the maintenance
   /// tick never waits on a MANIFEST append.
   std::mutex manifest_mu_;

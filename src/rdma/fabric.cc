@@ -33,6 +33,7 @@ void RdmaFabric::RemoveNode(NodeId node) {
       m.kind = InboundMessage::Kind::kPeerDown;
       m.src = node;
       peer.inbound.push_back(std::move(m));
+      peer.arrival.notify_one();
     }
   }
 }
@@ -169,6 +170,7 @@ Status RdmaFabric::Write(NodeId src, const Slice& data,
     m.src = src;
     m.imm = imm;
     it->second.inbound.push_back(std::move(m));
+    it->second.arrival.notify_one();
   }
   return Status::OK();
 }
@@ -190,19 +192,22 @@ Status RdmaFabric::Send(NodeId src, NodeId dst, const Slice& msg,
   m.imm = imm;
   m.payload = msg.ToString();
   it->second.inbound.push_back(std::move(m));
+  it->second.arrival.notify_one();
   stats_.num_sends.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_sent.fetch_add(msg.size(), std::memory_order_relaxed);
   return Status::OK();
 }
 
-bool RdmaFabric::PollInbound(NodeId node, InboundMessage* msg) {
-  std::lock_guard<std::mutex> l(mu_);
-  auto it = nodes_.find(node);
-  if (it == nodes_.end() || !it->second.alive || it->second.inbound.empty()) {
+bool RdmaFabric::PollInbound(NodeId node, InboundMessage* msg,
+                             std::chrono::microseconds wait) {
+  std::unique_lock<std::mutex> l(mu_);
+  Node& n = nodes_[node];
+  if (!n.arrival.wait_for(l, wait,
+                          [&n] { return n.alive && !n.inbound.empty(); })) {
     return false;
   }
-  *msg = std::move(it->second.inbound.front());
-  it->second.inbound.pop_front();
+  *msg = std::move(n.inbound.front());
+  n.inbound.pop_front();
   return true;
 }
 

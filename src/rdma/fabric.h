@@ -5,21 +5,24 @@
 //    between a local buffer and a registered remote region as an
 //    initiator-side memcpy — the target's threads are never involved.
 //  * A WRITE or SEND may carry 4 bytes of immediate data, in which case
-//    the target is notified via its inbound completion queue (which its
-//    xchg threads poll).
+//    the target is notified via its inbound completion queue (on which
+//    its xchg threads wait).
 //  * SEND delivers a message payload to the target's inbound queue.
 //  * Reliable connected semantics: no drops; operations to a failed node
 //    return Status::Unavailable (connection error).
 //
 // Timing: network transfer times at 56 Gbps are sub-microsecond for the
 // block sizes used here and cannot be reproduced with OS sleeps, so the
-// fabric does not sleep; the *CPU* costs of issuing verbs and polling are
-// charged to per-node CpuThrottles by callers (see sim/cost_model.h),
-// which is the effect the paper measures (xchg threads pulling requests).
+// fabric does not sleep, and a message wakes a thread waiting on its
+// target's queue the moment it lands; the *CPU* costs of issuing verbs
+// and polling are charged to per-node CpuThrottles by callers (see
+// sim/cost_model.h), which is the effect the paper measures (xchg
+// threads pulling requests).
 #ifndef NOVA_RDMA_FABRIC_H_
 #define NOVA_RDMA_FABRIC_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -98,8 +101,13 @@ class RdmaFabric {
   /// Two-sided RDMA SEND: deliver msg to dst's inbound queue.
   Status Send(NodeId src, NodeId dst, const Slice& msg, uint32_t imm = 0);
 
-  /// Non-blocking poll of node's inbound queue.
-  bool PollInbound(NodeId node, InboundMessage* msg);
+  /// Take the next message off node's inbound queue, waiting up to `wait`
+  /// for one to arrive (a wait of 0 polls without blocking). False when
+  /// the wait ends with nothing queued; a node off the fabric has nothing
+  /// queued, so its pollers wait out the whole bound.
+  bool PollInbound(NodeId node, InboundMessage* msg,
+                   std::chrono::microseconds wait =
+                       std::chrono::microseconds(0));
 
   size_t InboundDepth(NodeId node) const;
 
@@ -120,6 +128,8 @@ class RdmaFabric {
     bool alive = false;
     std::map<uint32_t, std::shared_ptr<MemoryRegion>> regions;
     std::deque<InboundMessage> inbound;
+    /// Signalled once per message queued on `inbound`.
+    std::condition_variable arrival;
   };
 
   /// Resolve a remote address to a host pointer, or fail. On success

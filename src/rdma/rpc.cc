@@ -189,25 +189,20 @@ void RpcEndpoint::Stop() {
 void RpcEndpoint::XchgLoop(int thread_index) {
   (void)thread_index;
   const sim::CostModel& costs = sim::DefaultCostModel();
-  // Exponential back-off when idle (paper Section 3.2): poll aggressively
-  // under load, sleep up to ~1 ms when there is no work.
-  int idle_us = 1;
-  int empty_polls = 0;
+  // Wait on the node's queue until a message lands (paper Section 3.2's
+  // xchg threads poll; here the fabric wakes them, so no message waits
+  // for a sleeping poller). The 1 ms bound only lets the thread see Stop.
+  int empty_waits = 0;
   while (running_.load(std::memory_order_relaxed)) {
     InboundMessage msg;
-    if (fabric_->PollInbound(node_, &msg)) {
-      idle_us = 1;
+    if (fabric_->PollInbound(node_, &msg, std::chrono::milliseconds(1))) {
       throttle_->Charge(costs.xchg_poll_us + costs.rdma_message_us);
       Dispatch(msg);
-    } else {
+    } else if (++empty_waits >= 64) {
       // Batch the poll charge so an idle node doesn't hammer the throttle
-      // mutex; 64 empty polls ≈ one charged slice.
-      if (++empty_polls >= 64) {
-        throttle_->Charge(costs.xchg_poll_us * empty_polls);
-        empty_polls = 0;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(idle_us));
-      idle_us = std::min(idle_us * 2, 1000);
+      // mutex; 64 empty waits ≈ one charged slice.
+      throttle_->Charge(costs.xchg_poll_us * empty_waits);
+      empty_waits = 0;
     }
   }
 }

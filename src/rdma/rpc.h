@@ -1,7 +1,7 @@
 // Request/response messaging over the RDMA fabric, mirroring the paper's
 // thread model (Section 3.2): each node runs a set of dedicated exchange
-// (xchg) threads that poll their queue pairs, back off exponentially when
-// idle, and delegate actual work to other threads.
+// (xchg) threads that wait on their queue pairs, wake as soon as a message
+// lands, and delegate actual work to other threads.
 //
 // Three message kinds ride on RDMA SEND:
 //   * requests   — dispatched to the node's request handler (which may

@@ -18,7 +18,8 @@ namespace sim {
 struct CostModel {
   // Request admission / networking.
   double request_dispatch_us = 2.0;   // parse + route one client request
-  double xchg_poll_us = 0.3;          // one poll iteration of an xchg thread
+  double xchg_poll_us = 0.3;          // one xchg wake-up: a message, or
+                                      // a 1 ms wait that found none
   double rdma_message_us = 1.0;       // initiator-side cost of a verb
 
   // Write path.

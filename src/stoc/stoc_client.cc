@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "util/failpoint.h"
 
@@ -475,6 +474,29 @@ Status StocClient::GatherReads(std::vector<GatherRead>* reads,
     bool finished = false;
     Status last_error;
   };
+  // Counts completions of this gather's attempts: the gather sleeps until
+  // one lands, a hedge falls due or the deadline passes. Shared with the
+  // completion callbacks, which can outlive the gather when a cancel
+  // loses its race to the response.
+  struct Wake {
+    std::mutex mu;
+    std::condition_variable cv;
+    uint64_t completions = 0;
+  };
+  auto wake = std::make_shared<Wake>();
+  auto start_attempt = [&](Entry& e, const GatherRead& r, bool is_hedge) {
+    const GatherRead::Target& t = r.replicas[e.order[e.next_candidate++]];
+    Attempt a{AsyncReadBlock(t.stoc, t.file_id, r.offset, r.size)};
+    a.is_hedge = is_hedge;
+    a.pending.future_.OnReady([wake] {
+      {
+        std::lock_guard<std::mutex> l(wake->mu);
+        wake->completions++;
+      }
+      wake->cv.notify_one();
+    });
+    e.attempts.push_back(std::move(a));
+  };
   std::vector<Entry> entries(reads->size());
   size_t unfinished = 0;
   for (size_t i = 0; i < reads->size(); i++) {
@@ -505,9 +527,7 @@ Status StocClient::GatherReads(std::vector<GatherRead>* reads,
     }
     e.issued_at_us = NowUs();
     for (size_t a = 0; a < d; a++) {
-      const GatherRead::Target& t = r.replicas[e.order[e.next_candidate++]];
-      e.attempts.push_back(
-          Attempt{AsyncReadBlock(t.stoc, t.file_id, r.offset, r.size)});
+      start_attempt(e, r, /*is_hedge=*/false);
     }
     if (d > 1) {
       pod_reads_.fetch_add(1, std::memory_order_relaxed);
@@ -519,8 +539,13 @@ Status StocClient::GatherReads(std::vector<GatherRead>* reads,
   uint64_t deadline_us =
       NowUs() + static_cast<uint64_t>(timeout_ms) * 1000;
   while (unfinished > 0) {
+    const uint64_t seen = [&] {
+      std::lock_guard<std::mutex> l(wake->mu);
+      return wake->completions;
+    }();
     bool progress = false;
     uint64_t now_us = NowUs();
+    uint64_t wake_at_us = deadline_us;
     for (size_t i = 0; i < reads->size(); i++) {
       GatherRead& r = (*reads)[i];
       Entry& e = entries[i];
@@ -566,10 +591,7 @@ Status StocClient::GatherReads(std::vector<GatherRead>* reads,
         // Every issued attempt failed: fail over to the next candidate,
         // or surface the last error once they are exhausted.
         if (e.next_candidate < e.order.size()) {
-          const GatherRead::Target& t =
-              r.replicas[e.order[e.next_candidate++]];
-          e.attempts.push_back(
-              Attempt{AsyncReadBlock(t.stoc, t.file_id, r.offset, r.size)});
+          start_attempt(e, r, /*is_hedge=*/false);
           progress = true;
         } else {
           r.status = e.last_error.ok()
@@ -582,15 +604,16 @@ Status StocClient::GatherReads(std::vector<GatherRead>* reads,
       }
       // Straggler mitigation: one speculative attempt to the next
       // candidate once the entry is outstanding past the hedge delay.
-      if (policy.hedge && !e.hedged && e.next_candidate < e.order.size() &&
-          now_us - e.issued_at_us >= hedge_delay_us) {
-        const GatherRead::Target& t = r.replicas[e.order[e.next_candidate++]];
-        Attempt hedge{AsyncReadBlock(t.stoc, t.file_id, r.offset, r.size)};
-        hedge.is_hedge = true;
-        e.attempts.push_back(std::move(hedge));
-        e.hedged = true;
-        hedged_issued_.fetch_add(1, std::memory_order_relaxed);
-        progress = true;
+      if (policy.hedge && !e.hedged && e.next_candidate < e.order.size()) {
+        uint64_t due_us = e.issued_at_us + hedge_delay_us;
+        if (now_us >= due_us) {
+          start_attempt(e, r, /*is_hedge=*/true);
+          e.hedged = true;
+          hedged_issued_.fetch_add(1, std::memory_order_relaxed);
+          progress = true;
+        } else {
+          wake_at_us = std::min(wake_at_us, due_us);
+        }
       }
     }
     if (unfinished == 0) {
@@ -615,7 +638,12 @@ Status StocClient::GatherReads(std::vector<GatherRead>* reads,
       break;
     }
     if (!progress) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      std::unique_lock<std::mutex> l(wake->mu);
+      wake->cv.wait_until(
+          l,
+          std::chrono::steady_clock::time_point(
+              std::chrono::microseconds(wake_at_us)),
+          [&] { return wake->completions != seen; });
     }
   }
   for (const GatherRead& r : *reads) {

@@ -279,6 +279,63 @@ TEST_F(AsyncStocTest, GatherReadsMixedFailureAndFailover) {
   EXPECT_FALSE(reads[2].status.ok());
 }
 
+// Each gather sleeps until one of its attempts completes or its hedge
+// falls due. A lost wake-up waits out the 30 s deadline, so a 10 s bound
+// on a whole loop of reads catches a single one; without one the loops
+// take well under a second.
+TEST_F(AsyncStocTest, GatherReadsWakesOnEachCompletion) {
+  using Clock = std::chrono::steady_clock;
+  uint64_t fid = stoc::MakeFileId(1, 9, stoc::FileKind::kData, 0);
+  stoc::StocBlockHandle h;
+  ASSERT_TRUE(client_->AppendBlock(kStoc0, fid, "wake-block", &h).ok());
+  ASSERT_TRUE(client_->AppendBlock(kStoc0 + 1, fid, "wake-block", &h).ok());
+  auto read_loop = [&](const std::vector<stoc::GatherRead::Target>& targets,
+                       int reads) {
+    Clock::time_point start = Clock::now();
+    for (int i = 0; i < reads; i++) {
+      std::string out;
+      ASSERT_TRUE(client_->ReadReplicated(targets, 0, 0, &out).ok());
+      ASSERT_EQ(out, "wake-block");
+      ASSERT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                    Clock::now() - start)
+                    .count(),
+                10000)
+          << "read " << i;
+    }
+  };
+
+  // One replica: every read is one attempt and one wake-up.
+  read_loop({{kStoc0 + 1, fid}}, 1000);
+
+  // Failover: the first-ranked replica's device fails each read at once,
+  // so every read wakes on the failure, then on the second replica.
+  stoc::ReadPolicy policy;
+  policy.replica_d = 1;
+  policy.hedge = false;
+  client_->set_read_policy(policy);
+  client_->load(kStoc0 + 1)->rank_bias.store(1);
+  devices_[0]->Fail();
+  uint64_t issued0 = client_->load(kStoc0)->issued.load();
+  read_loop({{kStoc0, fid}, {kStoc0 + 1, fid}}, 1000);
+  EXPECT_EQ(client_->load(kStoc0)->issued.load(), issued0 + 1000);
+
+  // Hedge: the first-ranked replica is a live node that never answers,
+  // so every read wakes when its hedge falls due (the 1 ms floor), then
+  // on the hedge's completion.
+  const rdma::NodeId silent = kStoc0 + kNumStocs;
+  fabric_.AddNode(silent);
+  policy.hedge = true;
+  policy.hedge_min_delay_us = 1000;
+  policy.hedge_min_samples = 1 << 30;  // the floor is the delay
+  client_->set_read_policy(policy);
+  uint64_t hedged = client_->hedged_issued();
+  uint64_t won = client_->hedged_won();
+  read_loop({{silent, fid}, {kStoc0 + 1, fid}}, 200);
+  EXPECT_EQ(client_->hedged_issued(), hedged + 200);
+  EXPECT_EQ(client_->hedged_won(), won + 200);
+  EXPECT_EQ(endpoint_->num_pending_waiters(), 0u);
+}
+
 TEST_F(AsyncStocTest, ScatterWriteRoundTrip) {
   auto built = BuildTable(/*num_keys=*/200, /*num_fragments=*/3);
   ASSERT_EQ(built.meta.num_fragments(), 3);

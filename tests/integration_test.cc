@@ -339,6 +339,34 @@ TEST_F(IntegrationTest, ScanRetriesStretchAfterFailedBlockRead) {
   }
 }
 
+// The stretch retry above is counted once per re-collected stretch.
+TEST_F(IntegrationTest, ScanStretchRetryIsCounted) {
+  ClusterOptions opt = FastOptions(1, 2);
+  opt.range.compression_codec = kNoCompression;
+  StartCluster(opt);
+  for (int i = 0; i < 400; i++) {
+    ASSERT_TRUE(cluster_->Put(Key(i), std::string(100, 'v')).ok());
+  }
+  auto* engine = cluster_->ltc(0)->ranges()[0];
+  engine->FlushAllMemtables();
+  engine->WaitForQuiescence(/*flush_all=*/true);
+  std::vector<std::pair<std::string, std::string>> got;
+  ASSERT_TRUE(cluster_->Scan(Key(0), 400, &got).ok());
+  ASSERT_EQ(got.size(), 400u);
+
+  uint64_t before = engine->scan_stretch_retries();
+  got.clear();
+  util::FailPoint::EnableError(
+      "stoc.read", Status::IOError("injected block read fault"),
+      util::FailPoint::Trigger::Once().AfterSkipping(3));
+  Status s = cluster_->Scan(Key(0), 400, &got);
+  EXPECT_EQ(util::FailPoint::FireCount("stoc.read"), 1u);
+  util::FailPoint::DisableAll();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(got.size(), 400u);
+  EXPECT_EQ(engine->scan_stretch_retries(), before + 1);
+}
+
 // A scan whose last row is the last entry of a data block reads no block
 // past it: stepping the merge past its last row would fetch the next
 // block only to throw it away.

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 
@@ -200,6 +201,61 @@ TEST(FabricTest, DeadNodeUnavailable) {
   fabric.AddNode(1);
   EXPECT_TRUE(fabric.Read(0, rdma::RemoteAddr{1, 1, 0}, local, 1)
                   .IsInvalidArgument());
+}
+
+// A thread waiting on an empty queue wakes as soon as any of the three
+// kinds of message lands; the 10 s bound sits 10x past the 1 s the test
+// allows, so a lost wake-up fails it.
+TEST(FabricTest, PollInboundWakesOnArrival) {
+  using Clock = std::chrono::steady_clock;
+  rdma::RdmaFabric fabric;
+  fabric.AddNode(0);
+  fabric.AddNode(1);
+  fabric.AddNode(2);
+  char region[64];
+  ASSERT_TRUE(fabric.RegisterMemory(1, 1, region, sizeof(region)).ok());
+  auto expect_wake = [&](rdma::InboundMessage::Kind kind,
+                         const std::function<void()>& deliver) {
+    rdma::InboundMessage msg;
+    bool got = false;
+    Clock::time_point returned;
+    std::thread waiter([&] {
+      got = fabric.PollInbound(1, &msg, std::chrono::seconds(10));
+      returned = Clock::now();
+    });
+    // Give the waiter time to block: a message queued before it waits
+    // would be taken without any wake-up.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    Clock::time_point delivered = Clock::now();
+    deliver();
+    waiter.join();
+    EXPECT_TRUE(got);
+    EXPECT_EQ(msg.kind, kind);
+    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                  returned - delivered)
+                  .count(),
+              1000);
+  };
+  expect_wake(rdma::InboundMessage::Kind::kSend,
+              [&] { ASSERT_TRUE(fabric.Send(0, 1, "wake").ok()); });
+  expect_wake(rdma::InboundMessage::Kind::kWriteImm, [&] {
+    ASSERT_TRUE(
+        fabric.Write(0, Slice("x"), rdma::RemoteAddr{1, 1, 0}, true, 7).ok());
+  });
+  expect_wake(rdma::InboundMessage::Kind::kPeerDown,
+              [&] { fabric.RemoveNode(2); });
+
+  // Nothing queued: the wait runs out its bound, on a live node and on
+  // one that left the fabric alike.
+  rdma::InboundMessage msg;
+  for (rdma::NodeId node : {1, 2}) {
+    Clock::time_point start = Clock::now();
+    EXPECT_FALSE(fabric.PollInbound(node, &msg, std::chrono::milliseconds(20)));
+    EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(
+                  Clock::now() - start)
+                  .count(),
+              20);
+  }
 }
 
 class RpcTest : public testing::Test {
