@@ -51,9 +51,11 @@
 # and a StoC read gather waits for a completion, its hedge or its
 # deadline), the LTC crash-recovery seeds
 # (RecoveryRepro), the test that a put is acknowledged only once its log
-# record is in the log (PutIsAckedOnlyOnceItsRecordIsLogged) and the scans
-# racing Drange reorganizations (ScansMissNoAckedKeyUnderReorgChurn) under
-# TSan. `all` runs it after the two full tier-1 passes.
+# record is in the log (PutIsAckedOnlyOnceItsRecordIsLogged), the scans
+# racing Drange reorganizations (ScansMissNoAckedKeyUnderReorgChurn) and
+# overwrites (ScansMissNoOverwrittenKey), and the scan that waits for the
+# next range's LTC to recover (ScanWaitsForTheNextRangesLtc) under TSan.
+# `all` runs it after the two full tier-1 passes.
 #
 # `compression` runs only the block-compression / cache-tier suites
 # (Compressor, stored-block corruption, two-queue admission, compressed
@@ -95,8 +97,7 @@ run_one() {
 # Chaos stage: the 10-seed kill/restart + failpoint suite plus the
 # MANIFEST placement, repair, graceful-removal, placement, MANIFEST
 # group-commit, flush-pipeline, piece-deletion, read-error, StoC-removal,
-# RPC wake-up, LTC-recovery, log-acknowledgment and reorganizing-scan
-# tests,
+# RPC wake-up, LTC-recovery, log-acknowledgment and scan tests,
 # serialized
 # (-j 1) because each test churns a whole cluster and the timing
 # assumptions (death verdicts, probe intervals) degrade when
@@ -107,7 +108,7 @@ run_chaos() {
   cmake -S "${repo_root}" -B "${build_dir}" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSANITIZE=thread >/dev/null
   cmake --build "${build_dir}" -j "$(nproc)" >/dev/null
-  local tests="ChaosTest|ManifestStocDeathTest|FlushesCommitAfterTheManifestStocDies|RecoveryFailsWhenNoManifestReplicaAnswers|StaleManifestReplicaNeverWinsRecovery|RepairTest|GracefulRemove|PlacementTest|VersionSetGroupCommitTest|FlushCommitDoesNotBlockGetsOrRouting|FlushPipelineKeepsTwoWritesPerStoc|FailedFlushLeavesNoPiecesBehind|RecoveryDropsUncommittedTables|GcKeepsTablesAwaitingCommit|HeldVersionKeepsCompactedTablesReadable|CompactionRetriedAfterFailedApplyDeletesItsInputs|MigratedRangeDeletesHeldTablesAfterRelease|GcBetweenLtcCrashAndRecoveryLosesNoKey|StocDeathGetTest|GetsDuringCompactionsTest|RemovedPeerFailsItsWaitersAtOnce|KilledStocFailsArmedFlushAtOnce|FabricTest|RpcTest|AsyncRpcTest|AsyncStocTest|ReadPathTest|RecoveryRepro|PutIsAckedOnlyOnceItsRecordIsLogged|ScansMissNoAckedKeyUnderReorgChurn"
+  local tests="ChaosTest|ManifestStocDeathTest|FlushesCommitAfterTheManifestStocDies|RecoveryFailsWhenNoManifestReplicaAnswers|StaleManifestReplicaNeverWinsRecovery|RepairTest|GracefulRemove|PlacementTest|VersionSetGroupCommitTest|FlushCommitDoesNotBlockGetsOrRouting|FlushPipelineKeepsTwoWritesPerStoc|FailedFlushLeavesNoPiecesBehind|RecoveryDropsUncommittedTables|GcKeepsTablesAwaitingCommit|HeldVersionKeepsCompactedTablesReadable|CompactionRetriedAfterFailedApplyDeletesItsInputs|MigratedRangeDeletesHeldTablesAfterRelease|GcBetweenLtcCrashAndRecoveryLosesNoKey|StocDeathGetTest|GetsDuringCompactionsTest|RemovedPeerFailsItsWaitersAtOnce|KilledStocFailsArmedFlushAtOnce|FabricTest|RpcTest|AsyncRpcTest|AsyncStocTest|ReadPathTest|RecoveryRepro|PutIsAckedOnlyOnceItsRecordIsLogged|ScansMissNoAckedKeyUnderReorgChurn|ScansMissNoOverwrittenKey|ScanWaitsForTheNextRangesLtc"
   echo "==> [chaos] ctest -R ${tests} (TSan)"
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     ctest --test-dir "${build_dir}" -R "${tests}" -j 1 \

@@ -10,28 +10,6 @@
 namespace nova {
 namespace coord {
 
-namespace {
-
-/// Where a scan that `ltc` served from `key` stops: LtcServer::Scan walks
-/// the run of consecutive ranges that LTC owns, starting with the one
-/// holding key, so this is that run's upper bound ("" when the run reaches
-/// the end of the keyspace, or `ltc` does not own key).
-std::string RunUpperBound(const Configuration& cfg, std::string pos,
-                          int ltc) {
-  for (bool in_run = false;; in_run = true) {
-    const RangeAssignment* range = cfg.RangeForKey(pos);
-    if (range == nullptr || range->ltc_index != ltc) {
-      return in_run ? pos : std::string();
-    }
-    if (range->upper.empty()) {
-      return std::string();
-    }
-    pos = range->upper;  // strictly past the previous pos
-  }
-}
-
-}  // namespace
-
 Cluster::Cluster(const ClusterOptions& options)
     : options_(options), coordinator_(1000, options.membership) {}
 
@@ -202,29 +180,23 @@ Status Cluster::Delete(const Slice& key) {
 Status Cluster::Scan(
     const Slice& start_key, int num_records,
     std::vector<std::pair<std::string, std::string>>* out) {
-  int idx = -1;
-  Configuration cfg;
-  Status s = RetryOnRange(start_key, [&](int ltc, const Configuration& c) {
-    idx = ltc;
-    cfg = c;
-    return ltcs_[ltc]->Scan(start_key, num_records, out);
-  });
-  // Scans spanning LTCs: continue on the next LTC (read committed), from
-  // where this LTC's run of ranges ends — also when it returned no rows.
   std::string pos = start_key.ToString();
-  while (s.ok() && static_cast<int>(out->size()) < num_records) {
-    pos = RunUpperBound(cfg, pos, idx);
-    if (pos.empty()) {
-      break;
+  while (static_cast<int>(out->size()) < num_records) {
+    const size_t hop_rows = out->size();
+    std::string upper;
+    Status s = RetryOnRange(pos, [&](int idx, const Configuration& cfg) {
+      // A failed attempt may have appended rows before it failed.
+      out->resize(hop_rows);
+      upper = cfg.RangeForKey(pos)->upper;
+      // num_records is the total target on `out` (see RangeEngine::Scan).
+      return ltcs_[idx]->Scan(pos, num_records, out);
+    });
+    if (!s.ok() || upper.empty()) {
+      return s;
     }
-    idx = cfg.LtcForKey(pos);
-    if (idx < 0 || !ltc_alive_[idx]) {
-      break;
-    }
-    // num_records is the total target on `out` (see RangeEngine::Scan).
-    s = ltcs_[idx]->Scan(pos, num_records, out);
+    pos = std::move(upper);
   }
-  return s;
+  return Status::OK();
 }
 
 void Cluster::KillStoc(int index) {

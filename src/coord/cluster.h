@@ -8,7 +8,6 @@
 #define NOVA_COORD_CLUSTER_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -59,6 +58,10 @@ class Cluster {
   Status Put(const Slice& key, const Slice& value);
   Status Get(const Slice& key, std::string* value);
   Status Delete(const Slice& key);
+  /// Scans one range per hop, from the range holding the scan's position
+  /// to that range's upper bound, and waits out each hop's range as above.
+  /// Read committed within and across ranges (Section 8.1): no
+  /// point-in-time view.
   Status Scan(const Slice& start_key, int num_records,
               std::vector<std::pair<std::string, std::string>>* out);
 
@@ -132,7 +135,6 @@ class Cluster {
   std::vector<std::unique_ptr<ltc::LtcServer>> ltcs_;
   std::vector<bool> ltc_alive_;
 
-  std::mutex config_mu_;
   bool started_ = false;
 };
 

@@ -165,22 +165,7 @@ Status LtcServer::Scan(
   if (engine == nullptr) {
     return Status::InvalidArgument("no range for key at this LTC");
   }
-  Status s = engine->Scan(start_key, num_records, out);
-  // A scan spanning two application ranges continues in the next range
-  // (read committed across ranges, Section 8.1).
-  while (s.ok() && static_cast<int>(out->size()) < num_records) {
-    const std::string& upper = engine->options().upper;
-    if (upper.empty()) {
-      break;
-    }
-    engine = RouteKey(upper);
-    if (engine == nullptr) {
-      break;
-    }
-    // num_records is the *total* target: Scan appends until out holds it.
-    s = engine->Scan(upper, num_records, out);
-  }
-  return s;
+  return engine->Scan(start_key, num_records, out);
 }
 
 RangeStats LtcServer::TotalStats() {

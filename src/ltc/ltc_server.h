@@ -86,6 +86,8 @@ class LtcServer {
   Status Put(const Slice& key, const Slice& value);
   Status Get(const Slice& key, std::string* value);
   Status Delete(const Slice& key);
+  /// Scans only the range holding start_key; Cluster::Scan moves on to
+  /// the next range.
   Status Scan(const Slice& start_key, int num_records,
               std::vector<std::pair<std::string, std::string>>* out);
 

@@ -388,7 +388,7 @@ Status RangeEngine::Get(const Slice& key, std::string* value) {
     std::lock_guard<std::mutex> l(stats_mu_);
     stats_.gets++;
   }
-  LookupKey lkey(key, last_sequence_.load());
+  LookupKey lkey(key, kMaxSequenceNumber);
   // The sequence the lookup index claims for the key's newest version (0
   // when the index is off or has no entry).
   SequenceNumber claimed_seq = 0;
@@ -548,7 +548,6 @@ Status RangeEngine::Scan(
     std::vector<std::pair<std::string, std::string>>* out) {
   const sim::CostModel& costs = sim::DefaultCostModel();
   throttle_->Charge(costs.request_dispatch_us + costs.scan_seek_us);
-  SequenceNumber snapshot = last_sequence_.load();
 
   std::string pos = start_key.ToString();
   std::string last_emitted;
@@ -650,7 +649,7 @@ Status RangeEngine::Scan(
     const bool stretch_has_last = has_last;
     std::unique_ptr<Iterator> merged(
         NewMergingIterator(&icmp_, std::move(children)));
-    LookupKey lkey(pos, snapshot);
+    LookupKey lkey(pos, kMaxSequenceNumber);
     merged->Seek(lkey.internal_key());
     while (merged->Valid() && static_cast<int>(out->size()) < num_records) {
       throttle_->Charge(costs.scan_per_record_us);
@@ -660,10 +659,6 @@ Status RangeEngine::Scan(
       }
       if (!upper.empty() && parsed.user_key.compare(upper) >= 0) {
         break;
-      }
-      if (parsed.sequence > snapshot) {
-        merged->Next();
-        continue;
       }
       if (has_last && parsed.user_key.compare(last_emitted) == 0) {
         merged->Next();  // an older version of an already-handled key

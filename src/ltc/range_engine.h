@@ -213,10 +213,14 @@ class RangeEngine {
 
   Status Put(const Slice& key, const Slice& value);
   Status Delete(const Slice& key);
+  /// Get and Scan take no snapshot: each reads a key's newest version
+  /// when it reaches the key, the one version a flush, memtable merge or
+  /// compaction keeps.
   Status Get(const Slice& key, std::string* value);
   /// Appends records from start_key onward until *out holds num_records
-  /// entries in total (so continuation across ranges composes) or this
-  /// range's keyspace is exhausted.
+  /// entries in total (so Cluster::Scan's hops across ranges compose) or
+  /// this range's keyspace is exhausted. Read committed: a key written
+  /// while the scan runs may show its old or its new version.
   Status Scan(const Slice& start_key, int num_records,
               std::vector<std::pair<std::string, std::string>>* out);
 

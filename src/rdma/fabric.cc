@@ -57,12 +57,6 @@ void RdmaFabric::UnpinRegion(const std::shared_ptr<MemoryRegion>& region) {
   }
 }
 
-bool RdmaFabric::IsAlive(NodeId node) const {
-  std::lock_guard<std::mutex> l(mu_);
-  auto it = nodes_.find(node);
-  return it != nodes_.end() && it->second.alive;
-}
-
 Status RdmaFabric::RegisterMemory(NodeId node, uint32_t mr_id, char* addr,
                                   size_t size) {
   std::lock_guard<std::mutex> l(mu_);
@@ -209,15 +203,6 @@ bool RdmaFabric::PollInbound(NodeId node, InboundMessage* msg,
   *msg = std::move(n.inbound.front());
   n.inbound.pop_front();
   return true;
-}
-
-size_t RdmaFabric::InboundDepth(NodeId node) const {
-  std::lock_guard<std::mutex> l(mu_);
-  auto it = nodes_.find(node);
-  if (it == nodes_.end()) {
-    return 0;
-  }
-  return it->second.inbound.size();
 }
 
 }  // namespace rdma

@@ -84,8 +84,6 @@ class RdmaFabric {
   /// flushes its outstanding work with errors.
   void RemoveNode(NodeId node);
 
-  bool IsAlive(NodeId node) const;
-
   /// Register [addr, addr+size) of node's memory for remote access.
   Status RegisterMemory(NodeId node, uint32_t mr_id, char* addr, size_t size);
   Status DeregisterMemory(NodeId node, uint32_t mr_id);
@@ -108,8 +106,6 @@ class RdmaFabric {
   bool PollInbound(NodeId node, InboundMessage* msg,
                    std::chrono::microseconds wait =
                        std::chrono::microseconds(0));
-
-  size_t InboundDepth(NodeId node) const;
 
   FabricStats& stats() { return stats_; }
 
@@ -141,7 +137,7 @@ class RdmaFabric {
   /// Wait (with mu_ held via *l) until no region of `node` is pinned.
   void DrainNodePinsLocked(std::unique_lock<std::mutex>* l, Node* node);
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable pin_cv_;
   std::map<NodeId, Node> nodes_;
   FabricStats stats_;

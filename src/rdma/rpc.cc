@@ -16,7 +16,6 @@ enum MsgKind : uint8_t {
   kRequest = 0,
   kResponse = 1,
   kTokenComplete = 2,
-  kOneWay = 3,
 };
 
 std::string Frame(MsgKind kind, uint64_t id, const Slice& payload) {
@@ -232,11 +231,6 @@ void RpcEndpoint::Dispatch(const InboundMessage& msg) {
         request_handler_(msg.src, id, payload);
       }
       break;
-    case kOneWay:
-      if (request_handler_) {
-        request_handler_(msg.src, 0, payload);
-      }
-      break;
     case kResponse:
     case kTokenComplete:
       CompleteWaiter(id, payload);
@@ -338,18 +332,6 @@ Future RpcEndpoint::AsyncCall(NodeId dst, const Slice& request) {
 Status RpcEndpoint::Call(NodeId dst, const Slice& request,
                          std::string* response, int timeout_ms) {
   return AsyncCall(dst, request).Wait(response, timeout_ms);
-}
-
-Status RpcEndpoint::OneWay(NodeId dst, const Slice& request) {
-  if (stopping_.load(std::memory_order_relaxed)) {
-    return Status::Unavailable("endpoint stopped");
-  }
-  throttle_->Charge(sim::DefaultCostModel().rdma_message_us);
-  Status s = util::FailPoint::Check("rpc.send");
-  if (!s.ok()) {
-    return s;
-  }
-  return fabric_->Send(node_, dst, Frame(kOneWay, 0, request));
 }
 
 Status RpcEndpoint::Reply(NodeId dst, uint64_t req_id, const Slice& response) {

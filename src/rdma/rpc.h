@@ -141,9 +141,6 @@ class RpcEndpoint {
   Status Call(NodeId dst, const Slice& request, std::string* response,
               int timeout_ms = 30000);
 
-  /// Send a request without waiting for any response.
-  Status OneWay(NodeId dst, const Slice& request);
-
   /// Server side: complete the Call identified by (src, req_id).
   Status Reply(NodeId dst, uint64_t req_id, const Slice& response);
 

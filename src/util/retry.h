@@ -34,15 +34,6 @@ class Deadline {
     d.at_ = Clock::now() + std::chrono::milliseconds(ms);
     return d;
   }
-  static Deadline AfterUs(int64_t us) {
-    Deadline d;
-    d.has_deadline_ = true;
-    d.at_ = Clock::now() + std::chrono::microseconds(us);
-    return d;
-  }
-  static Deadline Infinite() { return Deadline(); }
-
-  bool infinite() const { return !has_deadline_; }
   bool expired() const { return has_deadline_ && Clock::now() >= at_; }
 
   /// Milliseconds left, clamped at 0. For infinite deadlines returns

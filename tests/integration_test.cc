@@ -284,6 +284,87 @@ TEST_F(IntegrationTest, ScansMissNoAckedKeyUnderReorgChurn) {
                               << "first: " << misses.front();
 }
 
+// Scans over keys that are overwritten while the scan runs. Every key
+// exists before the first scan and none is deleted, so each scan returns
+// exactly the keys that follow its start. Two writers overwrite a
+// 100-key window that jumps every 1000 puts, and three scanners start
+// every scan inside the window: flushes, memtable merges and compactions
+// keep only each key's newest version, which a scan must be able to see.
+TEST_F(IntegrationTest, ScansMissNoOverwrittenKey) {
+  ClusterOptions opt = FastOptions(1, 3);
+  opt.range.log.mode = logc::LogMode::kNone;
+  StartCluster(opt);
+  constexpr int kWindows = 40;
+  constexpr int kWindowKeys = 100;
+  constexpr int kKeys = kWindows * kWindowKeys;
+  constexpr int kPuts = 40000;
+  constexpr int kRows = 100;
+  for (int k = 0; k < kKeys; k++) {
+    ASSERT_TRUE(cluster_->Put(Key(k), std::string(100, 'v')).ok());
+  }
+  // The window the i-th put lands in: windows 0, 17, 34, 11, ...
+  auto window_at = [](int i) { return (i / 1000 * 17) % kWindows; };
+  auto index_of = [](const std::string& key) {
+    return std::stoi(key.substr(4));
+  };
+  std::atomic<int> next{0};
+  std::atomic<int> failed_ops{0};
+  std::atomic<int> scans{0};
+  std::mutex short_mu;
+  int short_scans = 0;
+  std::string first_short;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; w++) {
+    threads.emplace_back([&] {
+      for (int i = next.fetch_add(1); i < kPuts; i = next.fetch_add(1)) {
+        int k = window_at(i) * kWindowKeys + i % kWindowKeys;
+        if (!cluster_->Put(Key(k), std::string(100, 'v')).ok()) {
+          failed_ops.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int r = 0; r < 3; r++) {
+    threads.emplace_back([&, r] {
+      Random rng(r * 7 + 1);
+      while (next.load() < kPuts) {
+        int start = window_at(std::min(next.load(), kPuts - 1)) * kWindowKeys +
+                    static_cast<int>(rng.Uniform(kWindowKeys));
+        std::vector<std::pair<std::string, std::string>> rows;
+        if (!cluster_->Scan(Key(start), kRows, &rows).ok()) {
+          failed_ops.fetch_add(1);
+          continue;
+        }
+        scans.fetch_add(1);
+        int end = std::min(start + kRows, kKeys);
+        std::set<int> got;
+        for (const auto& row : rows) {
+          got.insert(index_of(row.first));
+        }
+        int missed = 0;
+        for (int k = start; k < end; k++) {
+          missed += got.count(k) == 0;
+        }
+        if (missed > 0 || rows.size() != static_cast<size_t>(end - start)) {
+          std::lock_guard<std::mutex> l(short_mu);
+          if (short_scans++ == 0) {
+            first_short = "a scan from " + Key(start) + " missed " +
+                          std::to_string(missed) + " of " +
+                          std::to_string(end - start) + " keys";
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(failed_ops.load(), 0);
+  EXPECT_GT(scans.load(), 0);
+  EXPECT_EQ(short_scans, 0) << "of " << scans.load() << " scans; first: "
+                            << first_short;
+}
+
 TEST_F(IntegrationTest, ScanSeesDeletes) {
   StartCluster(FastOptions(1, 2));
   for (int i = 0; i < 20; i++) {
@@ -529,6 +610,40 @@ TEST_F(IntegrationTest, ScanContinuesPastLtcsWithNoRows) {
     }
     ASSERT_EQ(expected.size(), 10u);
     EXPECT_EQ(got, expected);
+  }
+}
+
+// Every range a scan crosses waits out an LTC recovery, not only the
+// first: a scan that reaches the range of a crashed LTC waits for the
+// range to recover instead of returning OK with the rows it has so far.
+TEST_F(IntegrationTest, ScanWaitsForTheNextRangesLtc) {
+  ClusterOptions opt = FastOptions(2, 3);
+  opt.split_points = {Key(100)};  // one range per LTC
+  StartCluster(opt);
+  for (int i = 0; i < 200; i++) {
+    ASSERT_TRUE(cluster_->Put(Key(i), "v" + std::to_string(i)).ok());
+  }
+  for (int l = 0; l < 2; l++) {
+    for (auto* engine : cluster_->ltc(l)->ranges()) {
+      engine->FlushAllMemtables();
+      engine->WaitForQuiescence(/*flush_all=*/true);
+    }
+  }
+  cluster_->KillLtc(1);
+  Status recovered;
+  std::thread recovery([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    recovered = cluster_->RecoverLtcRanges(1, 0, 2);
+  });
+  std::vector<std::pair<std::string, std::string>> got;
+  Status s = cluster_->Scan(Key(90), 20, &got);
+  recovery.join();
+  ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(got.size(), 20u);
+  for (int i = 0; i < 20; i++) {
+    EXPECT_EQ(got[i].first, Key(90 + i));
+    EXPECT_EQ(got[i].second, "v" + std::to_string(90 + i));
   }
 }
 
