@@ -21,7 +21,12 @@
 # of stale replicas), the
 # tests that move SSTable pieces off a StoC (RepairTest, and every
 # GracefulRemove test: the drain and the repair scan share one per-file
-# path under one mutex, and the removal moves a MANIFEST replica), the
+# path under one mutex, the removal moves a MANIFEST replica and the
+# memtables' log records, and log files and offloaded compactions follow
+# the placement list), the offloaded-compaction tests
+# (OffloadedCompactionProducesSameData, FailedOffloadRetriesLocally: a
+# compaction pool thread offloads its job to the StoC the placement rule
+# picks and runs it locally when the offload fails), the
 # placement tests (PlacementTest: new
 # SSTables take their StoCs by the same rule repair uses), the
 # MANIFEST group-commit tests
@@ -96,7 +101,8 @@ run_one() {
 
 # Chaos stage: the 10-seed kill/restart + failpoint suite plus the
 # MANIFEST placement, repair, graceful-removal, placement, MANIFEST
-# group-commit, flush-pipeline, piece-deletion, read-error, StoC-removal,
+# group-commit, offloaded-compaction, flush-pipeline, piece-deletion,
+# read-error, StoC-removal,
 # RPC wake-up, LTC-recovery, log-acknowledgment and scan tests,
 # serialized
 # (-j 1) because each test churns a whole cluster and the timing
@@ -108,7 +114,7 @@ run_chaos() {
   cmake -S "${repo_root}" -B "${build_dir}" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSANITIZE=thread >/dev/null
   cmake --build "${build_dir}" -j "$(nproc)" >/dev/null
-  local tests="ChaosTest|ManifestStocDeathTest|FlushesCommitAfterTheManifestStocDies|RecoveryFailsWhenNoManifestReplicaAnswers|StaleManifestReplicaNeverWinsRecovery|RepairTest|GracefulRemove|PlacementTest|VersionSetGroupCommitTest|FlushCommitDoesNotBlockGetsOrRouting|FlushPipelineKeepsTwoWritesPerStoc|FailedFlushLeavesNoPiecesBehind|RecoveryDropsUncommittedTables|GcKeepsTablesAwaitingCommit|HeldVersionKeepsCompactedTablesReadable|CompactionRetriedAfterFailedApplyDeletesItsInputs|MigratedRangeDeletesHeldTablesAfterRelease|GcBetweenLtcCrashAndRecoveryLosesNoKey|StocDeathGetTest|GetsDuringCompactionsTest|RemovedPeerFailsItsWaitersAtOnce|KilledStocFailsArmedFlushAtOnce|FabricTest|RpcTest|AsyncRpcTest|AsyncStocTest|ReadPathTest|RecoveryRepro|PutIsAckedOnlyOnceItsRecordIsLogged|ScansMissNoAckedKeyUnderReorgChurn|ScansMissNoOverwrittenKey|ScanWaitsForTheNextRangesLtc"
+  local tests="ChaosTest|ManifestStocDeathTest|FlushesCommitAfterTheManifestStocDies|RecoveryFailsWhenNoManifestReplicaAnswers|StaleManifestReplicaNeverWinsRecovery|RepairTest|GracefulRemove|OffloadedCompactionProducesSameData|FailedOffloadRetriesLocally|PlacementTest|VersionSetGroupCommitTest|FlushCommitDoesNotBlockGetsOrRouting|FlushPipelineKeepsTwoWritesPerStoc|FailedFlushLeavesNoPiecesBehind|RecoveryDropsUncommittedTables|GcKeepsTablesAwaitingCommit|HeldVersionKeepsCompactedTablesReadable|CompactionRetriedAfterFailedApplyDeletesItsInputs|MigratedRangeDeletesHeldTablesAfterRelease|GcBetweenLtcCrashAndRecoveryLosesNoKey|StocDeathGetTest|GetsDuringCompactionsTest|RemovedPeerFailsItsWaitersAtOnce|KilledStocFailsArmedFlushAtOnce|FabricTest|RpcTest|AsyncRpcTest|AsyncStocTest|ReadPathTest|RecoveryRepro|PutIsAckedOnlyOnceItsRecordIsLogged|ScansMissNoAckedKeyUnderReorgChurn|ScansMissNoOverwrittenKey|ScanWaitsForTheNextRangesLtc"
   echo "==> [chaos] ctest -R ${tests} (TSan)"
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     ctest --test-dir "${build_dir}" -R "${tests}" -j 1 \

@@ -11,7 +11,7 @@ namespace nova {
 namespace coord {
 
 Cluster::Cluster(const ClusterOptions& options)
-    : options_(options), coordinator_(1000, options.membership) {}
+    : options_(options), coordinator_(options.membership) {}
 
 Cluster::~Cluster() { Stop(); }
 
@@ -119,9 +119,6 @@ void Cluster::Start() {
     a.ltc_index = r * options_.num_ltcs / num_ranges;
     config.ranges.push_back(a);
     AddRange(a.ltc_index, a)->Bootstrap();
-  }
-  for (int i = 0; i < options_.num_stocs; i++) {
-    config.alive_stocs.push_back(i);
   }
   coordinator_.UpdateConfig(std::move(config));
 }
@@ -348,9 +345,6 @@ int Cluster::AddStoc() {
   coordinator_.GrantLease(StocNode(index));
   // LTCs assign new SSTables to the new StoC immediately (Section 9).
   RefreshPlacements();
-  Configuration cfg = coordinator_.config();
-  cfg.alive_stocs.push_back(index);
-  coordinator_.UpdateConfig(std::move(cfg));
   return index;
 }
 
@@ -359,19 +353,25 @@ Status Cluster::RemoveStocGraceful(int index) {
   if (AliveStocNodes().size() <= 1) {
     return Status::InvalidArgument("cannot remove the last StoC");
   }
-  // 1. No new placements on the departing StoC.
+  // 1. No new placements on the departing StoC: no SSTable piece, MANIFEST
+  //    replica, log file or offloaded compaction.
   stoc_alive_[index] = false;
   RefreshPlacements();
-  // 2. Once in-flight flushes and compactions have settled and every
-  //    range moved its MANIFEST replica off the StoC, every live LTC's
-  //    repair manager copies the StoC's pieces to other StoCs and swaps
-  //    each file's placement (Section 9: the LTC identifies the fragments
-  //    and the source StoC copies them to their destinations).
+  // 2. Every range moves its memtables' log records off the StoC, whose
+  //    in-memory log files go when it stops: once the flushes and merges
+  //    that read the old list are done, every memtable is flushed, or
+  //    merged into one logged to the new list. Once that work has settled
+  //    and every range moved its MANIFEST replica off the StoC, every
+  //    live LTC's repair manager copies the StoC's pieces to other StoCs
+  //    and swaps each file's placement (Section 9: the LTC identifies the
+  //    fragments and the source StoC copies them to their destinations).
   for (size_t l = 0; l < ltcs_.size(); l++) {
     if (!ltc_alive_[l]) {
       continue;
     }
     for (ltc::RangeEngine* engine : ltcs_[l]->ranges()) {
+      engine->WaitForQuiescence();
+      engine->FlushAllMemtables();
       engine->WaitForQuiescence();
     }
     Status s = ltcs_[l]->repair_manager()->Drain(node);
@@ -386,14 +386,6 @@ Status Cluster::RemoveStocGraceful(int index) {
   stocs_[index]->Stop();
   fabric_.RemoveNode(node);
   coordinator_.ExpireLease(node);
-  Configuration cfg = coordinator_.config();
-  cfg.alive_stocs.clear();
-  for (size_t i = 0; i < stocs_.size(); i++) {
-    if (stoc_alive_[i]) {
-      cfg.alive_stocs.push_back(static_cast<int>(i));
-    }
-  }
-  coordinator_.UpdateConfig(std::move(cfg));
   return Status::OK();
 }
 

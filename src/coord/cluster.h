@@ -81,7 +81,8 @@ class Cluster {
   /// Add a new StoC (elastic scale-out); new SSTables use it immediately.
   int AddStoc();
   /// Gracefully remove a StoC: it leaves every range's placement list, each
-  /// range moves its MANIFEST replica off it (the quiesce counts that as
+  /// range flushes or re-logs every memtable so no log record stays on it,
+  /// moves its MANIFEST replica off it (the quiesce counts that as
   /// unfinished work), and every LTC's repair manager drains its SSTable
   /// pieces onto the other StoCs. A failed drain leaves the StoC in
   /// service.

@@ -26,51 +26,14 @@ Configuration Coordinator::config() const {
 
 void Coordinator::UpdateConfig(Configuration config) {
   std::lock_guard<std::mutex> l(mu_);
-  config.epoch = config_.epoch + 1;
   config_ = std::move(config);
 }
 
-uint64_t Coordinator::epoch() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return config_.epoch;
-}
-
 void Coordinator::GrantLease(rdma::NodeId node) {
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    leases_[node] = Clock::now() + std::chrono::milliseconds(lease_ms_);
-  }
   membership_.NodeJoined(node);
 }
 
-bool Coordinator::Heartbeat(rdma::NodeId node) {
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    auto it = leases_.find(node);
-    if (it == leases_.end() || it->second < Clock::now()) {
-      // Expired: the node must stop serving. Note the missed renewal so
-      // the death clock starts even if no client traffic touches it.
-      if (it != leases_.end()) leases_.erase(it);
-      membership_.MarkSuspect(node);
-      return false;
-    }
-    it->second = Clock::now() + std::chrono::milliseconds(lease_ms_);
-  }
-  membership_.ReportSuccess(node);
-  return true;
-}
-
-bool Coordinator::IsLeaseValid(rdma::NodeId node) const {
-  std::lock_guard<std::mutex> l(mu_);
-  auto it = leases_.find(node);
-  return it != leases_.end() && it->second >= Clock::now();
-}
-
 void Coordinator::ExpireLease(rdma::NodeId node) {
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    leases_.erase(node);
-  }
   membership_.MarkSuspect(node);
 }
 

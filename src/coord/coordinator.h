@@ -1,15 +1,12 @@
 // The coordinator (paper Section 3, Figure 3): maintains the cluster
-// configuration — which LTC owns each range, which StoCs exist — versioned
-// by an epoch, and grants time-based leases to LTCs and StoCs. Clients
-// cache the configuration and re-fetch on epoch change; a node that cannot
-// renew its lease must stop serving (tested, not wall-clock enforced in
-// the data path).
+// configuration (which LTC owns each range), which clients read on every
+// request, and the membership of LTCs and StoCs: a node joins when it is
+// granted a lease, and its lease is expired when contact with it is lost.
+// No lease clock runs; a lease ends only when it is expired.
 #ifndef NOVA_COORD_COORDINATOR_H_
 #define NOVA_COORD_COORDINATOR_H_
 
-#include <chrono>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -29,9 +26,7 @@ struct RangeAssignment {
 };
 
 struct Configuration {
-  uint64_t epoch = 0;
   std::vector<RangeAssignment> ranges;
-  std::vector<int> alive_stocs;  // indices into the cluster's StoC list
 
   /// The range holding key, or null.
   const RangeAssignment* RangeForKey(const Slice& key) const;
@@ -41,26 +36,18 @@ struct Configuration {
 
 class Coordinator {
  public:
-  explicit Coordinator(int lease_ms = 1000,
-                       MembershipOptions membership_options = {})
-      : lease_ms_(lease_ms), membership_(membership_options) {}
+  explicit Coordinator(MembershipOptions membership_options = {})
+      : membership_(membership_options) {}
 
   Configuration config() const;
-  /// Replace the configuration (bumps the epoch).
+  /// Replace the configuration.
   void UpdateConfig(Configuration config);
-  uint64_t epoch() const;
 
-  // --- Leases (Section 3: piggybacked on heartbeats) ---
-  /// Grants/renews the lease and admits the node into membership (a node
+  // --- Leases (Section 3) ---
+  /// Grants the lease and admits the node into membership (a node
   /// previously declared dead re-enters at kProbing — see membership.h).
   void GrantLease(rdma::NodeId node);
-  /// Heartbeat: renews the lease; false if it had already expired (the
-  /// node must stop serving and re-join via GrantLease). A successful
-  /// heartbeat also counts as a health contact: it clears a suspect
-  /// verdict and advances a probing node toward alive.
-  bool Heartbeat(rdma::NodeId node);
-  bool IsLeaseValid(rdma::NodeId node) const;
-  /// Force-expire (simulates losing contact with the node). The node
+  /// Expire the lease (contact with the node is lost). The node
   /// immediately becomes suspect; the membership death clock starts.
   void ExpireLease(rdma::NodeId node);
 
@@ -70,12 +57,8 @@ class Coordinator {
   Membership* membership() { return &membership_; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  int lease_ms_;
   mutable std::mutex mu_;
   Configuration config_;
-  std::map<rdma::NodeId, Clock::time_point> leases_;
   Membership membership_;
 };
 

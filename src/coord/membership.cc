@@ -22,7 +22,6 @@ void Membership::NodeJoined(rdma::NodeId node) {
   auto it = nodes_.find(node);
   if (it == nodes_.end()) {
     nodes_[node] = NodeState();
-    version_++;
     return;
   }
   NodeState& s = it->second;
@@ -32,11 +31,9 @@ void Membership::NodeJoined(rdma::NodeId node) {
     s.probe_successes = 0;
     s.consecutive_failures = 0;
     s.last_probe = Clock::time_point();
-    version_++;
   } else if (s.health == NodeHealth::kSuspect) {
     s.health = NodeHealth::kAlive;
     s.consecutive_failures = 0;
-    version_++;
   }
 }
 
@@ -47,17 +44,12 @@ void Membership::MarkSuspect(rdma::NodeId node) {
     s.health = NodeHealth::kSuspect;
     s.suspect_since = Clock::now();
     s.probe_successes = 0;
-    version_++;
   }
 }
 
 void Membership::MarkDead(rdma::NodeId node) {
   std::lock_guard<std::mutex> l(mu_);
-  NodeState& s = nodes_[node];
-  if (s.health != NodeHealth::kDead) {
-    s.health = NodeHealth::kDead;
-    version_++;
-  }
+  nodes_[node].health = NodeHealth::kDead;
 }
 
 void Membership::ReportSuccess(rdma::NodeId node) {
@@ -68,13 +60,11 @@ void Membership::ReportSuccess(rdma::NodeId node) {
   s.consecutive_failures = 0;
   if (s.health == NodeHealth::kSuspect) {
     s.health = NodeHealth::kAlive;
-    version_++;
   } else if (s.health == NodeHealth::kProbing) {
     s.probe_successes++;
     if (s.probe_successes >= options_.rejoin_probes) {
       s.health = NodeHealth::kAlive;
       s.probe_successes = 0;
-      version_++;
     }
   }
 }
@@ -89,14 +79,12 @@ void Membership::ReportFailure(rdma::NodeId node) {
       s.consecutive_failures >= options_.failure_threshold) {
     s.health = NodeHealth::kSuspect;
     s.suspect_since = Clock::now();
-    version_++;
   } else if (s.health == NodeHealth::kProbing) {
     // A failed probe resets the trust counter and restarts the death
     // clock from suspect — the node is not actually back.
     s.health = NodeHealth::kSuspect;
     s.suspect_since = Clock::now();
     s.probe_successes = 0;
-    version_++;
   }
 }
 
@@ -105,7 +93,6 @@ void Membership::PromoteLocked(NodeState* s) const {
       Clock::now() - s->suspect_since >=
           std::chrono::milliseconds(options_.dead_after_ms)) {
     s->health = NodeHealth::kDead;
-    version_++;
   }
 }
 
@@ -154,11 +141,6 @@ std::vector<rdma::NodeId> Membership::DeadNodes() const {
     if (s.health == NodeHealth::kDead) dead.push_back(node);
   }
   return dead;
-}
-
-uint64_t Membership::version() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return version_;
 }
 
 }  // namespace coord

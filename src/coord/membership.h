@@ -85,10 +85,6 @@ class Membership {
   /// Nodes currently under the death verdict (promotes due suspects).
   std::vector<rdma::NodeId> DeadNodes() const;
 
-  /// Monotonic counter bumped on every state transition; cheap change
-  /// detection for pollers (repair scan, placement refresh).
-  uint64_t version() const;
-
   MembershipOptions options() const { return options_; }
 
  private:
@@ -108,7 +104,6 @@ class Membership {
   MembershipOptions options_;
   mutable std::mutex mu_;
   mutable std::map<rdma::NodeId, NodeState> nodes_;
-  mutable uint64_t version_ = 0;
 };
 
 }  // namespace coord

@@ -8,6 +8,7 @@
 #include "stoc/stoc_common.h"
 #include "util/coding.h"
 #include "util/logging.h"
+#include "util/retry.h"
 
 namespace nova {
 namespace lsm {

@@ -79,7 +79,6 @@ RangeEngine::RangeEngine(const RangeEngineOptions& options,
                          Cache* compressed_cache)
     : options_(options),
       client_(client),
-      stocs_(placement.stocs),
       throttle_(throttle == nullptr ? sim::CpuThrottle::Unlimited()
                                     : throttle),
       flush_pool_(flush_pool),
@@ -102,8 +101,6 @@ RangeEngine::RangeEngine(const RangeEngineOptions& options,
   placer_ = std::make_unique<lsm::SSTablePlacer>(client_, popt);
   executor_ = std::make_unique<lsm::CompactionExecutor>(
       table_cache_.get(), placer_.get(), throttle_);
-  scheduler_ = std::make_unique<CompactionScheduler>(
-      client_, stocs_, options_.offload_compaction);
   logc_ = std::make_unique<logc::LogClient>(client_, options_.range_id,
                                             options_.log);
   range_index_ =
@@ -161,7 +158,7 @@ MemTableRef RangeEngine::NewMemTableLocked(int did) {
   }
   range_index_->AddMemtable(mid, lo, hi);
   if (options_.log.mode != logc::LogMode::kNone) {
-    logc_->CreateLogFile(mid, stocs_);
+    logc_->CreateLogFile(mid, placer_->options().stocs);
   }
   return mem;
 }
@@ -728,15 +725,7 @@ void RangeEngine::MaintenanceTick() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (!MemtableBudgetFree() && FlushesIdleLocked()) {
-      for (auto& [did, mids] : small_immutables_) {
-        for (uint64_t mid : mids) {
-          auto it = all_memtables_.find(mid);
-          if (it != all_memtables_.end()) {
-            flush_queue_.push_back(it->second);
-          }
-        }
-        mids.clear();
-      }
+      QueueParkedLocked();
     }
     while (!flush_queue_.empty()) {
       MemTableRef mem = flush_queue_.front();
@@ -871,7 +860,7 @@ Status RangeEngine::MergeSmallMemtables(const std::vector<MemTableRef>& mems,
 
   // New log file first so the merged table is as durable as its sources.
   if (options_.log.mode != logc::LogMode::kNone) {
-    Status ls = logc_->CreateLogFile(new_mid, stocs_);
+    Status ls = logc_->CreateLogFile(new_mid, placer_->options().stocs);
     if (!ls.ok()) {
       return ls;
     }
@@ -1263,10 +1252,33 @@ void RangeEngine::ScheduleCompactions() {
 
 void RangeEngine::RunCompaction(lsm::CompactionJob job, uint64_t queue_us) {
   lsm::CompactionResult result;
-  // The scheduler offloads to the least-loaded StoC (Section 4.3
-  // "Offloading") and retries locally on failure, so the job completes
-  // exactly once wherever it ran.
-  Status s = scheduler_->Run(job, executor_.get(), &result);
+  // An offloaded job (Section 4.3 "Offloading") goes to the StoC the
+  // placement rule picks and runs here when the offload fails, so it
+  // completes exactly once wherever it ran.
+  std::vector<rdma::NodeId> target;
+  if (options_.offload_compaction) {
+    target = placer_->PickStocs(1);
+  }
+  bool offloaded = false;
+  if (!target.empty()) {
+    std::string resp;
+    Status os = client_->Compaction(target[0], job.Serialize(), &resp);
+    if (os.ok() && resp.empty()) {
+      // The StoC took the RPC but its handler failed.
+      os = Status::IOError("StoC returned no compaction result");
+    }
+    if (os.ok()) {
+      os = result.Deserialize(resp);
+    }
+    offloaded = os.ok();
+    if (!offloaded) {
+      NOVA_WARN("compaction offload to stoc %d failed (%s); retrying locally",
+                static_cast<int>(target[0]), os.ToString().c_str());
+      result = lsm::CompactionResult();
+    }
+  }
+  const bool fell_back = !target.empty() && !offloaded;
+  Status s = offloaded ? Status::OK() : executor_->Run(job, &result);
   if (s.ok() && !ApplyCompactionResult(job, result).ok()) {
     // The edit published nothing: the outputs go like a failed flush's.
     for (const auto& out : result.outputs) {
@@ -1279,6 +1291,9 @@ void RangeEngine::RunCompaction(lsm::CompactionJob job, uint64_t queue_us) {
   ReleaseNumbers(job.first_output_number);
   {
     std::lock_guard<std::mutex> sl(stats_mu_);
+    stats_.compaction_offloads += offloaded ? 1 : 0;
+    stats_.compaction_offload_failures += fell_back ? 1 : 0;
+    stats_.compaction_local_fallbacks += fell_back ? 1 : 0;
     stats_.compaction_queue_us += queue_us;
     stats_.compaction_prefetches += result.prefetches;
     stats_.compaction_bytes_read += result.bytes_read;
@@ -1579,7 +1594,8 @@ Status RangeEngine::InstallRecoveredState(int recovery_threads) {
   std::map<uint64_t, std::vector<logc::LogRecord>> by_memtable;
   std::map<uint64_t, std::vector<stoc::InMemFileHandle>> handles;
   Status s = logc::LogClient::FetchAllLogRecords(
-      client_, stocs_, options_.range_id, &by_memtable, &handles);
+      client_, placer_->options().stocs, options_.range_id, &by_memtable,
+      &handles);
   if (!s.ok()) {
     return s;
   }
@@ -1725,11 +1741,23 @@ void RangeEngine::BeginDecommission() {
 
 void RangeEngine::FlushAllMemtables() {
   std::lock_guard<std::mutex> lk(mu_);
+  // An empty active may have a put in flight, logged to the list the
+  // active was created under: retired, it sends that put to a new active.
   for (auto it = actives_.begin(); it != actives_.end();) {
-    MemTableRef mem = (it++)->second;  // RetireLocked erases its entry
-    if (mem->num_entries() > 0) {
-      RetireLocked(std::move(mem));
+    RetireLocked((it++)->second);  // erases its entry
+  }
+  QueueParkedLocked();
+}
+
+void RangeEngine::QueueParkedLocked() {
+  for (auto& [did, mids] : small_immutables_) {
+    for (uint64_t mid : mids) {
+      auto it = all_memtables_.find(mid);
+      if (it != all_memtables_.end()) {
+        flush_queue_.push_back(it->second);
+      }
     }
+    mids.clear();
   }
 }
 
@@ -1824,10 +1852,6 @@ RangeStats RangeEngine::stats() const {
       readahead_counters_.issued.load(std::memory_order_relaxed);
   out.readahead_hits =
       readahead_counters_.hits.load(std::memory_order_relaxed);
-  CompactionScheduler::Stats sched = scheduler_->stats();
-  out.compaction_offloads = sched.offloads;
-  out.compaction_offload_failures = sched.offload_failures;
-  out.compaction_local_fallbacks = sched.local_fallbacks;
   return out;
 }
 

@@ -9,8 +9,7 @@
 //   * write stalls when all δ memtables are in use or L0 exceeds its
 //     limit (Challenge 1), with stall time accounted for the benchmarks;
 //   * disjoint parallel L0 compactions split at Drange boundaries,
-//     executed locally or offloaded to the least-loaded StoC through the
-//     CompactionScheduler;
+//     executed locally or offloaded to a StoC of the placement list;
 //   * crash recovery from the replicated MANIFEST + log records, and
 //     range migration between LTCs (Sections 4.5, 8.2.6, 9).
 //
@@ -32,7 +31,6 @@
 #include "logc/log_client.h"
 #include "lsm/compaction.h"
 #include "lsm/table_io.h"
-#include "ltc/compaction_scheduler.h"
 #include "lsm/version.h"
 #include "ltc/drange.h"
 #include "ltc/lookup_index.h"
@@ -44,6 +42,11 @@
 
 namespace nova {
 namespace ltc {
+
+/// SSTable flush writes in flight per StoC, over all of the LTC's ranges
+/// (StocClient write slots): each disk has its next write queued, and a
+/// MANIFEST append queues behind at most this many fragment writes.
+constexpr int kMaxFlushWritesPerStoc = 2;
 
 struct RangeEngineOptions {
   uint32_t range_id = 0;
@@ -78,8 +81,9 @@ struct RangeEngineOptions {
   CompressionCodec compression_codec = kNovaLzCompression;
   uint64_t max_sstable_size = 512 << 10;
   int max_parallel_compactions = 4;
-  /// Offload compaction jobs to StoCs (Section 4.3); the scheduler picks
-  /// the least-loaded StoC and falls back to local execution.
+  /// Offload compaction jobs to StoCs (Section 4.3): each job goes to the
+  /// StoC the placement rule picks (SSTablePlacer::PickStocs) and runs on
+  /// the LTC when the offload fails.
   bool offload_compaction = false;
   /// Replicas of the MANIFEST file, each on a StoC of the placement list.
   int manifest_replicas = 1;
@@ -125,7 +129,7 @@ struct RangeStats {
   uint64_t compaction_bytes_read = 0;
   uint64_t compaction_bytes_written = 0;
   uint64_t compaction_queue_us = 0;
-  /// Scheduler outcomes: jobs completed on a StoC, offload attempts that
+  /// Offload outcomes: jobs completed on a StoC, offload attempts that
   /// failed, and failed offloads retried (successfully or not) locally.
   uint64_t compaction_offloads = 0;
   uint64_t compaction_offload_failures = 0;
@@ -190,9 +194,10 @@ struct RangeStats {
 
 class RangeEngine {
  public:
-  /// placement: how the range places SSTables and MANIFEST replicas. Its
-  /// StoCs also hold the range's log files, which stay on them when the
-  /// placement list changes later (SSTablePlacer::UpdateStocs).
+  /// placement: the range's one StoC list, which the cluster keeps current
+  /// (SSTablePlacer::UpdateStocs), and how it places SSTables. New log
+  /// files, log recovery, MANIFEST replicas and offloaded compactions all
+  /// read the list as it is when they run.
   /// block_cache / compressed_cache: the LTC's node-wide hot and
   /// compressed block tiers, shared by every range (null = tier off).
   RangeEngine(const RangeEngineOptions& options, stoc::StocClient* client,
@@ -233,8 +238,9 @@ class RangeEngine {
   /// graceful StoC removal).
   void WaitForQuiescence(bool flush_all = false);
 
-  /// Force every active memtable to rotate and flush (used by tests and
-  /// graceful migration).
+  /// Retire every active memtable and queue every parked merged one, so
+  /// each is flushed or merged again (a merge logs to the placement list
+  /// as it is now). Used by tests, benchmarks and graceful StoC removal.
   void FlushAllMemtables();
 
   /// Stop accepting writes (reads keep working); used by migration so the
@@ -372,6 +378,9 @@ class RangeEngine {
   /// Drop memtables that leave without an SSTable (empty, or merged), with
   /// their index entries and log files, and wake stalled writers.
   void DropMemtables(const std::vector<MemTableRef>& mems);
+  /// Move every parked merged memtable (small_immutables_) to the flush
+  /// queue. Requires mu_.
+  void QueueParkedLocked();
   void ScheduleCompactions();
   /// queue_us: time the job waited between scheduling and pool pickup.
   void RunCompaction(lsm::CompactionJob job, uint64_t queue_us);
@@ -418,7 +427,6 @@ class RangeEngine {
 
   RangeEngineOptions options_;
   stoc::StocClient* client_;
-  std::vector<rdma::NodeId> stocs_;
   sim::CpuThrottle* throttle_;
   ThreadPool* flush_pool_;
   ThreadPool* compaction_pool_;
@@ -479,7 +487,6 @@ class RangeEngine {
   /// L0 groups from different epochs may overlap).
   std::vector<std::pair<std::string, std::string>> inflight_hulls_;
   int compactions_inflight_ = 0;
-  std::unique_ptr<CompactionScheduler> scheduler_;
   /// L0 file number -> the mids flushed into it (for index upkeep when the
   /// file is compacted away).
   std::map<uint64_t, std::vector<uint64_t>> file_to_mids_;

@@ -100,13 +100,6 @@ Status Future::Wait(std::string* payload, int timeout_ms) {
   return state_->status;
 }
 
-Status Future::WaitUntil(std::string* payload, const util::Deadline& deadline) {
-  // Cap the per-call wait so an infinite deadline still degrades to the
-  // historical 30 s default rather than blocking forever.
-  int64_t ms = deadline.remaining_ms(30000);
-  return Wait(payload, static_cast<int>(ms));
-}
-
 bool Future::Cancel() {
   if (state_ == nullptr) {
     return false;

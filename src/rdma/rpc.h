@@ -29,7 +29,6 @@
 
 #include "rdma/fabric.h"
 #include "sim/cpu_throttle.h"
-#include "util/retry.h"
 
 namespace nova {
 namespace rdma {
@@ -56,9 +55,6 @@ class Future {
   /// for it (responses can be whole fragments); later Waits still see the
   /// status but an empty payload.
   Status Wait(std::string* payload, int timeout_ms = 30000);
-  /// Deadline-propagating variant: callers thread one util::Deadline down
-  /// a whole call chain instead of stacking per-hop 30 s defaults.
-  Status WaitUntil(std::string* payload, const util::Deadline& deadline);
 
   /// Withdraw interest in the result (hedged/duplicated requests: the
   /// losing attempt is cancelled once a winner returns). The waiter slot

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 
 #include "util/failpoint.h"
+#include "util/retry.h"
 
 namespace nova {
 namespace stoc {
@@ -71,12 +73,24 @@ Status StocClient::SimpleCall(rdma::NodeId stoc, const std::string& req,
 Status StocClient::IdempotentCall(rdma::NodeId stoc, const std::string& req,
                                   Slice* body, std::string* storage,
                                   int timeout_ms) {
+  // Three attempts, 200 us then 400 us apart, never past the deadline.
   util::Deadline deadline = util::Deadline::After(timeout_ms);
-  util::RetryPolicy policy;
-  return policy.Run(deadline, static_cast<uint64_t>(stoc), [&] {
-    return SimpleCall(stoc, req, body, storage,
-                      static_cast<int>(deadline.remaining_ms(timeout_ms)));
-  });
+  Status s;
+  for (int attempt = 0; attempt < 3; attempt++) {
+    if (attempt > 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(std::min<int64_t>(
+          200 << (attempt - 1), deadline.remaining_ms() * 1000)));
+    }
+    if (deadline.expired()) {
+      return Status::Unavailable("deadline exceeded before attempt");
+    }
+    s = SimpleCall(stoc, req, body, storage,
+                   static_cast<int>(deadline.remaining_ms()));
+    if (!s.IsUnavailable() && !s.IsBusy()) {
+      return s;
+    }
+  }
+  return s;
 }
 
 PendingRead& PendingRead::operator=(PendingRead&& o) noexcept {

@@ -18,7 +18,6 @@
 #include "rdma/rpc.h"
 #include "stoc/stoc_common.h"
 #include "util/histogram.h"
-#include "util/retry.h"
 
 namespace nova {
 namespace stoc {
@@ -341,9 +340,9 @@ class StocClient {
 
   Status SimpleCall(rdma::NodeId stoc, const std::string& req, Slice* body,
                     std::string* storage, int timeout_ms = 30000);
-  /// SimpleCall under the unified RetryPolicy, for idempotent
-  /// introspection ops only (stats/list/query): transient Unavailable
-  /// results are retried with backoff inside the timeout_ms budget.
+  /// SimpleCall retried, for idempotent introspection ops only
+  /// (stats/list/query): a transient Unavailable or Busy is retried with
+  /// backoff inside the timeout_ms budget.
   Status IdempotentCall(rdma::NodeId stoc, const std::string& req, Slice* body,
                         std::string* storage, int timeout_ms = 30000);
   /// Circuit-breaker admission for a single RPC: normal traffic to alive

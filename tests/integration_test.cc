@@ -939,7 +939,7 @@ TEST_F(IntegrationTest, DegradedCompactionReconstructsFromParity) {
 
 TEST_F(IntegrationTest, FailedOffloadRetriesLocally) {
   // Break every StoC's compaction handler: offloads come back empty (the
-  // seed dropped such jobs on the floor); the scheduler must fall back to
+  // seed dropped such jobs on the floor); the range must fall back to
   // local execution so compactions still complete and data stays intact.
   ClusterOptions opt = FastOptions(1, 3);
   opt.range.offload_compaction = true;
@@ -1033,16 +1033,6 @@ TEST_F(IntegrationTest, AddStocAndGracefulRemove) {
     ASSERT_TRUE(s.ok()) << key << " " << s.ToString();
     EXPECT_EQ(got, value);
   }
-}
-
-TEST_F(IntegrationTest, LeasesExpireAndRenew) {
-  StartCluster(FastOptions(1, 1));
-  auto* coordinator = cluster_->coordinator();
-  EXPECT_TRUE(coordinator->IsLeaseValid(coord::Cluster::LtcNode(0)));
-  EXPECT_TRUE(coordinator->Heartbeat(coord::Cluster::LtcNode(0)));
-  coordinator->ExpireLease(coord::Cluster::LtcNode(0));
-  EXPECT_FALSE(coordinator->IsLeaseValid(coord::Cluster::LtcNode(0)));
-  EXPECT_FALSE(coordinator->Heartbeat(coord::Cluster::LtcNode(0)));
 }
 
 TEST_F(IntegrationTest, FlushCommitDoesNotBlockGetsOrRouting) {
